@@ -25,7 +25,7 @@ from .errors import DomainError
 from .estimates import SolveFailure, refinement_study, rhs_gradient_convexity_probe
 from .fdgrid import Grid, GridField, hessian_field_array, eigh_batch
 from .inequalities import run_inequality_suite
-from .rigidity import QuadraticCandidate, entire_solution_residual, quadratic_residual, scale_field, entire_solution
+from .rigidity import QuadraticCandidate, entire_solution_residual, quadratic_residual, scale_field
 from .solver import ProblemSpec, SolveConfig, continuation_solve, isotropic_level
 from .symfun import SumHessianOp, identity_residuals, s_value
 
@@ -207,14 +207,17 @@ class RunConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             typ = known[key].type
-            if typ in ("int", int):
-                kwargs[key] = int(val)
-            elif typ in ("float", float):
-                kwargs[key] = float(val)
-            elif typ in ("tuple", tuple):
-                kwargs[key] = tuple(float(s) for s in val.split(",") if s)
-            else:
-                kwargs[key] = val
+            try:
+                if typ in ("int", int):
+                    kwargs[key] = int(val)
+                elif typ in ("float", float):
+                    kwargs[key] = float(val)
+                elif typ in ("tuple", tuple):
+                    kwargs[key] = tuple(float(s) for s in val.split(",") if s)
+                else:
+                    kwargs[key] = val
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {val!r}") from exc
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -435,6 +438,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
@@ -447,12 +457,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             setattr(config, key, val)
     if getattr(args, "box", None):
-        parts = [float(s) for s in args.box.split(",")]
+        parts = _floats(args.box, "--box")
         if len(parts) != 2 or parts[0] >= parts[1]:
             raise ConfigError("--box must be lo,hi with lo < hi")
         config.box_lo, config.box_hi = parts
     if getattr(args, "betas", None):
-        config.betas = tuple(float(s) for s in args.betas.split(","))
+        config.betas = tuple(_floats(args.betas, "--betas"))
+    if config.samples < 1:
+        raise ConfigError("samples must be >= 1")
+    if config.levels < 2:
+        raise ConfigError("levels must be >= 2 (stability compares the last two levels)")
     return config
 
 

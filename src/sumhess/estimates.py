@@ -15,14 +15,14 @@ discretely); the full-interior supremum is recorded alongside.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConeBreachError, DomainError
 from .fdgrid import GridField, eigh_batch, gradient_field_array, hessian_field_array, laplacian_field
-from .solver import ProblemSpec, SolveConfig, _NodeState, initial_guess, prolong, solve
+from .solver import ProblemSpec, SolveConfig, first_admissible, initial_guess, prolong, solve
 from .symfun import SumHessianOp
 
 STABILITY_RTOL = 0.05
@@ -176,21 +176,16 @@ def _core_supremum(q: GridField) -> tuple[float, tuple[int, ...]]:
     return float(core[idx]), tuple(int(i) + 1 for i in idx)
 
 
-def _admissible_warm_start(stage: ProblemSpec, warm: GridField) -> GridField | None:
-    """The prolonged coarse solution can breach the cone at fine-grid
-    corner nodes (it lacks the boundary layer of the fine solution).
-    The admissible matrix set is convex, so blending toward the cold
-    initial guess always repairs it; the blend keeps as much of the warm
-    field as possible."""
-    if _NodeState(stage, warm, check_rhs=False).worst_margin > 0:
-        return warm
+def _warm_start_candidates(stage: ProblemSpec, warm: GridField):
+    """The prolonged coarse solution, then blends toward the cold initial
+    guess, which is built only if needed.  The prolonged field can breach
+    the cone at fine-grid corner nodes (it lacks the boundary layer of the
+    fine solution); the admissible matrix set is convex, so the blends
+    repair it while keeping as much of the warm field as possible."""
+    yield warm
     cold = initial_guess(stage)
     for theta in (0.3, 0.6, 0.9, 1.0):
-        padded = (1.0 - theta) * warm.values + theta * cold.values
-        cand = GridField(stage.grid, padded)
-        if _NodeState(stage, cand, check_rhs=False).worst_margin > 0:
-            return cand
-    return None
+        yield GridField(stage.grid, (1.0 - theta) * warm.values + theta * cold.values)
 
 
 def refinement_study(
@@ -206,14 +201,12 @@ def refinement_study(
     grid = spec.grid
     u = None
     for level in range(levels):
-        stage = ProblemSpec(
-            op=spec.op, grid=grid, rhs=spec.rhs, rhs_u=spec.rhs_u, rhs_p=spec.rhs_p,
-            boundary=spec.boundary,
-        )
+        stage = replace(spec, grid=grid)
         u0 = None
         if u is not None:
+            warm = prolong(u, grid, boundary=spec.boundary)
             try:
-                u0 = _admissible_warm_start(stage, prolong(u, grid, boundary=spec.boundary))
+                u0 = first_admissible(stage, _warm_start_candidates(stage, warm))
             except ConeBreachError as exc:
                 raise SolveFailure(level, "cone_breach", str(exc)) from exc
         result = solve(stage, config, u0=u0)

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .cones import (
-    gamma_k_margins,
     gamma_tilde_margins,
     in_gamma_k,
     in_gamma_tilde_k,

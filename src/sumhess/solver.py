@@ -14,8 +14,8 @@ fraction of its current value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,7 +67,6 @@ class SolveConfig:
     min_step: float = 2.0**-20
     cone_fraction: float = 0.1
     linear_rtol: float = 1e-10
-    direct_limit: int = 20_000
 
 
 @dataclass
@@ -217,18 +216,9 @@ class _LinearSolveError(RuntimeError):
 
 
 def _linear_solve(J, rhs, config: SolveConfig) -> np.ndarray:
-    Jc = J.tocsc()
     denom = float(np.abs(rhs).max()) or 1.0
-    if J.shape[0] <= config.direct_limit:
-        lu = spla.splu(Jc)
-        delta = lu.solve(rhs)
-    else:
-        ilu = spla.spilu(Jc, drop_tol=1e-6, fill_factor=20)
-        M = spla.LinearOperator(J.shape, ilu.solve)
-        delta, info = spla.lgmres(J, rhs, M=M, rtol=1e-12, atol=0.0, maxiter=200)
-        lu = spla.splu(Jc) if info != 0 else ilu
-        if info != 0:
-            delta = lu.solve(rhs)
+    lu = spla.splu(J.tocsc())
+    delta = lu.solve(rhs)
     # iterative refinement buys back the last digits on stiff Jacobians
     for _ in range(3):
         res = rhs - J @ delta
@@ -243,16 +233,17 @@ def _linear_solve(J, rhs, config: SolveConfig) -> np.ndarray:
     return delta
 
 
-def _harmonic_lift(grid: Grid, boundary) -> GridField:
-    """Discrete harmonic function with the given Dirichlet trace
-    (5/7-point Laplacian, direct solve)."""
-    base = GridField.from_interior(grid, np.zeros(grid.shape), boundary=boundary)
-    N = grid.n_interior
-    eye = np.broadcast_to(np.eye(grid.dim), (N, grid.dim, grid.dim))
-    A = _stencil_matrix(grid, eye, None, None)
-    b = -laplacian_field(base).interior_flat
-    lift = spla.spsolve(A.tocsc(), b)
-    return base.with_interior(lift.reshape(grid.shape))
+def _harmonic_lifts(grid: Grid, *traces) -> list[GridField]:
+    """Discrete harmonic functions with the given Dirichlet traces
+    (5/7-point Laplacian, one sparse LU shared by all of them)."""
+    eye = np.broadcast_to(np.eye(grid.dim), (grid.n_interior, grid.dim, grid.dim))
+    lu = spla.splu(_stencil_matrix(grid, eye, None, None).tocsc())
+    lifts = []
+    for trace in traces:
+        base = GridField.from_interior(grid, np.zeros(grid.shape), boundary=trace)
+        lift = lu.solve(-laplacian_field(base).interior_flat)
+        lifts.append(base.with_interior(lift.reshape(grid.shape)))
+    return lifts
 
 
 def isotropic_level(op: SumHessianOp, target: float, tol: float = 1e-12) -> float:
@@ -277,6 +268,32 @@ def isotropic_level(op: SumHessianOp, target: float, tol: float = 1e-12) -> floa
     return 0.5 * (lo + hi)
 
 
+def _sup_rhs(spec: ProblemSpec) -> float:
+    """sup f(x, 0, 0) over the interior nodes, which must be positive."""
+    x = spec.grid.interior_points_flat()
+    f0 = np.asarray(spec.rhs(x, np.zeros(len(x)), np.zeros_like(x)), dtype=float)
+    sup_f = float(np.max(f0))
+    if sup_f <= 0:
+        raise DomainError("rhs must be positive on the sampled domain")
+    return sup_f
+
+
+def first_admissible(spec: ProblemSpec, candidates: Iterable[GridField]) -> GridField:
+    """The first candidate field with a strictly positive worst cone
+    margin, drawn lazily so that none after it is built.  Raises
+    ConeBreachError with the best worst margin when none is admissible."""
+    best_margin = -math.inf
+    for cand in candidates:
+        margin = _NodeState(spec, cand, check_rhs=False).worst_margin
+        if margin > 0:
+            return cand
+        best_margin = max(best_margin, margin)
+    raise ConeBreachError(
+        f"no admissible initial guess found (best worst-margin {best_margin:.3e}); "
+        "try a coarser grid or continuation"
+    )
+
+
 def initial_guess(spec: ProblemSpec) -> GridField:
     """Admissible starting field: a centered isotropic quadratic of level
     c plus the discrete harmonic lift that matches the Dirichlet data.
@@ -287,37 +304,20 @@ def initial_guess(spec: ProblemSpec) -> GridField:
     2x headroom when possible, then downward: because the admissible
     cone is not scale invariant, shrinking the field always ends up
     inside it (the alpha term dominates), at the price of a longer
-    Newton path.  The first fully admissible candidate wins; if none is
-    admissible a ConeBreachError carries the best margin found.
+    Newton path.  The first fully admissible candidate wins.
     """
     grid = spec.grid
-    x = grid.interior_points_flat()
-    f0 = np.asarray(spec.rhs(x, np.zeros(len(x)), np.zeros_like(x)), dtype=float)
-    sup_f = float(np.max(f0))
-    if sup_f <= 0:
-        raise DomainError("rhs must be positive on the sampled domain")
-    c_root = isotropic_level(spec.op, 2.0 * sup_f)
-
+    c_root = isotropic_level(spec.op, 2.0 * _sup_rhs(spec))
     x0 = 0.5 * (np.asarray(grid.lo) + np.asarray(grid.hi))
-    qhat = GridField.from_function(grid, lambda pts: 0.5 * ((pts - x0) ** 2).sum(axis=-1))
-    lift_g = _harmonic_lift(grid, spec.boundary)
-    lift_q = _harmonic_lift(grid, lambda pts: 0.5 * ((pts - x0) ** 2).sum(axis=-1))
 
-    best = None
-    best_margin = -math.inf
+    def quad(pts):
+        return 0.5 * ((pts - x0) ** 2).sum(axis=-1)
+
+    lift_g, lift_q = _harmonic_lifts(grid, spec.boundary, quad)
+    bowl = GridField.from_function(grid, quad).values - lift_q.values
     factors = (1.0, 1.5, 2.0, 4.0, 0.7, 0.5, 0.35, 0.25, 0.15, 0.1, 0.05, 0.02, 0.01, 0.005)
-    for factor in factors:
-        c = factor * c_root
-        padded = c * (qhat.values - lift_q.values) + lift_g.values
-        u0 = GridField(grid, padded)
-        margin = _NodeState(spec, u0, check_rhs=False).worst_margin
-        if margin > 0:
-            return u0
-        if margin > best_margin:
-            best, best_margin = u0, margin
-    raise ConeBreachError(
-        f"no admissible initial guess found (best worst-margin {best_margin:.3e}); "
-        "try a coarser grid or continuation"
+    return first_admissible(
+        spec, (GridField(grid, factor * c_root * bowl + lift_g.values) for factor in factors)
     )
 
 
@@ -438,35 +438,16 @@ def continuation_solve(
     """
     config = config or SolveConfig()
     if path is None:
-        x = spec.grid.interior_points_flat()
-        f0 = np.asarray(spec.rhs(x, np.zeros(len(x)), np.zeros_like(x)), dtype=float)
-        sup_f = float(np.max(f0))
-        if sup_f <= 0:
-            raise DomainError("rhs must be positive on the sampled domain")
-        s0 = 2.0 * sup_f
+        s0 = 2.0 * _sup_rhs(spec)
+
+        def scaled(fn, t):
+            return None if fn is None else lambda x, u, p: t * np.asarray(fn(x, u, p), dtype=float)
 
         def path(t: float) -> ProblemSpec:
-            def rhs(x, u, p, t=t):
+            def rhs(x, u, p):
                 return (1.0 - t) * s0 + t * np.asarray(spec.rhs(x, u, p), dtype=float)
 
-            def rhs_u(x, u, p, t=t):
-                if spec.rhs_u is None:
-                    return None
-                return t * np.asarray(spec.rhs_u(x, u, p), dtype=float)
-
-            def rhs_p(x, u, p, t=t):
-                if spec.rhs_p is None:
-                    return None
-                return t * np.asarray(spec.rhs_p(x, u, p), dtype=float)
-
-            return ProblemSpec(
-                op=spec.op,
-                grid=spec.grid,
-                rhs=rhs,
-                rhs_u=rhs_u if spec.rhs_u is not None else None,
-                rhs_p=rhs_p if spec.rhs_p is not None else None,
-                boundary=spec.boundary,
-            )
+            return replace(spec, rhs=rhs, rhs_u=scaled(spec.rhs_u, t), rhs_p=scaled(spec.rhs_p, t))
 
     ts: list[float] = []
     t = 0.0

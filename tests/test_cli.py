@@ -152,6 +152,28 @@ class TestSolveCommand:
         assert main(["solve", "--box", "2,1", "--rhs", "3"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--box", "1,a", "--rhs", "3"],
+        ["solve", "--config", "{bad_cfg}", "--rhs", "3"],
+        ["estimate", "--betas", "1,x"],
+        ["identities", "--samples", "0"],
+        ["estimate", "--levels", "0"],
+        ["estimate", "--levels", "1"],
+    ],
+    ids=["box", "config-value", "betas", "samples", "levels-0", "levels-1"],
+)
+def test_bad_values_are_config_errors(argv, tmp_path, capsys):
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("cells=abc\n")
+    argv = [a.format(bad_cfg=bad_cfg) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
 class TestEstimateCommand:
     def test_small_study(self, tmp_path):
         rc = main(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sumhess import estimates
 from sumhess.errors import DomainError
 from sumhess.estimates import (
     EstimateReport,
@@ -14,7 +15,7 @@ from sumhess.estimates import (
     rhs_gradient_convexity_probe,
 )
 from sumhess.fdgrid import Grid, GridField, laplacian_field
-from sumhess.solver import ProblemSpec
+from sumhess.solver import ProblemSpec, first_admissible, initial_guess
 from sumhess.symfun import SumHessianOp
 
 OP22 = SumHessianOp(2, 2, 1.0)
@@ -227,3 +228,16 @@ class TestRefinementStudy:
         assert d["quantity"] == "power"
         assert isinstance(d["per_refinement"], list)
         assert EstimateReport(**d).to_dict() == d
+
+
+class TestWarmStartCandidates:
+    def test_admissible_warm_field_skips_the_cold_guess(self, monkeypatch):
+        g = Grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
+        spec = ProblemSpec(OP22, g, rhs=lambda x, u, p: np.full(len(x), 3.0))
+        warm = initial_guess(spec)
+
+        def no_cold_guess(stage):
+            raise AssertionError("cold guess built although the warm field is admissible")
+
+        monkeypatch.setattr(estimates, "initial_guess", no_cold_guess)
+        assert first_admissible(spec, estimates._warm_start_candidates(spec, warm)) is warm

@@ -1,16 +1,21 @@
 """Solver tests: initializer, assembly, Newton loop, continuation."""
 
+import re
+
 import numpy as np
 import pytest
 
+from sumhess import solver
 from sumhess.errors import ConeBreachError, DomainError
 from sumhess.fdgrid import Grid, GridField
 from sumhess.solver import (
     ProblemSpec,
     SolveConfig,
+    _harmonic_lifts,
     _NodeState,
     assemble_newton,
     continuation_solve,
+    first_admissible,
     initial_guess,
     isotropic_level,
     prolong,
@@ -67,6 +72,63 @@ class TestInitialGuess:
         spec = ProblemSpec(op, grid2(15), rhs=const_rhs(-1.0))
         with pytest.raises(DomainError):
             initial_guess(spec)
+
+
+class TestHarmonicLifts:
+    @pytest.mark.parametrize(
+        "grid, trace",
+        [
+            (grid2(15), lambda x: 1.0 + x[..., 0] - 2.0 * x[..., 1]),
+            (Grid((-1.0,) * 3, (1.0,) * 3, (7, 7, 7)), lambda x: x[..., 0] + x[..., 1] - x[..., 2]),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_affine_traces_reproduced(self, grid, trace):
+        # affine functions are discrete-harmonic, so each lift is exact
+        exact = GridField.from_function(grid, trace)
+        lifts = _harmonic_lifts(grid, trace, lambda x: 2.0 * trace(x) - 0.5)
+        assert np.abs(lifts[0].interior - exact.interior).max() <= 1e-13
+        assert np.abs(lifts[1].interior - (2.0 * exact.interior - 0.5)).max() <= 1e-13
+
+    def test_initial_guess_factors_the_laplacian_once(self, monkeypatch):
+        calls = []
+        splu = solver.spla.splu
+
+        def counting_splu(A):
+            calls.append(A.shape)
+            return splu(A)
+
+        monkeypatch.setattr(solver.spla, "splu", counting_splu)
+        ustar = lambda x: 0.5 * ((x**2).sum(axis=-1) - 1.0)
+        initial_guess(ProblemSpec(SumHessianOp(2, 2, 1.0), grid2(15), rhs=const_rhs(3.0), boundary=ustar))
+        assert calls == [(225, 225)]
+
+
+class TestFirstAdmissible:
+    def setup_method(self):
+        self.spec = ProblemSpec(SumHessianOp(2, 2, 1.0), grid2(9), rhs=const_rhs(3.0))
+        g = self.spec.grid
+        self.bad = [GridField.from_function(g, lambda x, s=s: -s * (x**2).sum(axis=-1)) for s in (0.5, 2.0)]
+        self.good = initial_guess(self.spec)
+
+    def test_returns_first_admissible_unchanged_and_stops(self):
+        drawn = []
+
+        def candidates():
+            for cand in (*self.bad, self.good, self.good.with_interior(2.0 * self.good.interior)):
+                drawn.append(cand)
+                yield cand
+
+        assert first_admissible(self.spec, candidates()) is self.good
+        assert drawn == [*self.bad, self.good]
+
+    def test_none_admissible_reports_best_margin(self):
+        margins = [_NodeState(self.spec, u, check_rhs=False).worst_margin for u in self.bad]
+        assert max(margins) <= 0
+        # the best margin is the first candidate's, not the last one's
+        assert margins[0] > margins[1]
+        with pytest.raises(ConeBreachError, match=re.escape(f"best worst-margin {margins[0]:.3e})")):
+            first_admissible(self.spec, iter(self.bad))
 
 
 class TestAssembly:
