@@ -5,20 +5,11 @@ Dirichlet problem on boxes, interior-estimate harnesses, and the
 scaling/rigidity toolbox, with a CLI wrapping them as reproducible
 experiments."""
 
-from .cones import ConeVerdict, in_gamma_k, in_gamma_tilde_k, sample_cone
+from .cones import ConeVerdict, in_gamma_k, in_gamma_tilde_k
 from .errors import ConeBreachError, DegenerateEigenvaluesError, DomainError
-from .fdgrid import Grid, GridField, HessianSample, gradient_at, hessian_at, laplacian_field
+from .fdgrid import Grid, GridField, laplacian_field
 from .solver import ProblemSpec, SolveConfig, SolveReport, continuation_solve, initial_guess, solve
-from .symfun import (
-    S,
-    S_first_derivative,
-    S_second_derivative,
-    Spectrum,
-    SumHessianOp,
-    identity_residuals,
-    sigma_all,
-    sigma_deleted,
-)
+from .symfun import Spectrum, SumHessianOp, identity_residuals, sigma_all, sigma_deleted
 
 __all__ = [
     "ConeVerdict",
@@ -27,24 +18,17 @@ __all__ = [
     "DomainError",
     "Grid",
     "GridField",
-    "HessianSample",
     "ProblemSpec",
-    "S",
-    "S_first_derivative",
-    "S_second_derivative",
     "SolveConfig",
     "SolveReport",
     "Spectrum",
     "SumHessianOp",
     "continuation_solve",
-    "gradient_at",
-    "hessian_at",
     "identity_residuals",
     "in_gamma_k",
     "in_gamma_tilde_k",
     "initial_guess",
     "laplacian_field",
-    "sample_cone",
     "sigma_all",
     "sigma_deleted",
     "solve",

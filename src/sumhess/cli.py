@@ -4,9 +4,9 @@ Subcommands: identities (inequality sweep), solve (continuation solve),
 estimate (refinement studies over a weight-exponent sweep), rigidity
 (entire-solution sweep, quadratic classification, scaling invariance).
 
-Exit codes: 0 pass, 1 property failure, 2 solver stall, 3 cone breach,
-64 configuration error.  All outputs land under --out and are written
-atomically (temp file, then rename).  Runs are deterministic for a
+Exit codes: 0 pass, 1 property failure, 2 solver stall or domain error
+during a solve, 3 cone breach, 64 configuration error.  All outputs land
+under --out and are written atomically (temp file, then rename).  Runs are deterministic for a
 fixed (config, seed); every report embeds the resolved config.
 """
 
@@ -25,7 +25,7 @@ from .errors import DomainError
 from .estimates import SolveFailure, refinement_study, rhs_gradient_convexity_probe
 from .fdgrid import Grid, GridField, hessian_field_array, eigh_batch
 from .inequalities import run_inequality_suite
-from .rigidity import QuadraticCandidate, entire_solution_residual, quadratic_residual, scale_field
+from .rigidity import QuadraticCandidate, ScaledField, entire_solution_residual, quadratic_residual
 from .solver import ProblemSpec, SolveConfig, continuation_solve, isotropic_level
 from .symfun import SumHessianOp, identity_residuals, s_value
 
@@ -35,19 +35,12 @@ EXIT_STALLED = 2
 EXIT_CONE_BREACH = 3
 EXIT_CONFIG = 64
 
-_STATUS_EXIT = {"converged": EXIT_OK, "stalled": EXIT_STALLED, "cone_breach": EXIT_CONE_BREACH}
+_STATUS_EXIT = {"converged": EXIT_OK, "stalled": EXIT_STALLED, "domain_error": EXIT_STALLED,
+                "cone_breach": EXIT_CONE_BREACH}
 
 
 class ConfigError(ValueError):
     pass
-
-
-def thread_cap() -> int:
-    """Worker count cap from SUMHESS_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SUMHESS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +262,7 @@ def _identity_sweep_passes(samples: int, seed: int) -> bool:
 
 def cmd_identities(config: RunConfig) -> int:
     os.makedirs(config.out, exist_ok=True)
-    reports = run_inequality_suite(
-        samples=config.samples, seed=config.seed, max_workers=thread_cap()
-    )
+    reports = run_inequality_suite(samples=config.samples, seed=config.seed)
     if config.negate_oracle:
         for rep in reports:
             if rep.name == config.negate_oracle:
@@ -323,13 +314,13 @@ def cmd_estimate(config: RunConfig) -> int:
     os.makedirs(config.out, exist_ok=True)
     spec = _build_problem(config)
     solve_config = SolveConfig(rtol=config.rtol, max_iter=config.max_iter)
+    try:
+        reports = refinement_study(spec, config.betas, levels=config.levels, config=solve_config)
+    except SolveFailure as exc:
+        print(f"FAIL estimate beta={config.betas[0]}: {exc}")
+        return _STATUS_EXIT.get(exc.status, EXIT_PROPERTY)
     all_stable = True
-    for beta in config.betas:
-        try:
-            rep = refinement_study(spec, float(beta), levels=config.levels, config=solve_config)
-        except SolveFailure as exc:
-            print(f"FAIL estimate beta={beta}: {exc}")
-            return _STATUS_EXIT.get(exc.status, EXIT_PROPERTY)
+    for beta, rep in zip(config.betas, reports):
         payload = rep.to_dict()
         payload["config"] = config.to_dict()
         if 1.0 < beta < 2.0:
@@ -364,7 +355,7 @@ def cmd_rigidity(config: RunConfig) -> int:
         tuple(ratio * h for h in grid_v.hi),
         grid_v.cells,
     )
-    v = scale_field(cand, ratio)
+    v = ScaledField(cand, ratio)
     fv = GridField.from_function(grid_v, v)
     fu = GridField.from_function(grid_u, cand)
     lam_v, _ = eigh_batch(hessian_field_array(fv).reshape(-1, config.n, config.n))
@@ -467,6 +458,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("samples must be >= 1")
     if config.levels < 2:
         raise ConfigError("levels must be >= 2 (stability compares the last two levels)")
+    if not config.betas:
+        raise ConfigError("betas must list at least one weight exponent")
     return config
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfun import Spectrum, SumHessianOp, _as_array, s_value, sigma_all
+from .symfun import SumHessianOp, _as_array, s_value, sigma_all
 
 DEFAULT_TOL = 1e-12
 
@@ -150,9 +150,3 @@ def sample_gamma_k_array(
         return rng.uniform(-radius, radius, size=(count, n))
     return _sample_cone_array(n, count, radius, rng, lambda pts: gamma_k_margins(pts, k))
 
-
-def sample_cone(
-    op: SumHessianOp, count: int, radius: float, rng: np.random.Generator
-) -> list[Spectrum]:
-    """sample_cone_array wrapped into Spectrum objects."""
-    return [Spectrum(row) for row in sample_cone_array(op, count, radius, rng)]

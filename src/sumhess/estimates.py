@@ -16,7 +16,7 @@ discretely); the full-interior supremum is recorded alongside.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -190,14 +190,15 @@ def _warm_start_candidates(stage: ProblemSpec, warm: GridField):
 
 def refinement_study(
     spec: ProblemSpec,
-    exponent: float,
+    exponents: Sequence[float],
     levels: int = 3,
     config: SolveConfig | None = None,
-) -> EstimateReport:
-    """Solve on `levels` halved meshes (warm-started) and track the
-    supremum of the weighted quantity; stable when the last two core
-    suprema agree within 5%."""
-    report = EstimateReport(quantity=quantity_tag(exponent), beta_or_delta=exponent)
+) -> list[EstimateReport]:
+    """Solve on `levels` halved meshes (warm-started), once per level, and
+    track the supremum of the weighted quantity for every exponent on that
+    level's solution.  One report per exponent, stable when its last two
+    core suprema agree within 5%."""
+    reports = [EstimateReport(quantity_tag(e), float(e)) for e in exponents]
     grid = spec.grid
     u = None
     for level in range(levels):
@@ -213,22 +214,24 @@ def refinement_study(
         if not result.converged:
             raise SolveFailure(level, result.status, result.message)
         u = result.final_field
-        q = pogorelov_quantity(u, exponent)
-        sup_core, arg_core = _core_supremum(q)
-        full_idx = np.unravel_index(int(np.argmax(q.interior)), grid.shape)
-        report.per_refinement.append(
-            {
-                "h": list(grid.h),
-                "sup": sup_core,
-                "argmax": [int(i) for i in arg_core],
-                "sup_full_interior": float(q.interior.max()),
-                "argmax_full_interior": [int(i) for i in full_idx],
-                "newton_iterations": result.iterations,
-            }
-        )
+        for report in reports:
+            q = pogorelov_quantity(u, report.beta_or_delta)
+            sup_core, arg_core = _core_supremum(q)
+            full_idx = np.unravel_index(int(np.argmax(q.interior)), grid.shape)
+            report.per_refinement.append(
+                {
+                    "h": list(grid.h),
+                    "sup": sup_core,
+                    "argmax": [int(i) for i in arg_core],
+                    "sup_full_interior": float(q.interior.max()),
+                    "argmax_full_interior": [int(i) for i in full_idx],
+                    "newton_iterations": result.iterations,
+                }
+            )
         grid = grid.refine()
-    sups = [entry["sup"] for entry in report.per_refinement]
-    if len(sups) >= 2:
-        a, b = sups[-2], sups[-1]
-        report.stable = bool(abs(a - b) <= STABILITY_RTOL * max(abs(a), abs(b), 1e-300))
-    return report
+    for report in reports:
+        sups = [entry["sup"] for entry in report.per_refinement]
+        if len(sups) >= 2:
+            a, b = sups[-2], sups[-1]
+            report.stable = bool(abs(a - b) <= STABILITY_RTOL * max(abs(a), abs(b), 1e-300))
+    return reports

@@ -21,10 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfun import Spectrum
-
 JACOBI_OFF_TOL = 1e-12
-EIGH_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -157,16 +154,6 @@ class GridField:
                 writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
 
 
-@dataclass(frozen=True)
-class HessianSample:
-    """Per-node second-difference matrix with its eigen-decomposition;
-    eigenvalues descending, eigenvector columns matching."""
-
-    matrix: np.ndarray
-    eigenvalues: Spectrum
-    eigenvectors: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # batched stencils
 # ---------------------------------------------------------------------------
@@ -293,63 +280,6 @@ def eigh_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lams = np.take_along_axis(lams, order, axis=-1)
     Q = np.take_along_axis(Q, order[..., None, :], axis=-1)
     return lams, Q
-
-
-# ---------------------------------------------------------------------------
-# per-node operations
-# ---------------------------------------------------------------------------
-
-def _check_interior_node(grid: Grid, node) -> tuple[int, ...]:
-    node = tuple(int(i) for i in node)
-    if len(node) != grid.dim:
-        raise ValueError(f"node must have {grid.dim} indices")
-    for i, c in zip(node, grid.cells):
-        if not 0 <= i < c:
-            raise ValueError(f"node {node} is not interior for cells {grid.cells}")
-    return node
-
-
-def hessian_at(u: GridField, node) -> HessianSample:
-    """Second-difference Hessian at one interior node (multi-index into
-    the interior block), with eigenvalues and eigenvectors."""
-    node = _check_interior_node(u.grid, node)
-    v = u.values
-    h = u.grid.h
-    dim = u.grid.dim
-    c = tuple(i + 1 for i in node)  # padded index
-
-    def at(*offsets):
-        return v[tuple(ci + o for ci, o in zip(c, offsets))]
-
-    H = np.empty((dim, dim))
-    for a in range(dim):
-        ea = np.eye(dim, dtype=int)[a]
-        H[a, a] = (at(*ea) - 2.0 * at(*np.zeros(dim, int)) + at(*-ea)) / (h[a] * h[a])
-        for b in range(a + 1, dim):
-            eb = np.eye(dim, dtype=int)[b]
-            H[a, b] = H[b, a] = (at(*(ea + eb)) - at(*(ea - eb)) - at(*(eb - ea)) + at(*(-ea - eb))) / (
-                4.0 * h[a] * h[b]
-            )
-    lams, Q = eigh_batch(H[None, ...])
-    lams, Q = lams[0], Q[0]
-    resid = np.abs(Q @ np.diag(lams) @ Q.T - H).max()
-    if resid > EIGH_RESIDUAL_TOL * (1.0 + np.abs(H).max()):
-        raise RuntimeError(f"eigen-decomposition residual {resid:.3e} out of tolerance")
-    return HessianSample(H, Spectrum(lams), Q)
-
-
-def gradient_at(u: GridField, node) -> np.ndarray:
-    """Central first differences at one interior node."""
-    node = _check_interior_node(u.grid, node)
-    v = u.values
-    h = u.grid.h
-    c = tuple(i + 1 for i in node)
-    out = np.empty(u.grid.dim)
-    for a in range(u.grid.dim):
-        plus = tuple(ci + (1 if j == a else 0) for j, ci in enumerate(c))
-        minus = tuple(ci - (1 if j == a else 0) for j, ci in enumerate(c))
-        out[a] = (v[plus] - v[minus]) / (2.0 * h[a])
-    return out
 
 
 def laplacian_field(u: GridField) -> GridField:

@@ -36,31 +36,6 @@ from .symfun import SumHessianOp, _as_array, s_gradient, s_hessian, s_value, sig
 SWEEP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SymmetricFunction:
-    """sigma_k + alpha*sigma_{k-1} as a C^2 function of the eigenvalues.
-
-    alpha = 0 gives the plain elementary symmetric polynomial; this is
-    the shape consumed by directional_second_derivative.
-    """
-
-    k: int
-    alpha: float = 0.0
-
-    def value(self, lam) -> float:
-        return float(s_value(lam, self.k, self.alpha))
-
-    def gradient(self, lam) -> np.ndarray:
-        return s_gradient(lam, self.k, self.alpha)
-
-    def hessian(self, lam) -> np.ndarray:
-        return s_hessian(lam, self.k, self.alpha)
-
-    @classmethod
-    def from_op(cls, op: SumHessianOp) -> "SymmetricFunction":
-        return cls(op.k, op.alpha)
-
-
 @dataclass
 class InequalityReport:
     """Sweep outcome for one inequality: worst normalized margin seen,
@@ -80,7 +55,7 @@ class InequalityReport:
 
 class _WorstTracker:
     """Keeps the five smallest margins; ties resolve to the earliest
-    sample index so parallel sweeps reduce deterministically."""
+    sample index."""
 
     def __init__(self, keep: int = 5):
         self.keep = keep
@@ -160,23 +135,14 @@ def _quotient_concavity_batch(op, l, lams, ws, split_delta=None):
     return lhs - rhs, 1.0 + scale
 
 
-def quotient_concavity_margin(op: SumHessianOp, l: int, lam, w, normalized: bool = False) -> float:
-    """LHS - RHS of the quotient-concavity form inequality at (lam, w)."""
-    if not 1 <= l < op.k:
-        raise ValueError(f"need 1 <= l < k, got l={l}, k={op.k}")
-    arr = _require_admissible(op, lam)
-    margins, scales = _quotient_concavity_batch(op, l, arr[None, :], np.asarray(w, float)[None, :])
-    return float(margins[0] / scales[0]) if normalized else float(margins[0])
-
-
-def quotient_concavity_split_margin(
-    op: SumHessianOp, l: int, delta: float, lam, w, normalized: bool = False
+def quotient_concavity_margin(
+    op: SumHessianOp, l: int, lam, w, delta: float | None = None, normalized: bool = False
 ) -> float:
-    """LHS - RHS of the delta-split variant of the quotient-concavity
-    inequality."""
+    """LHS - RHS of the quotient-concavity form inequality at (lam, w);
+    its delta-split variant when delta is given."""
     if not 1 <= l < op.k:
         raise ValueError(f"need 1 <= l < k, got l={l}, k={op.k}")
-    if not 0 < delta < 1:
+    if delta is not None and not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     arr = _require_admissible(op, lam)
     margins, scales = _quotient_concavity_batch(
@@ -189,8 +155,9 @@ def quotient_concavity_split_margin(
 # second derivative of a symmetric matrix function in a direction
 # ---------------------------------------------------------------------------
 
-def directional_second_derivative(fun: SymmetricFunction, A, B, gap_tol: float = 1e-6) -> float:
-    """Second derivative of t -> fun(eigenvalues(A + t B)) at t = 0 for a
+def directional_second_derivative(k: int, alpha: float, A, B, gap_tol: float = 1e-6) -> float:
+    """Second derivative of t -> f(eigenvalues(A + t B)) at t = 0, with
+    f = sigma_k + alpha*sigma_{k-1} (alpha = 0 gives plain sigma_k), for a
     diagonal A with distinct eigenvalues:
 
         sum_{jk} f''[j,k] B_jj B_kk
@@ -215,8 +182,8 @@ def directional_second_derivative(fun: SymmetricFunction, A, B, gap_tol: float =
         raise DegenerateEigenvaluesError(
             f"eigenvalue gap {gaps.min():.3e} below threshold {gap_tol:.0e}"
         )
-    f1 = fun.gradient(kap)
-    f2 = fun.hessian(kap)
+    f1 = s_gradient(kap, k, alpha)
+    f2 = s_hessian(kap, k, alpha)
     bdiag = np.diag(B)
     total = float(bdiag @ f2 @ bdiag)
     for j in range(n):
@@ -286,11 +253,7 @@ def s_newton_margin(op: SumHessianOp, lam) -> float:
     S_{n+1} = alpha*sigma_n.
     """
     arr = _require_admissible(op, lam)
-    k, alpha = op.k, op.alpha
-    sk = float(s_value(arr, k, alpha))
-    skm = float(s_value(arr, k - 1, alpha))
-    skp = float(s_value(arr, k + 1, alpha))
-    return (sk * sk - skm * skp) / (1.0 + sk * sk)
+    return float(_s_newton_batch(op, arr[None, :])[0])
 
 
 def _s_newton_batch(op, lams):
@@ -765,28 +728,17 @@ def run_inequality_suite(
     seed: int = 2024,
     tol: float = SWEEP_TOL,
     names=None,
-    max_workers: int = 1,
 ) -> list[InequalityReport]:
     """Run the full randomized sweep and return one report per inequality.
 
     Deterministic for a fixed seed: every report consumes its own child
-    random stream, so reports may be built in parallel without changing
-    any numbers.
+    random stream, so selecting a subset with `names` does not change the
+    numbers of the reports kept.
     """
     wanted = list(REPORT_BUILDERS) if names is None else list(names)
     streams = np.random.default_rng(seed).spawn(len(REPORT_BUILDERS))
-    jobs = {
-        name: (REPORT_BUILDERS[name], streams[i])
-        for i, name in enumerate(REPORT_BUILDERS)
+    return [
+        builder(ns, alphas, samples, streams[i], tol)
+        for i, (name, builder) in enumerate(REPORT_BUILDERS.items())
         if name in wanted
-    }
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                name: pool.submit(builder, ns, alphas, samples, rng, tol)
-                for name, (builder, rng) in jobs.items()
-            }
-            return [futures[name].result() for name in jobs]
-    return [builder(ns, alphas, samples, rng, tol) for name, (builder, rng) in jobs.items()]
+    ]

@@ -80,11 +80,6 @@ class ScaledField:
         return np.asarray(self.u(self.R * y), dtype=float) <= self.R**2
 
 
-def scale_field(u, R: float) -> ScaledField:
-    """The rescaled sampler for an evaluable u; see ScaledField."""
-    return ScaledField(u, R)
-
-
 def _unit_directions(dim: int, count: int) -> np.ndarray:
     """Deterministic, roughly equidistributed unit vectors."""
     if dim == 2:

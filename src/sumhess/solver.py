@@ -73,7 +73,7 @@ class SolveConfig:
 class SolveReport:
     """Outcome of one solve: status, histories, and the final field."""
 
-    status: str  # converged | stalled | cone_breach
+    status: str  # converged | stalled | cone_breach | domain_error
     iterations: int
     residual_history: list[float]
     cone_margin_history: list[float]
@@ -353,10 +353,12 @@ def prolong(u: GridField, fine: Grid, boundary=None) -> GridField:
 def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | None = None) -> SolveReport:
     """Damped Newton iteration with cone-preserving backtracking.
 
-    Steps halve until (a) every node's cone margin keeps at least
-    `cone_fraction` of its current value and (b) the residual satisfies
-    an Armijo decrease.  Step underflow with the cone condition binding
-    reports cone_breach, otherwise stalled; both keep the best iterate.
+    Steps halve until (a) the rhs stays positive at every node, (b) every
+    node's cone margin keeps at least `cone_fraction` of its current value
+    and (c) the residual satisfies an Armijo decrease.  Step underflow
+    reports domain_error, cone_breach or stalled after the condition that
+    rejected the last trial; all keep the best iterate.  A start field
+    where the rhs is not positive reports domain_error.
     """
     config = config or SolveConfig()
     res_hist: list[float] = []
@@ -367,7 +369,12 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
         empty = spec.boundary_field()
         return SolveReport("cone_breach", 0, [], [], empty, message=str(exc))
 
-    state = _NodeState(spec, u)
+    state = _NodeState(spec, u, check_rhs=False)
+    if not (state.f > 0).all():
+        return SolveReport(
+            "domain_error", 0, [state.res_norm], [state.worst_margin], u,
+            message="rhs must be positive on the sampled domain at the starting field",
+        )
     if state.worst_margin <= 0:
         return SolveReport(
             "cone_breach", 0, [state.res_norm], [state.worst_margin], u,
@@ -393,21 +400,23 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
 
         step = 1.0
         accepted = None
-        cone_blocked = False
+        blocked = "stalled"
         while step >= config.min_step:
             trial = u.with_interior(u.interior + step * delta)
             tstate = _NodeState(spec, trial, check_rhs=False)
-            cone_ok = (tstate.margins >= config.cone_fraction * state.margins).all()
-            armijo_ok = tstate.res_norm <= (1.0 - config.armijo * step) * state.res_norm
-            if cone_ok and armijo_ok:
+            if not (tstate.f > 0).all():
+                blocked = "domain_error"
+            elif not (tstate.margins >= config.cone_fraction * state.margins).all():
+                blocked = "cone_breach"
+            elif tstate.res_norm <= (1.0 - config.armijo * step) * state.res_norm:
                 accepted = (trial, tstate)
                 break
-            cone_blocked = not cone_ok
+            else:
+                blocked = "stalled"
             step *= 0.5
         if accepted is None:
-            status = "cone_breach" if cone_blocked else "stalled"
             return SolveReport(
-                status, it + 1, res_hist, margin_hist, best[1],
+                blocked, it + 1, res_hist, margin_hist, best[1],
                 message=f"line search underflow at iteration {it} (step < {config.min_step:.1e})",
             )
         u, state = accepted
@@ -434,7 +443,8 @@ def continuation_solve(
 
     The default path blends f_t = (1-t)*S_k(cI) + t*f with c chosen as
     in initial_guess; stage failures halve the t-step (down to 2^-8 of
-    the original) before giving up with the failing t recorded.
+    the original) before giving up with the failing t recorded.  Every
+    rejected stage is listed with its t and status under rejected_stages.
     """
     config = config or SolveConfig()
     if path is None:
@@ -450,6 +460,7 @@ def continuation_solve(
             return replace(spec, rhs=rhs, rhs_u=scaled(spec.rhs_u, t), rhs_p=scaled(spec.rhs_p, t))
 
     ts: list[float] = []
+    rejected: list[dict] = []
     t = 0.0
     dt = 1.0 / steps
     report = solve(path(0.0), config)
@@ -472,10 +483,14 @@ def continuation_solve(
             ts.append(t)
             dt = min(2.0 * dt, 1.0 / steps)
         else:
+            rejected.append({"t": t_next, "status": stage.status})
             dt *= 0.5
             if dt < min_dt:
                 stage.extras["continuation_ts"] = ts
                 stage.extras["failed_t"] = t_next
+                stage.extras["rejected_stages"] = rejected
                 return stage
     report.extras["continuation_ts"] = ts
+    if rejected:
+        report.extras["rejected_stages"] = rejected
     return report

@@ -100,18 +100,6 @@ def sigma_all(lam) -> np.ndarray:
     return out
 
 
-def sigma(lam, j: int) -> np.ndarray | float:
-    """sigma_j(lam) with the boundary conventions sigma_{j<0} = 0,
-    sigma_0 = 1, sigma_{j>n} = 0."""
-    arr = _as_array(lam)
-    n = arr.shape[-1]
-    if j < 0 or j > n:
-        z = np.zeros(arr.shape[:-1])
-        return float(z) if z.ndim == 0 else z
-    val = sigma_all(arr)[..., j]
-    return float(val) if val.ndim == 0 else val
-
-
 def _drop(arr: np.ndarray, indices: Sequence[int]) -> np.ndarray:
     keep = [i for i in range(arr.shape[-1]) if i not in indices]
     return arr[..., keep]
@@ -129,15 +117,21 @@ def sigma_deleted(lam, drop: Sequence[int], j: int) -> np.ndarray | float:
     for i in idx:
         if not 0 <= i < n:
             raise ValueError(f"drop index {i} out of range for n={n}")
-    return sigma(_drop(arr, idx), j)
+    return s_value(_drop(arr, idx), j, 0.0)
 
 
 def s_value(lam, m: int, alpha: float) -> np.ndarray | float:
-    """sigma_m + alpha*sigma_{m-1}.  alpha=0 gives plain sigma_m."""
-    val = sigma(lam, m)
+    """sigma_m + alpha*sigma_{m-1} from one coefficient pass, with the
+    boundary conventions sigma_{j<0} = 0, sigma_0 = 1, sigma_{j>n} = 0.
+    alpha=0 gives plain sigma_m."""
+    arr = _as_array(lam)
+    n = arr.shape[-1]
+    sig = sigma_all(arr)
+    zero = np.zeros(arr.shape[:-1])
+    val = sig[..., m] if 0 <= m <= n else zero
     if alpha != 0.0:
-        val = val + alpha * sigma(lam, m - 1)
-    return float(val) if np.ndim(val) == 0 else val
+        val = val + alpha * (sig[..., m - 1] if 1 <= m <= n + 1 else zero)
+    return float(val) if val.ndim == 0 else val
 
 
 def s_gradient(lam, k: int, alpha: float) -> np.ndarray:
@@ -164,21 +158,6 @@ def s_hessian(lam, k: int, alpha: float) -> np.ndarray:
     return out
 
 
-def S(op: SumHessianOp, lam, m: int) -> np.ndarray | float:
-    """S_m(lam) = sigma_m + alpha*sigma_{m-1} for the given operator."""
-    return s_value(lam, m, op.alpha)
-
-
-def S_first_derivative(op: SumHessianOp, lam) -> np.ndarray:
-    """d S_k / d lam_p = S_{k-1}(lam|p) for p = 1..n."""
-    return s_gradient(lam, op.k, op.alpha)
-
-
-def S_second_derivative(op: SumHessianOp, lam) -> np.ndarray:
-    """d^2 S_k / d lam_p d lam_q = S_{k-2}(lam|pq), zero when p = q."""
-    return s_hessian(lam, op.k, op.alpha)
-
-
 def identity_residuals(op: SumHessianOp, lam) -> np.ndarray:
     """Absolute residuals of the three deletion identities.
 
@@ -191,7 +170,7 @@ def identity_residuals(op: SumHessianOp, lam) -> np.ndarray:
     arr = _as_array(lam)
     n, k, alpha = arr.shape[-1], op.k, op.alpha
     sk = s_value(arr, k, alpha)
-    sk1 = sigma(arr, k - 1)
+    sk1 = s_value(arr, k - 1, 0.0)
     grad = s_gradient(arr, k, alpha)  # S_{k-1}(lam|i)
     deleted_k = np.empty_like(arr)
     for i in range(n):

@@ -15,7 +15,6 @@ from sumhess.cli import (
     RunConfig,
     main,
     parse_rhs,
-    thread_cap,
 )
 
 FAST_IDENTITIES = ["identities", "--samples", "60", "--seed", "3"]
@@ -145,6 +144,16 @@ class TestSolveCommand:
         )
         assert rc == EXIT_CONE_BREACH
 
+    def test_domain_error_during_solve_is_not_config_error(self, tmp_path, capsys):
+        # f = 3 + 10u passes the u = 0 probe but is negative at the warm
+        # start of the t = 1 stage; continuation halves the step instead
+        rc = main(["solve", "--rhs", "3+10*u", "--cells", "17", "--out", str(tmp_path)])
+        assert rc != EXIT_CONFIG
+        text = (tmp_path / "solve_report.json").read_text()
+        assert "domain_error" in text
+        assert json.loads(text)["extras"]["rejected_stages"][0]["status"] == "domain_error"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_flags_are_config_errors(self, tmp_path):
         assert main(["solve", "--cells"]) == EXIT_CONFIG
         assert main(["frobnicate"]) == EXIT_CONFIG
@@ -158,16 +167,20 @@ class TestSolveCommand:
         ["solve", "--box", "1,a", "--rhs", "3"],
         ["solve", "--config", "{bad_cfg}", "--rhs", "3"],
         ["estimate", "--betas", "1,x"],
+        ["estimate", "--config", "{no_betas_cfg}"],
         ["identities", "--samples", "0"],
         ["estimate", "--levels", "0"],
         ["estimate", "--levels", "1"],
     ],
-    ids=["box", "config-value", "betas", "samples", "levels-0", "levels-1"],
+    ids=["box", "config-value", "betas", "betas-empty", "samples", "levels-0", "levels-1"],
 )
 def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("cells=abc\n")
-    argv = [a.format(bad_cfg=bad_cfg) for a in argv] + ["--out", str(tmp_path / "o")]
+    no_betas_cfg = tmp_path / "no_betas.cfg"
+    no_betas_cfg.write_text("betas=\n")
+    argv = [a.format(bad_cfg=bad_cfg, no_betas_cfg=no_betas_cfg) for a in argv]
+    argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err
@@ -195,12 +208,3 @@ class TestRigidityCommand:
         assert payload["quadratic_classification"]["passed"]
         assert payload["scaling_invariance"]["passed"]
 
-
-class TestThreadCap:
-    def test_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("SUMHESS_THREADS", raising=False)
-        assert thread_cap() == 1
-        monkeypatch.setenv("SUMHESS_THREADS", "7")
-        assert thread_cap() == 7
-        monkeypatch.setenv("SUMHESS_THREADS", "junk")
-        assert thread_cap() == 1

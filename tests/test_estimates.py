@@ -198,7 +198,7 @@ class TestRefinementStudy:
     def test_quadratic_fixture_supremum_level_independent(self):
         # the quadratic solution is stencil-exact at every level, so the
         # core suprema agree to machine precision
-        rep = refinement_study(self.quadratic_problem(), 1.0, levels=3)
+        (rep,) = refinement_study(self.quadratic_problem(), [1.0], levels=3)
         sups = [e["sup"] for e in rep.per_refinement]
         assert rep.stable
         # the core region grows with refinement, so suprema are only
@@ -206,8 +206,8 @@ class TestRefinementStudy:
         assert abs(sups[-1] - sups[-2]) <= 0.01 * sups[-1]
 
     def test_stability_monotone_under_level_extension(self):
-        rep3 = refinement_study(self.quadratic_problem(), 1.0, levels=3)
-        rep4 = refinement_study(self.quadratic_problem(), 1.0, levels=4)
+        (rep3,) = refinement_study(self.quadratic_problem(), [1.0], levels=3)
+        (rep4,) = refinement_study(self.quadratic_problem(), [1.0], levels=4)
         assert not (rep3.stable and not rep4.stable)
 
     def test_gradient_rhs_study_is_stable(self):
@@ -218,12 +218,27 @@ class TestRefinementStudy:
             rhs=lambda x, u, p: 3.0 + 0.1 * (p**2).sum(axis=-1),
             rhs_p=lambda x, u, p: 0.2 * p,
         )
-        rep = refinement_study(spec, 1.0, levels=3)
+        (rep,) = refinement_study(spec, [1.0], levels=3)
         assert rep.stable
         assert len(rep.per_refinement) == 3
 
+    def test_each_level_solved_once_for_all_exponents(self, monkeypatch):
+        calls = []
+        real_solve = estimates.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[0].grid.cells)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(estimates, "solve", counting_solve)
+        exponents = [1.0, 1.1, 2.0, 4.0, 8.0]
+        reports = refinement_study(self.quadratic_problem(), exponents, levels=3)
+        assert calls == [(9, 9), (19, 19), (39, 39)]
+        assert [r.beta_or_delta for r in reports] == exponents
+        assert all(len(r.per_refinement) == 3 for r in reports)
+
     def test_report_round_trips_to_dict(self):
-        rep = refinement_study(self.quadratic_problem(), 2.0, levels=2)
+        (rep,) = refinement_study(self.quadratic_problem(), [2.0], levels=2)
         d = rep.to_dict()
         assert d["quantity"] == "power"
         assert isinstance(d["per_refinement"], list)

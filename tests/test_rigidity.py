@@ -7,12 +7,12 @@ import pytest
 from sumhess.fdgrid import Grid, GridField, hessian_field_array, eigh_batch
 from sumhess.rigidity import (
     QuadraticCandidate,
+    ScaledField,
     entire_solution,
     entire_solution_hessian,
     entire_solution_residual,
     growth_check,
     quadratic_residual,
-    scale_field,
 )
 from sumhess.solver import ProblemSpec, SolveConfig, isotropic_level, solve
 from sumhess.symfun import SumHessianOp
@@ -69,23 +69,23 @@ class TestScaleField:
     def test_quadratic_transforms_to_unit_sublevel(self):
         c = 0.8
         u = lambda x: 0.5 * c * (np.asarray(x) ** 2).sum(axis=-1)
-        v = scale_field(u, R=3.0)
+        v = ScaledField(u, R=3.0)
         y = np.array([[0.2, -0.1], [1.0, 1.0]])
         assert np.allclose(v(y), 0.5 * c * (y**2).sum(axis=-1) - 1.0, atol=1e-14)
 
     def test_r_at_most_one_rejected(self):
         with pytest.raises(ValueError):
-            scale_field(lambda x: x, R=1.0)
+            ScaledField(lambda x: x, R=1.0)
 
     def test_limit_toward_one(self):
         u = lambda x: (np.asarray(x) ** 2).sum(axis=-1)
-        v = scale_field(u, R=1.0 + 1e-12)
+        v = ScaledField(u, R=1.0 + 1e-12)
         y = np.array([0.3, 0.4])
         assert v(y) == pytest.approx(u(y) - 1.0, abs=1e-9)
 
     def test_domain_indicator(self):
         u = lambda x: (np.asarray(x) ** 2).sum(axis=-1)
-        v = scale_field(u, R=2.0)
+        v = ScaledField(u, R=2.0)
         assert bool(v.in_domain(np.array([0.5, 0.5])))
         assert not bool(v.in_domain(np.array([1.5, 0.0])))
 
@@ -96,7 +96,7 @@ class TestScaleField:
         cells = 9
         gv = Grid((-1.0,) * 3, (1.0,) * 3, (cells,) * 3)
         gu = Grid((-R,) * 3, (R,) * 3, (cells,) * 3)
-        v = scale_field(entire_solution, R)
+        v = ScaledField(entire_solution, R)
         fv = GridField.from_function(gv, v)
         fu = GridField.from_function(gu, entire_solution)
         Hv = hessian_field_array(fv)

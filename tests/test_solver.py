@@ -253,6 +253,15 @@ class TestSolve:
         exact = GridField.from_function(g, ustar)
         assert np.abs(rep.final_field.interior - exact.interior).max() <= 1e-11
 
+    def test_nonpositive_rhs_at_start_is_domain_error(self):
+        op = SumHessianOp(2, 2, 1.0)
+        spec = ProblemSpec(op, grid2(9), rhs=lambda x, u, p: 3.0 + 10.0 * u)
+        u0 = initial_guess(ProblemSpec(op, grid2(9), rhs=const_rhs(3.0)))
+        u0 = u0.with_interior(u0.interior - 1.0)
+        rep = solve(spec, u0=u0)
+        assert rep.status == "domain_error"
+        assert rep.iterations == 0
+
     def test_report_serializes(self):
         import json
 
@@ -335,3 +344,4 @@ class TestContinuation:
         rep = continuation_solve(spec, config=SolveConfig(max_iter=12))
         assert rep.status != "converged"
         assert 0.0 < rep.extras["failed_t"] <= 1.0
+        assert rep.extras["rejected_stages"][-1] == {"t": rep.extras["failed_t"], "status": rep.status}

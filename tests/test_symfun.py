@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from sumhess.symfun import (
-    S,
-    S_first_derivative,
-    S_second_derivative,
     Spectrum,
     SumHessianOp,
     identity_residuals,
+    s_gradient,
+    s_hessian,
     s_value,
     sigma_all,
     sigma_deleted,
@@ -129,33 +128,48 @@ class TestSigmaDeleted:
 class TestS:
     def test_all_ones(self):
         op = SumHessianOp(3, 2, 1.0)
-        assert S(op, [1.0, 1.0, 1.0], 2) == pytest.approx(6.0)
+        assert s_value([1.0, 1.0, 1.0], 2, op.alpha) == pytest.approx(6.0)
 
     def test_order_zero_is_one(self):
         op = SumHessianOp(4, 2, 3.7)
-        assert S(op, [0.3, -1.0, 2.0, 0.1], 0) == pytest.approx(1.0)
+        assert s_value([0.3, -1.0, 2.0, 0.1], 0, op.alpha) == pytest.approx(1.0)
 
     def test_isotropic_two_dim(self):
         op = SumHessianOp(2, 2, 1.0)
-        assert S(op, [1.0, 1.0], 2) == pytest.approx(3.0)
+        assert s_value([1.0, 1.0], 2, op.alpha) == pytest.approx(3.0)
         c = 0.7
-        assert S(op, [c, c], 2) == pytest.approx(c * c + 2 * c)
+        assert s_value([c, c], 2, op.alpha) == pytest.approx(c * c + 2 * c)
 
     def test_beyond_top_order(self):
         # sigma_{n+1} = 0 so S_{n+1} = alpha*sigma_n
         op = SumHessianOp(2, 2, 2.0)
-        assert S(op, [3.0, 4.0], 3) == pytest.approx(2.0 * 12.0)
+        assert s_value([3.0, 4.0], 3, op.alpha) == pytest.approx(2.0 * 12.0)
+
+    def test_edge_orders_batched_matches_scalar(self):
+        # one coefficient pass serves both orders; the batched result (a
+        # view of the sigma_all array for in-range m) must equal the
+        # per-row scalar calls bit for bit at the boundary orders
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 4):
+            lams = rng.uniform(-5, 5, size=(7, n))
+            for m in (0, 1, n, n + 1):
+                for alpha in (0.0, 1.0):
+                    batched = s_value(lams, m, alpha)
+                    assert batched.shape == (7,)
+                    rows = [s_value(row, m, alpha) for row in lams]
+                    assert all(isinstance(v, float) for v in rows)
+                    assert np.array_equal(batched, rows), (n, m, alpha)
 
 
 class TestDerivatives:
     def test_gradient_all_ones(self):
         op = SumHessianOp(3, 2, 1.0)
-        assert np.allclose(S_first_derivative(op, [1.0, 1.0, 1.0]), [3.0, 3.0, 3.0])
+        assert np.allclose(s_gradient([1.0, 1.0, 1.0], op.k, op.alpha), [3.0, 3.0, 3.0])
 
     def test_gradient_linear_case(self):
         # S_1 = sigma_1 + alpha has unit gradient
         op = SumHessianOp(4, 1, 2.5)
-        grad = S_first_derivative(op, [0.4, -2.0, 1.0, 3.0])
+        grad = s_gradient([0.4, -2.0, 1.0, 3.0], op.k, op.alpha)
         assert np.allclose(grad, 1.0)
 
     def test_gradient_matches_central_differences(self):
@@ -166,22 +180,22 @@ class TestDerivatives:
             k = rng.integers(1, n + 1)
             op = SumHessianOp(int(n), int(k), float(rng.choice([0.1, 1.0, 10.0])))
             lam = rng.uniform(-5, 5, size=n)
-            grad = S_first_derivative(op, lam)
+            grad = s_gradient(lam, op.k, op.alpha)
             for p in range(n):
                 e = np.zeros(n)
                 e[p] = h
-                fd = (S(op, lam + e, op.k) - S(op, lam - e, op.k)) / (2 * h)
+                fd = (s_value(lam + e, op.k, op.alpha) - s_value(lam - e, op.k, op.alpha)) / (2 * h)
                 assert grad[p] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_hessian_k2_case(self):
         # k = 2: off-diagonals are S_0 = 1, diagonal 0
         op = SumHessianOp(3, 2, 1.0)
-        H = S_second_derivative(op, [0.3, -1.2, 4.0])
+        H = s_hessian([0.3, -1.2, 4.0], op.k, op.alpha)
         assert np.allclose(H, np.ones((3, 3)) - np.eye(3))
 
     def test_hessian_k3_entry(self):
         op = SumHessianOp(3, 3, 1.0)
-        H = S_second_derivative(op, [1.0, 2.0, 3.0])
+        H = s_hessian([1.0, 2.0, 3.0], op.k, op.alpha)
         assert H[0, 1] == pytest.approx(4.0)  # S_1(lam|12) = 3 + alpha
 
     def test_hessian_symmetry(self):
@@ -190,7 +204,7 @@ class TestDerivatives:
             n = rng.integers(2, 7)
             k = rng.integers(1, n + 1)
             op = SumHessianOp(int(n), int(k), 1.0)
-            H = S_second_derivative(op, rng.uniform(-5, 5, size=n))
+            H = s_hessian(rng.uniform(-5, 5, size=n), op.k, op.alpha)
             assert np.array_equal(H, H.T)
 
     def test_hessian_matches_second_differences(self):
@@ -201,7 +215,7 @@ class TestDerivatives:
             k = rng.integers(1, n + 1)
             op = SumHessianOp(int(n), int(k), 1.0)
             lam = rng.uniform(-3, 3, size=n)
-            H = S_second_derivative(op, lam)
+            H = s_hessian(lam, op.k, op.alpha)
             for p in range(n):
                 for q in range(n):
                     ep = np.zeros(n)
@@ -209,10 +223,10 @@ class TestDerivatives:
                     ep[p] = h
                     eq[q] = h
                     fd = (
-                        S(op, lam + ep + eq, op.k)
-                        - S(op, lam + ep - eq, op.k)
-                        - S(op, lam - ep + eq, op.k)
-                        + S(op, lam - ep - eq, op.k)
+                        s_value(lam + ep + eq, op.k, op.alpha)
+                        - s_value(lam + ep - eq, op.k, op.alpha)
+                        - s_value(lam - ep + eq, op.k, op.alpha)
+                        + s_value(lam - ep - eq, op.k, op.alpha)
                     ) / (4 * h * h)
                     scale = max(1.0, abs(H[p, q]))
                     assert abs(H[p, q] - fd) <= 1e-4 * scale
@@ -222,9 +236,9 @@ class TestIdentities:
     def test_all_ones_identity_v(self):
         op = SumHessianOp(3, 2, 1.0)
         lam = np.ones(3)
-        grad = S_first_derivative(op, lam)
+        grad = s_gradient(lam, op.k, op.alpha)
         assert (lam * grad).sum() == pytest.approx(9.0)
-        assert 2 * S(op, lam, 2) - 3.0 == pytest.approx(9.0)
+        assert 2 * s_value(lam, 2, op.alpha) - 3.0 == pytest.approx(9.0)
 
     def test_all_ones_identity_iv(self):
         op = SumHessianOp(3, 2, 1.0)
