@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -145,7 +146,10 @@ def parse_rhs(text: str):
                 node = (lambda a, b: lambda x, u, p: a(x, u, p) - b(x, u, p))(node, rhs)
         return node
 
-    root = expr()
+    try:
+        root = expr()
+    except RecursionError:
+        raise ConfigError("rhs expression is nested too deeply") from None
     if pos != len(tokens):
         raise ConfigError(f"trailing tokens in rhs expression: {tokens[pos:]}")
     return root
@@ -218,17 +222,37 @@ class RunConfig:
         d["betas"] = list(self.betas)
         return d
 
+    def validate(self) -> "RunConfig":
+        """Raise ConfigError for the first value out of range, whether it
+        came from a flag or from a --config file."""
+        finite = math.isfinite
+        checks = (
+            (self.n in (2, 3), "n must be 2 or 3 (the grid dimension)"),
+            (1 <= self.k <= self.n, "k must satisfy 1 <= k <= n"),
+            (finite(self.alpha) and self.alpha > 0, "alpha must be finite and positive"),
+            (self.cells >= 3, "cells must be >= 3"),
+            (finite(self.box_lo) and finite(self.box_hi) and self.box_lo < self.box_hi,
+             "box must be finite lo,hi with lo < hi"),
+            (finite(self.rtol) and self.rtol > 0, "rtol must be finite and positive"),
+            (self.max_iter >= 1, "max_iter must be >= 1"),
+            (bool(self.betas) and all(finite(b) for b in self.betas),
+             "betas must list at least one weight exponent, all finite"),
+            (self.levels >= 2, "levels must be >= 2 (stability compares the last two levels)"),
+            (self.samples >= 1, "samples must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
+            (finite(self.scale_ratio) and self.scale_ratio > 1,
+             "scale_ratio must be finite and exceed 1"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
+        return self
+
     def op(self) -> SumHessianOp:
-        try:
-            return SumHessianOp(self.n, self.k, self.alpha)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SumHessianOp(self.n, self.k, self.alpha)
 
     def grid(self) -> Grid:
-        try:
-            return Grid((self.box_lo,) * self.n, (self.box_hi,) * self.n, (self.cells,) * self.n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return Grid((self.box_lo,) * self.n, (self.box_hi,) * self.n, (self.cells,) * self.n)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -288,7 +312,10 @@ def _build_problem(config: RunConfig) -> ProblemSpec:
     grid = config.grid()
     rhs = parse_rhs(config.rhs)
     x = grid.interior_points_flat()
-    probe = np.asarray(rhs(x, np.zeros(len(x)), np.zeros_like(x)), dtype=float)
+    try:
+        probe = np.asarray(rhs(x, np.zeros(len(x)), np.zeros_like(x)), dtype=float)
+    except RecursionError:
+        raise ConfigError("rhs expression is too long to evaluate") from None
     if not (probe > 0).all():
         raise ConfigError("rhs must be positive on the domain (sampled at u=0, Du=0)")
     return ProblemSpec(op, grid, rhs=rhs)
@@ -298,7 +325,7 @@ def cmd_solve(config: RunConfig) -> int:
     os.makedirs(config.out, exist_ok=True)
     spec = _build_problem(config)
     solve_config = SolveConfig(rtol=config.rtol, max_iter=config.max_iter)
-    report = continuation_solve(spec, steps=8, config=solve_config)
+    report = continuation_solve(spec, solve_config)
     payload = report.to_json_dict()
     payload["config"] = config.to_dict()
     payload["gradient_dependent_rhs"] = "g2" in config.rhs
@@ -449,18 +476,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             setattr(config, key, val)
     if getattr(args, "box", None):
         parts = _floats(args.box, "--box")
-        if len(parts) != 2 or parts[0] >= parts[1]:
-            raise ConfigError("--box must be lo,hi with lo < hi")
+        if len(parts) != 2:
+            raise ConfigError("--box must be lo,hi")
         config.box_lo, config.box_hi = parts
     if getattr(args, "betas", None):
         config.betas = tuple(_floats(args.betas, "--betas"))
-    if config.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if config.levels < 2:
-        raise ConfigError("levels must be >= 2 (stability compares the last two levels)")
-    if not config.betas:
-        raise ConfigError("betas must list at least one weight exponent")
-    return config
+    return config.validate()
 
 
 _COMMANDS = {

@@ -22,6 +22,7 @@ import numpy as np
 from .symfun import SumHessianOp, _as_array, s_value, sigma_all
 
 DEFAULT_TOL = 1e-12
+MAX_DRAWS = 1_000_000  # rejection draws before the positive-orthant fallback
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,10 @@ class ConeVerdict:
         return min(self.margins)
 
 
-def _verdict(margins: np.ndarray, tol: float) -> ConeVerdict:
+def _verdict(margins: np.ndarray) -> ConeVerdict:
     scale = 1.0 + float(np.abs(margins).max())
-    member = bool((margins > -tol * scale).all())
-    return ConeVerdict(member, tuple(float(m) for m in margins), tol)
+    member = bool((margins > -DEFAULT_TOL * scale).all())
+    return ConeVerdict(member, tuple(float(m) for m in margins), DEFAULT_TOL)
 
 
 def gamma_k_margins(lam, k: int) -> np.ndarray:
@@ -60,26 +61,26 @@ def gamma_tilde_margins(op: SumHessianOp, lam) -> np.ndarray:
     return out
 
 
-def in_gamma_k(lam, k: int, tol: float = DEFAULT_TOL) -> ConeVerdict:
+def in_gamma_k(lam, k: int) -> ConeVerdict:
     """Garding cone test: sigma_m(lam) > 0 for m = 1..k."""
-    return _verdict(gamma_k_margins(lam, k), tol)
+    return _verdict(gamma_k_margins(lam, k))
 
 
-def in_gamma_tilde_k(op: SumHessianOp, lam, tol: float = DEFAULT_TOL) -> ConeVerdict:
+def in_gamma_tilde_k(op: SumHessianOp, lam) -> ConeVerdict:
     """Admissible cone test: S_m(lam) > 0 for m = 1..k."""
-    return _verdict(gamma_tilde_margins(op, lam), tol)
+    return _verdict(gamma_tilde_margins(op, lam))
 
 
-def equivalence_check(op: SumHessianOp, lam, tol: float = DEFAULT_TOL) -> bool:
+def equivalence_check(op: SumHessianOp, lam) -> bool:
     """True iff the two characterizations of the admissible cone agree
     on lam: (Gamma_{k-1} and S_k > 0)  <=>  (S_m > 0 for m = 1..k)."""
     arr = _as_array(lam)
     via_gamma = True
     if op.k > 1:
-        via_gamma = in_gamma_k(arr, op.k - 1, tol).member
+        via_gamma = in_gamma_k(arr, op.k - 1).member
     sk = float(s_value(arr, op.k, op.alpha))
-    route_a = via_gamma and sk > -tol * (1.0 + abs(sk))
-    route_b = in_gamma_tilde_k(op, arr, tol).member
+    route_a = via_gamma and sk > -DEFAULT_TOL * (1.0 + abs(sk))
+    route_b = in_gamma_tilde_k(op, arr).member
     return route_a == route_b
 
 
@@ -97,14 +98,12 @@ def _sample_cone_array(
     radius: float,
     rng: np.random.Generator,
     margins_fn,
-    max_draws: int = 1_000_000,
-    min_rate: float = 1e-4,
 ) -> np.ndarray:
     accepted: list[np.ndarray] = []
     total_kept = 0
     drawn = 0
     batch = 4096
-    while total_kept < count and drawn < max_draws:
+    while total_kept < count and drawn < MAX_DRAWS:
         pts = rng.uniform(-radius, radius, size=(batch, n))
         drawn += batch
         keep = (margins_fn(pts) > 0).all(axis=-1)
@@ -112,8 +111,6 @@ def _sample_cone_array(
         if kept.size:
             accepted.append(kept)
             total_kept += len(kept)
-        if drawn >= max_draws and total_kept / drawn < min_rate:
-            break
     while total_kept < count:
         pts = _fallback_positive(n, count - total_kept, radius, rng)
         keep = (margins_fn(pts) > 0).all(axis=-1)
@@ -129,8 +126,8 @@ def sample_cone_array(
 ) -> np.ndarray:
     """`count` spectra in the admissible cone, shape (count, n).
 
-    Rejection sampling on the box [-radius, radius]^n; if the acceptance
-    rate is hopeless the sampler falls back to the (always admissible)
+    Rejection sampling on the box [-radius, radius]^n; if MAX_DRAWS draws
+    fall short of `count`, the rest come from the (always admissible)
     positive orthant.  Deterministic for a seeded generator.
     """
     if count < 1:

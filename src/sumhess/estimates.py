@@ -20,9 +20,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConeBreachError, DomainError
+from .errors import DomainError
 from .fdgrid import GridField, eigh_batch, gradient_field_array, hessian_field_array, laplacian_field
-from .solver import ProblemSpec, SolveConfig, first_admissible, initial_guess, prolong, solve
+from .solver import ProblemSpec, SolveConfig, solve
 from .symfun import SumHessianOp
 
 STABILITY_RTOL = 0.05
@@ -176,41 +176,24 @@ def _core_supremum(q: GridField) -> tuple[float, tuple[int, ...]]:
     return float(core[idx]), tuple(int(i) + 1 for i in idx)
 
 
-def _warm_start_candidates(stage: ProblemSpec, warm: GridField):
-    """The prolonged coarse solution, then blends toward the cold initial
-    guess, which is built only if needed.  The prolonged field can breach
-    the cone at fine-grid corner nodes (it lacks the boundary layer of the
-    fine solution); the admissible matrix set is convex, so the blends
-    repair it while keeping as much of the warm field as possible."""
-    yield warm
-    cold = initial_guess(stage)
-    for theta in (0.3, 0.6, 0.9, 1.0):
-        yield GridField(stage.grid, (1.0 - theta) * warm.values + theta * cold.values)
-
-
 def refinement_study(
     spec: ProblemSpec,
     exponents: Sequence[float],
     levels: int = 3,
     config: SolveConfig | None = None,
 ) -> list[EstimateReport]:
-    """Solve on `levels` halved meshes (warm-started), once per level, and
-    track the supremum of the weighted quantity for every exponent on that
-    level's solution.  One report per exponent, stable when its last two
-    core suprema agree within 5%."""
+    """Solve on `levels` halved meshes, once per level and each from the
+    cold initial guess, and track the supremum of the weighted quantity
+    for every exponent on that level's solution.  One report per
+    exponent, stable when its last two core suprema agree within 5%.
+
+    The prolonged coarse solution is not used as a start: it lacks the
+    fine grid's corner boundary layer and breaches the cone there, and
+    the blends that repair it saved at most one Newton iteration."""
     reports = [EstimateReport(quantity_tag(e), float(e)) for e in exponents]
     grid = spec.grid
-    u = None
     for level in range(levels):
-        stage = replace(spec, grid=grid)
-        u0 = None
-        if u is not None:
-            warm = prolong(u, grid, boundary=spec.boundary)
-            try:
-                u0 = first_admissible(stage, _warm_start_candidates(stage, warm))
-            except ConeBreachError as exc:
-                raise SolveFailure(level, "cone_breach", str(exc)) from exc
-        result = solve(stage, config, u0=u0)
+        result = solve(replace(spec, grid=grid), config)
         if not result.converged:
             raise SolveFailure(level, result.status, result.message)
         u = result.final_field

@@ -34,6 +34,9 @@ from .errors import DegenerateEigenvaluesError, DomainError
 from .symfun import SumHessianOp, _as_array, s_gradient, s_hessian, s_value, sigma_all
 
 SWEEP_TOL = 1e-9
+WITNESSES = 5  # worst samples kept per report
+GAP_TOL = 1e-6  # smallest eigenvalue gap the directional derivative accepts
+CAPPED_TAILS = 6  # Gamma_{k-1} tails of the capped threshold search
 
 
 @dataclass
@@ -54,20 +57,19 @@ class InequalityReport:
 
 
 class _WorstTracker:
-    """Keeps the five smallest margins; ties resolve to the earliest
+    """Keeps the WITNESSES smallest margins; ties resolve to the earliest
     sample index."""
 
-    def __init__(self, keep: int = 5):
-        self.keep = keep
+    def __init__(self):
         self.items: list[tuple[float, int, dict]] = []
         self.count = 0
 
     def add_batch(self, margins: np.ndarray, witness_fn):
-        for j in np.argsort(margins, kind="stable")[: self.keep]:
+        for j in np.argsort(margins, kind="stable")[:WITNESSES]:
             self.items.append((float(margins[j]), self.count + int(j), witness_fn(int(j))))
         self.count += len(margins)
         self.items.sort(key=lambda t: (t[0], t[1]))
-        del self.items[self.keep :]
+        del self.items[WITNESSES:]
 
     @property
     def worst(self) -> float:
@@ -155,7 +157,7 @@ def quotient_concavity_margin(
 # second derivative of a symmetric matrix function in a direction
 # ---------------------------------------------------------------------------
 
-def directional_second_derivative(k: int, alpha: float, A, B, gap_tol: float = 1e-6) -> float:
+def directional_second_derivative(k: int, alpha: float, A, B) -> float:
     """Second derivative of t -> f(eigenvalues(A + t B)) at t = 0, with
     f = sigma_k + alpha*sigma_{k-1} (alpha = 0 gives plain sigma_k), for a
     diagonal A with distinct eigenvalues:
@@ -178,9 +180,9 @@ def directional_second_derivative(k: int, alpha: float, A, B, gap_tol: float = 1
         raise ValueError("B must be symmetric")
     kap = np.diag(A)
     gaps = np.abs(kap[:, None] - kap[None, :])[~np.eye(n, dtype=bool)]
-    if gaps.size and gaps.min() < gap_tol:
+    if gaps.size and gaps.min() < GAP_TOL:
         raise DegenerateEigenvaluesError(
-            f"eigenvalue gap {gaps.min():.3e} below threshold {gap_tol:.0e}"
+            f"eigenvalue gap {gaps.min():.3e} below threshold {GAP_TOL:.0e}"
         )
     f1 = s_gradient(kap, k, alpha)
     f2 = s_hessian(kap, k, alpha)
@@ -424,7 +426,6 @@ def capped_threshold_search(
     n0: float,
     eps0: float,
     rng: np.random.Generator,
-    tails: int = 6,
     tol: float = SWEEP_TOL,
 ) -> dict:
     """Empirical threshold for the two conditional capped-spectrum bounds.
@@ -446,7 +447,7 @@ def capped_threshold_search(
     if k < 2:
         raise ValueError("threshold search needs k >= 2")
     target = 0.9 * n0
-    tail_base = sample_gamma_k_array(n - 1, k - 1, tails, 1.0, rng)
+    tail_base = sample_gamma_k_array(n - 1, k - 1, CAPPED_TAILS, 1.0, rng)
     if k == 2:
         grids = [np.geomspace(0.02 * target / alpha, 0.98 * target / alpha, 12)]
     else:

@@ -4,11 +4,10 @@ S_k(lam(D^2 u)) = f(x, u, Du) on a box, with cone-preserving line search.
 The residual is assembled node-wise from the second-difference Hessian;
 the Jacobian contracts the per-node tensor F = Q diag(S_k^{pp}) Q^T
 against the same stencils, so Newton differentiates exactly the discrete
-residual (f_u, f_p enter through the supplied partials or forward
-differences).  Ellipticity of the linearization is exactly positivity of
-S_k^{pp}, which holds inside the admissible cone; the line search
-therefore never accepts an iterate whose worst cone margin drops below a
-fraction of its current value.
+residual (f_u, f_p enter through forward differences).  Ellipticity of
+the linearization is exactly positivity of S_k^{pp}, which holds inside
+the admissible cone; the line search therefore never accepts an iterate
+whose worst cone margin drops below a fraction of its current value.
 """
 
 from __future__ import annotations
@@ -27,6 +26,11 @@ from .fdgrid import Grid, GridField, eigh_batch, gradient_field_array, hessian_f
 from .symfun import SumHessianOp, s_gradient, s_value
 
 FD_STEP = 1e-6
+ARMIJO = 1e-4  # sufficient-decrease factor of the line search
+MIN_STEP = 2.0**-20  # line-search underflow
+CONE_FRACTION = 0.1  # share of every node's cone margin a step must keep
+LINEAR_RTOL = 1e-10  # relative residual contract of each linear solve
+CONTINUATION_STEPS = 8
 
 
 @dataclass
@@ -35,17 +39,13 @@ class ProblemSpec:
 
     rhs maps (x, u, p) -> values with x of shape (N, dim), u (N,) and
     p (N, dim); it must be positive on the sampled domain (checked at
-    every assembly).  rhs_u and rhs_p are the optional analytic partials
-    with the same calling convention; forward differences are used when
-    they are absent.  boundary is the Dirichlet trace: a constant or a
+    every evaluated iterate).  boundary is the Dirichlet trace: a constant or a
     callable on coordinate arrays (..., dim).
     """
 
     op: SumHessianOp
     grid: Grid
     rhs: Callable
-    rhs_u: Callable | None = None
-    rhs_p: Callable | None = None
     boundary: float | Callable = 0.0
 
     def __post_init__(self):
@@ -63,10 +63,6 @@ class ProblemSpec:
 class SolveConfig:
     rtol: float = 1e-8
     max_iter: int = 60
-    armijo: float = 1e-4
-    min_step: float = 2.0**-20
-    cone_fraction: float = 0.1
-    linear_rtol: float = 1e-10
 
 
 @dataclass
@@ -126,22 +122,17 @@ class _NodeState:
         return float(self.margins.min())
 
 
-def _rhs_partials(spec: ProblemSpec, state: _NodeState) -> tuple[np.ndarray, np.ndarray]:
+def _fd_partials(spec: ProblemSpec, state: _NodeState) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-difference partials f_u and f_p at the state's iterate."""
     x, uvals, grads, f = state.x, state.uvals, state.grads, state.f
-    if spec.rhs_u is not None:
-        fu = np.broadcast_to(np.asarray(spec.rhs_u(x, uvals, grads), float), uvals.shape)
-    else:
-        du = FD_STEP * (1.0 + np.abs(uvals))
-        fu = (np.asarray(spec.rhs(x, uvals + du, grads), float) - f) / du
-    if spec.rhs_p is not None:
-        fp = np.asarray(spec.rhs_p(x, uvals, grads), float).reshape(grads.shape)
-    else:
-        fp = np.empty_like(grads)
-        for a in range(grads.shape[1]):
-            dp = FD_STEP * (1.0 + np.abs(grads[:, a]))
-            bumped = grads.copy()
-            bumped[:, a] += dp
-            fp[:, a] = (np.asarray(spec.rhs(x, uvals, bumped), float) - f) / dp
+    du = FD_STEP * (1.0 + np.abs(uvals))
+    fu = (np.asarray(spec.rhs(x, uvals + du, grads), float) - f) / du
+    fp = np.empty_like(grads)
+    for a in range(grads.shape[1]):
+        dp = FD_STEP * (1.0 + np.abs(grads[:, a]))
+        bumped = grads.copy()
+        bumped[:, a] += dp
+        fp[:, a] = (np.asarray(spec.rhs(x, uvals, bumped), float) - f) / dp
     return fu, fp
 
 
@@ -191,44 +182,45 @@ def _stencil_matrix(grid: Grid, F: np.ndarray, fu: np.ndarray | None, fp: np.nda
     ).tocsr()
 
 
-def assemble_newton(spec: ProblemSpec, u: GridField):
-    """Residual vector and Jacobian matrix of the discrete problem at u.
+def assemble_newton(spec: ProblemSpec, state: _NodeState):
+    """Jacobian matrix of the discrete problem at the iterate of `state`.
 
     Requires a strictly admissible iterate: every node's spectrum must
     sit inside the cone with positive margin, otherwise the linearization
     is not elliptic and a ConeBreachError is raised.
     """
-    state = _NodeState(spec, u)
     if state.worst_margin <= 0:
         raise ConeBreachError(
             f"iterate leaves the admissible cone (worst margin {state.worst_margin:.3e})"
         )
     sp_grad = s_gradient(state.lams, spec.op.k, spec.op.alpha)
     F = np.einsum("nij,nj,nkj->nik", state.Q, sp_grad, state.Q)
-    fu, fp = _rhs_partials(spec, state)
-    J = _stencil_matrix(spec.grid, F, fu, fp)
-    return state, J
+    fu, fp = _fd_partials(spec, state)
+    return _stencil_matrix(spec.grid, F, fu, fp)
 
 
 class _LinearSolveError(RuntimeError):
-    """The linear residual contract could not be met (Jacobian close to
-    singular); the Newton loop reports a stall instead of crashing."""
+    """The linear residual contract could not be met (Jacobian singular or
+    close to it); the Newton loop reports a stall instead of crashing."""
 
 
-def _linear_solve(J, rhs, config: SolveConfig) -> np.ndarray:
+def _linear_solve(J, rhs) -> np.ndarray:
     denom = float(np.abs(rhs).max()) or 1.0
-    lu = spla.splu(J.tocsc())
+    try:
+        lu = spla.splu(J.tocsc())
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise _LinearSolveError(f"sparse LU failed: {exc}") from exc
     delta = lu.solve(rhs)
     # iterative refinement buys back the last digits on stiff Jacobians
     for _ in range(3):
         res = rhs - J @ delta
-        if float(np.abs(res).max()) / denom <= config.linear_rtol:
+        if float(np.abs(res).max()) / denom <= LINEAR_RTOL:
             break
         delta = delta + lu.solve(res)
     lin_res = float(np.abs(J @ delta - rhs).max()) / denom
-    if not np.isfinite(lin_res) or lin_res > config.linear_rtol:
+    if not np.isfinite(lin_res) or lin_res > LINEAR_RTOL:
         raise _LinearSolveError(
-            f"linear solve residual {lin_res:.3e} exceeds {config.linear_rtol:.0e}"
+            f"linear solve residual {lin_res:.3e} exceeds {LINEAR_RTOL:.0e}"
         )
     return delta
 
@@ -354,7 +346,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     """Damped Newton iteration with cone-preserving backtracking.
 
     Steps halve until (a) the rhs stays positive at every node, (b) every
-    node's cone margin keeps at least `cone_fraction` of its current value
+    node's cone margin keeps at least CONE_FRACTION of its current value
     and (c) the residual satisfies an Armijo decrease.  Step underflow
     reports domain_error, cone_breach or stalled after the condition that
     rejected the last trial; all keep the best iterate.  A start field
@@ -390,25 +382,25 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
             return SolveReport("converged", it, res_hist, margin_hist, u,
                                extras={"f_scale": f_scale})
         try:
-            state, J = assemble_newton(spec, u)
+            J = assemble_newton(spec, state)
         except ConeBreachError as exc:
             return SolveReport("cone_breach", it, res_hist, margin_hist, best[1], message=str(exc))
         try:
-            delta = _linear_solve(J, -state.residual, config).reshape(spec.grid.shape)
+            delta = _linear_solve(J, -state.residual).reshape(spec.grid.shape)
         except _LinearSolveError as exc:
             return SolveReport("stalled", it, res_hist, margin_hist, best[1], message=str(exc))
 
         step = 1.0
         accepted = None
         blocked = "stalled"
-        while step >= config.min_step:
+        while step >= MIN_STEP:
             trial = u.with_interior(u.interior + step * delta)
             tstate = _NodeState(spec, trial, check_rhs=False)
             if not (tstate.f > 0).all():
                 blocked = "domain_error"
-            elif not (tstate.margins >= config.cone_fraction * state.margins).all():
+            elif not (tstate.margins >= CONE_FRACTION * state.margins).all():
                 blocked = "cone_breach"
-            elif tstate.res_norm <= (1.0 - config.armijo * step) * state.res_norm:
+            elif tstate.res_norm <= (1.0 - ARMIJO * step) * state.res_norm:
                 accepted = (trial, tstate)
                 break
             else:
@@ -417,7 +409,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
         if accepted is None:
             return SolveReport(
                 blocked, it + 1, res_hist, margin_hist, best[1],
-                message=f"line search underflow at iteration {it} (step < {config.min_step:.1e})",
+                message=f"line search underflow at iteration {it} (step < {MIN_STEP:.1e})",
             )
         u, state = accepted
         if state.res_norm < best[0]:
@@ -432,37 +424,29 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
                        message="maximum iterations reached")
 
 
-def continuation_solve(
-    spec: ProblemSpec,
-    path: Callable[[float], ProblemSpec] | None = None,
-    steps: int = 8,
-    config: SolveConfig | None = None,
-) -> SolveReport:
+def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> SolveReport:
     """Homotopy from an isotropic constant right side to the target
     problem, warm-starting each stage from the previous solution.
 
-    The default path blends f_t = (1-t)*S_k(cI) + t*f with c chosen as
-    in initial_guess; stage failures halve the t-step (down to 2^-8 of
-    the original) before giving up with the failing t recorded.  Every
-    rejected stage is listed with its t and status under rejected_stages.
+    The path blends f_t = (1-t)*S_k(cI) + t*f with c chosen as in
+    initial_guess, in CONTINUATION_STEPS equal t-steps; stage failures
+    halve the t-step (down to 2^-8 of the original) before giving up with
+    the failing t recorded.  Every rejected stage is listed with its t
+    and status under rejected_stages.
     """
     config = config or SolveConfig()
-    if path is None:
-        s0 = 2.0 * _sup_rhs(spec)
+    s0 = 2.0 * _sup_rhs(spec)
 
-        def scaled(fn, t):
-            return None if fn is None else lambda x, u, p: t * np.asarray(fn(x, u, p), dtype=float)
+    def path(t: float) -> ProblemSpec:
+        def rhs(x, u, p):
+            return (1.0 - t) * s0 + t * np.asarray(spec.rhs(x, u, p), dtype=float)
 
-        def path(t: float) -> ProblemSpec:
-            def rhs(x, u, p):
-                return (1.0 - t) * s0 + t * np.asarray(spec.rhs(x, u, p), dtype=float)
-
-            return replace(spec, rhs=rhs, rhs_u=scaled(spec.rhs_u, t), rhs_p=scaled(spec.rhs_p, t))
+        return replace(spec, rhs=rhs)
 
     ts: list[float] = []
     rejected: list[dict] = []
     t = 0.0
-    dt = 1.0 / steps
+    dt = 1.0 / CONTINUATION_STEPS
     report = solve(path(0.0), config)
     ts.append(0.0)
     if not report.converged:
@@ -470,7 +454,7 @@ def continuation_solve(
         report.extras["failed_t"] = 0.0
         return report
     u = report.final_field
-    min_dt = 1.0 / (steps * 256)
+    min_dt = 1.0 / (CONTINUATION_STEPS * 256)
     while t < 1.0 - 1e-12:
         t_next = min(1.0, t + dt)
         stage_spec = path(t_next)
@@ -481,7 +465,7 @@ def continuation_solve(
             u = stage.final_field
             report = stage
             ts.append(t)
-            dt = min(2.0 * dt, 1.0 / steps)
+            dt = min(2.0 * dt, 1.0 / CONTINUATION_STEPS)
         else:
             rejected.append({"t": t_next, "status": stage.status})
             dt *= 0.5

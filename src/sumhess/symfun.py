@@ -19,42 +19,12 @@ when lam_p is close to zero, so it is never done here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 MAX_DIM = 16
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """An eigenvalue vector lam in R^n, n <= 16, stored in caller order."""
-
-    values: tuple[float, ...]
-
-    def __init__(self, values: Iterable[float]):
-        vals = tuple(float(v) for v in values)
-        if not 1 <= len(vals) <= MAX_DIM:
-            raise ValueError(f"spectrum length must be in [1, {MAX_DIM}], got {len(vals)}")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("spectrum entries must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def sorted_desc(self) -> "Spectrum":
-        """Entries in descending order; storage order is left untouched."""
-        return Spectrum(sorted(self.values, reverse=True))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype or float)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -86,7 +56,7 @@ def _as_array(lam) -> np.ndarray:
 def sigma_all(lam) -> np.ndarray:
     """All elementary symmetric values [sigma_0, ..., sigma_n] of lam.
 
-    Accepts a Spectrum or an array of shape (..., n); returns (..., n+1).
+    Accepts an array of shape (..., n); returns (..., n+1).
     Uses the one-pass coefficient accumulation of prod_i (1 + t*lam_i).
     """
     arr = _as_array(lam)

@@ -202,7 +202,6 @@ def test_criterion_5_estimate_stability():
         op,
         grid,
         rhs=lambda x, u, p: 3.0 + 0.1 * (p**2).sum(axis=-1),
-        rhs_p=lambda x, u, p: 0.2 * p,
     )
     exponents = (1.0, 1.1, 2.0)
     for exponent, rep in zip(exponents, refinement_study(spec, exponents, levels=3)):

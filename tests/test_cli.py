@@ -11,6 +11,7 @@ from sumhess.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PROPERTY,
+    EXIT_STALLED,
     ConfigError,
     RunConfig,
     main,
@@ -160,6 +161,14 @@ class TestSolveCommand:
         assert main(["solve", "--k", "5", "--n", "2", "--rhs", "3"]) == EXIT_CONFIG
         assert main(["solve", "--box", "2,1", "--rhs", "3"]) == EXIT_CONFIG
 
+    def test_singular_jacobian_is_stall(self, tmp_path, capsys):
+        # alpha = 1e308 overflows the Jacobian: the sparse LU finds it
+        # exactly singular, and the run reports a stall, not a crash
+        rc = main(["solve", "--alpha", "1e308", "--cells", "5", "--out", str(tmp_path)])
+        assert rc == EXIT_STALLED
+        assert json.loads((tmp_path / "solve_report.json").read_text())["status"] == "stalled"
+        assert "Traceback" not in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -171,15 +180,31 @@ class TestSolveCommand:
         ["identities", "--samples", "0"],
         ["estimate", "--levels", "0"],
         ["estimate", "--levels", "1"],
+        ["rigidity", "--scale-ratio", "0.5"],
+        ["identities", "--seed", "-1"],
+        ["rigidity", "--box", "0,inf"],
+        ["estimate", "--betas", "nan"],
+        ["solve", "--alpha", "inf"],
+        ["solve", "--rtol", "-1"],
+        ["solve", "--rtol", "nan"],
+        ["solve", "--max-iter", "-3"],
+        ["solve", "--config", "{nan_rtol_cfg}", "--rhs", "3"],
+        ["solve", "--rhs", "(" * 300 + "3" + ")" * 300],
+        ["solve", "--rhs", "+".join(["3"] * 3000)],
     ],
-    ids=["box", "config-value", "betas", "betas-empty", "samples", "levels-0", "levels-1"],
+    ids=["box", "config-value", "betas", "betas-empty", "samples", "levels-0", "levels-1",
+         "scale-ratio", "seed", "box-inf", "betas-nan", "alpha-inf", "rtol-negative", "rtol-nan",
+         "max-iter", "config-range", "rhs-nested", "rhs-long"],
 )
 def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("cells=abc\n")
     no_betas_cfg = tmp_path / "no_betas.cfg"
     no_betas_cfg.write_text("betas=\n")
-    argv = [a.format(bad_cfg=bad_cfg, no_betas_cfg=no_betas_cfg) for a in argv]
+    nan_rtol_cfg = tmp_path / "nan_rtol.cfg"
+    nan_rtol_cfg.write_text("rtol=nan\n")
+    names = dict(bad_cfg=bad_cfg, no_betas_cfg=no_betas_cfg, nan_rtol_cfg=nan_rtol_cfg)
+    argv = [a.format(**names) for a in argv]
     argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sumhess import estimates
+from sumhess import estimates, solver
 from sumhess.errors import DomainError
 from sumhess.estimates import (
     EstimateReport,
@@ -15,7 +15,7 @@ from sumhess.estimates import (
     rhs_gradient_convexity_probe,
 )
 from sumhess.fdgrid import Grid, GridField, laplacian_field
-from sumhess.solver import ProblemSpec, first_admissible, initial_guess
+from sumhess.solver import ProblemSpec
 from sumhess.symfun import SumHessianOp
 
 OP22 = SumHessianOp(2, 2, 1.0)
@@ -216,7 +216,6 @@ class TestRefinementStudy:
             OP22,
             grid,
             rhs=lambda x, u, p: 3.0 + 0.1 * (p**2).sum(axis=-1),
-            rhs_p=lambda x, u, p: 0.2 * p,
         )
         (rep,) = refinement_study(spec, [1.0], levels=3)
         assert rep.stable
@@ -237,22 +236,31 @@ class TestRefinementStudy:
         assert [r.beta_or_delta for r in reports] == exponents
         assert all(len(r.per_refinement) == 3 for r in reports)
 
+    def test_every_level_starts_cold(self, monkeypatch):
+        # one initial guess per level and no prolonged coarse solution;
+        # both modules are patched so that neither can reach them unseen
+        guesses, prolonged = [], []
+        real_guess, real_prolong = solver.initial_guess, solver.prolong
+
+        def counting_guess(spec):
+            guesses.append(spec.grid.cells)
+            return real_guess(spec)
+
+        def counting_prolong(*args, **kwargs):
+            prolonged.append(args)
+            return real_prolong(*args, **kwargs)
+
+        for module in (solver, estimates):
+            monkeypatch.setattr(module, "initial_guess", counting_guess, raising=False)
+            monkeypatch.setattr(module, "prolong", counting_prolong, raising=False)
+        (rep,) = refinement_study(self.quadratic_problem(), [1.0], levels=3)
+        assert guesses == [(9, 9), (19, 19), (39, 39)]
+        assert prolonged == []
+        assert len(rep.per_refinement) == 3
+
     def test_report_round_trips_to_dict(self):
         (rep,) = refinement_study(self.quadratic_problem(), [2.0], levels=2)
         d = rep.to_dict()
         assert d["quantity"] == "power"
         assert isinstance(d["per_refinement"], list)
         assert EstimateReport(**d).to_dict() == d
-
-
-class TestWarmStartCandidates:
-    def test_admissible_warm_field_skips_the_cold_guess(self, monkeypatch):
-        g = Grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
-        spec = ProblemSpec(OP22, g, rhs=lambda x, u, p: np.full(len(x), 3.0))
-        warm = initial_guess(spec)
-
-        def no_cold_guess(stage):
-            raise AssertionError("cold guess built although the warm field is admissible")
-
-        monkeypatch.setattr(estimates, "initial_guess", no_cold_guess)
-        assert first_admissible(spec, estimates._warm_start_candidates(spec, warm)) is warm

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from sumhess.symfun import (
-    Spectrum,
     SumHessianOp,
     identity_residuals,
     s_gradient,
@@ -65,24 +64,6 @@ class TestSigmaAll:
         out = sigma_all(lams)
         assert out.shape == (4, 5, 4)
         assert np.allclose(out, [1, 3, 3, 1])
-
-
-class TestSpectrum:
-    def test_sorted_view_keeps_storage(self):
-        s = Spectrum([1.0, 3.0, 2.0])
-        assert s.sorted_desc().values == (3.0, 2.0, 1.0)
-        assert s.values == (1.0, 3.0, 2.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Spectrum([1.0, float("nan")])
-
-    def test_rejects_oversize(self):
-        with pytest.raises(ValueError):
-            Spectrum([0.0] * 17)
-
-    def test_array_protocol(self):
-        assert np.allclose(np.asarray(Spectrum([1, 2])), [1.0, 2.0])
 
 
 class TestSumHessianOp:
