@@ -13,11 +13,13 @@ fixed (config, seed); every report embeds the resolved config.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,114 +47,49 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# right-hand-side expressions: constants, x-coordinates, u, |Du|^2 under
-# +, -, * and parentheses
+# right-hand-side expressions: a whitelisted subset of Python arithmetic
 # ---------------------------------------------------------------------------
 
-_RHS_NAMES = {"u", "g2", "x1", "x2", "x3", "x", "y", "z"}
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*()":
-            out.append(ch)
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE" or
-                                     (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ConfigError(f"unexpected character {ch!r} in rhs expression")
-    return out
+_RHS_AXES = {"x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}
+_RHS_NAMES = {"u", "g2", *_RHS_AXES}
+_RHS_NODES = (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.UnaryOp, ast.USub,
+              ast.Name, ast.Load, ast.Constant)
 
 
 def parse_rhs(text: str):
-    """Compile an rhs expression into a vectorized (x, u, p) callable."""
-    tokens = _tokenize(text)
-    pos = 0
+    """Compile an rhs expression into a vectorized (x, u, p) callable.
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def atom():
-        tok = peek()
-        if tok == "(":
-            take()
-            node = expr()
-            if peek() != ")":
-                raise ConfigError("unbalanced parentheses in rhs expression")
-            take()
-            return node
-        if tok is None:
-            raise ConfigError("rhs expression ended unexpectedly")
-        take()
-        if tok in _RHS_NAMES:
-            axis = {"x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}
-            if tok == "u":
-                return lambda x, u, p: u
-            if tok == "g2":
-                return lambda x, u, p: (p**2).sum(axis=-1)
-            a = axis[tok]
-            return lambda x, u, p, a=a: x[..., a]
-        try:
-            val = float(tok)
-        except ValueError:
-            raise ConfigError(f"unknown rhs symbol {tok!r}") from None
-        return lambda x, u, p, val=val: np.full(np.shape(u), val, dtype=float)
-
-    def factor():
-        if peek() == "-":
-            take()
-            inner = factor()
-            return lambda x, u, p: -inner(x, u, p)
-        return atom()
-
-    def term():
-        node = factor()
-        while peek() == "*":
-            take()
-            rhs = factor()
-            node = (lambda a, b: lambda x, u, p: a(x, u, p) * b(x, u, p))(node, rhs)
-        return node
-
-    def expr():
-        node = term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = term()
-            if op == "+":
-                node = (lambda a, b: lambda x, u, p: a(x, u, p) + b(x, u, p))(node, rhs)
-            else:
-                node = (lambda a, b: lambda x, u, p: a(x, u, p) - b(x, u, p))(node, rhs)
-        return node
-
+    The expression is Python arithmetic restricted to real number literals,
+    the coordinates x, y, z (or x1, x2, x3), u and g2 = |Du|^2 under binary
+    +, -, *, unary - and parentheses.  Literals become floats before
+    compiling, so constant folding does float arithmetic only.  Evaluation
+    runs bytecode, so its stack depth does not grow with the expression.
+    """
     try:
-        root = expr()
-    except RecursionError:
-        raise ConfigError("rhs expression is nested too deeply") from None
-    if pos != len(tokens):
-        raise ConfigError(f"trailing tokens in rhs expression: {tokens[pos:]}")
-    return root
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = ast.parse(text.strip(), mode="eval")
+        for node in ast.walk(tree):
+            if not isinstance(node, _RHS_NODES):
+                raise ConfigError(f"{type(node).__name__} is not allowed")
+            if isinstance(node, ast.Name) and node.id not in _RHS_NAMES:
+                raise ConfigError(f"unknown symbol {node.id!r}")
+            if isinstance(node, ast.Constant):
+                if type(node.value) not in (int, float):
+                    raise ConfigError(f"{node.value!r} is not a real number")
+                node.value = float(node.value)
+        code = compile(tree, "<rhs>", "eval")
+    except (SyntaxError, SyntaxWarning, ValueError, OverflowError, RecursionError) as exc:
+        raise ConfigError(f"bad rhs expression: {exc}") from None
+
+    def rhs(x, u, p):
+        env = {name: x[..., a] for name, a in _RHS_AXES.items() if a < x.shape[-1]}
+        env["u"] = u
+        if "g2" in code.co_names:
+            env["g2"] = (p**2).sum(axis=-1)
+        return eval(code, {"__builtins__": {}}, env)
+
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +183,14 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        # the solver divides by h^2 (a normal h^2 keeps 1/h^2 finite too);
+        # rigidity squares scale_ratio and scale_ratio times box coordinates
+        h = (self.box_hi - self.box_lo) / (self.cells + 1)
+        reach = self.scale_ratio * max(1.0, abs(self.box_lo), abs(self.box_hi))
+        if not sys.float_info.min <= h * h < math.inf:
+            raise ConfigError("box and cells give a spacing h whose h^2 is not a finite normal float")
+        if not reach * reach < math.inf:
+            raise ConfigError("scale_ratio times max(1, |box|) overflows when squared")
         return self
 
     def op(self) -> SumHessianOp:
@@ -314,8 +259,8 @@ def _build_problem(config: RunConfig) -> ProblemSpec:
     x = grid.interior_points_flat()
     try:
         probe = np.asarray(rhs(x, np.zeros(len(x)), np.zeros_like(x)), dtype=float)
-    except RecursionError:
-        raise ConfigError("rhs expression is too long to evaluate") from None
+    except NameError as exc:
+        raise ConfigError(f"rhs {exc} on a {config.n}-D grid") from None
     if not (probe > 0).all():
         raise ConfigError("rhs must be positive on the domain (sampled at u=0, Du=0)")
     return ProblemSpec(op, grid, rhs=rhs)

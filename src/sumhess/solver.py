@@ -95,7 +95,7 @@ class SolveReport:
 class _NodeState:
     """Everything the Newton step needs at one iterate."""
 
-    def __init__(self, spec: ProblemSpec, u: GridField, check_rhs: bool = True):
+    def __init__(self, spec: ProblemSpec, u: GridField):
         grid = spec.grid
         n = grid.dim
         self.u = u
@@ -108,8 +108,6 @@ class _NodeState:
         self.f = np.asarray(spec.rhs(self.x, self.uvals, self.grads), dtype=float)
         if self.f.shape != self.uvals.shape:
             self.f = np.broadcast_to(self.f, self.uvals.shape).astype(float)
-        if check_rhs and not (self.f > 0).all():
-            raise DomainError("rhs must be positive on the sampled domain")
         self.sk = np.asarray(s_value(self.lams, spec.op.k, spec.op.alpha), dtype=float)
         self.residual = self.sk - self.f
 
@@ -276,7 +274,7 @@ def first_admissible(spec: ProblemSpec, candidates: Iterable[GridField]) -> Grid
     ConeBreachError with the best worst margin when none is admissible."""
     best_margin = -math.inf
     for cand in candidates:
-        margin = _NodeState(spec, cand, check_rhs=False).worst_margin
+        margin = _NodeState(spec, cand).worst_margin
         if margin > 0:
             return cand
         best_margin = max(best_margin, margin)
@@ -361,7 +359,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
         empty = spec.boundary_field()
         return SolveReport("cone_breach", 0, [], [], empty, message=str(exc))
 
-    state = _NodeState(spec, u, check_rhs=False)
+    state = _NodeState(spec, u)
     if not (state.f > 0).all():
         return SolveReport(
             "domain_error", 0, [state.res_norm], [state.worst_margin], u,
@@ -395,7 +393,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
         blocked = "stalled"
         while step >= MIN_STEP:
             trial = u.with_interior(u.interior + step * delta)
-            tstate = _NodeState(spec, trial, check_rhs=False)
+            tstate = _NodeState(spec, trial)
             if not (tstate.f > 0).all():
                 blocked = "domain_error"
             elif not (tstate.margins >= CONE_FRACTION * state.margins).all():

@@ -70,9 +70,11 @@ def sigma_all(lam) -> np.ndarray:
     return out
 
 
-def _drop(arr: np.ndarray, indices: Sequence[int]) -> np.ndarray:
-    keep = [i for i in range(arr.shape[-1]) if i not in indices]
-    return arr[..., keep]
+def _deleted(arr: np.ndarray, drops: Sequence[Sequence[int]]) -> np.ndarray:
+    """arr with the indices of each tuple in `drops` removed, order kept,
+    stacked by one gather: shape (..., len(drops), n - len(drops[0]))."""
+    n = arr.shape[-1]
+    return arr[..., np.array([[i for i in range(n) if i not in d] for d in drops], dtype=int)]
 
 
 def sigma_deleted(lam, drop: Sequence[int], j: int) -> np.ndarray | float:
@@ -87,7 +89,7 @@ def sigma_deleted(lam, drop: Sequence[int], j: int) -> np.ndarray | float:
     for i in idx:
         if not 0 <= i < n:
             raise ValueError(f"drop index {i} out of range for n={n}")
-    return s_value(_drop(arr, idx), j, 0.0)
+    return s_value(arr[..., [i for i in range(n) if i not in idx]], j, 0.0)
 
 
 def s_value(lam, m: int, alpha: float) -> np.ndarray | float:
@@ -107,11 +109,7 @@ def s_value(lam, m: int, alpha: float) -> np.ndarray | float:
 def s_gradient(lam, k: int, alpha: float) -> np.ndarray:
     """Eigenvalue gradient: component p is S_{k-1}(lam|p).  Shape (..., n)."""
     arr = _as_array(lam)
-    n = arr.shape[-1]
-    out = np.empty_like(arr)
-    for p in range(n):
-        out[..., p] = s_value(_drop(arr, (p,)), k - 1, alpha)
-    return out
+    return s_value(_deleted(arr, [(p,) for p in range(arr.shape[-1])]), k - 1, alpha)
 
 
 def s_hessian(lam, k: int, alpha: float) -> np.ndarray:
@@ -120,11 +118,11 @@ def s_hessian(lam, k: int, alpha: float) -> np.ndarray:
     arr = _as_array(lam)
     n = arr.shape[-1]
     out = np.zeros(arr.shape[:-1] + (n, n), dtype=float)
-    for p in range(n):
-        for q in range(p + 1, n):
-            v = s_value(_drop(arr, (p, q)), k - 2, alpha)
-            out[..., p, q] = v
-            out[..., q, p] = v
+    if n > 1:
+        p, q = np.triu_indices(n, 1)
+        vals = s_value(_deleted(arr, list(zip(p, q))), k - 2, alpha)
+        out[..., p, q] = vals
+        out[..., q, p] = vals
     return out
 
 
@@ -142,9 +140,7 @@ def identity_residuals(op: SumHessianOp, lam) -> np.ndarray:
     sk = s_value(arr, k, alpha)
     sk1 = s_value(arr, k - 1, 0.0)
     grad = s_gradient(arr, k, alpha)  # S_{k-1}(lam|i)
-    deleted_k = np.empty_like(arr)
-    for i in range(n):
-        deleted_k[..., i] = s_value(_drop(arr, (i,)), k, alpha)
+    deleted_k = s_value(_deleted(arr, [(i,) for i in range(n)]), k, alpha)
     r3 = np.abs(arr * grad + deleted_k - np.asarray(sk)[..., None]).max(axis=-1)
     r4 = np.abs(deleted_k.sum(axis=-1) - ((n - k) * sk + alpha * sk1))
     r5 = np.abs((arr * grad).sum(axis=-1) - (k * sk - alpha * sk1))

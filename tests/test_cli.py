@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sumhess
 from sumhess.cli import (
     EXIT_CONE_BREACH,
     EXIT_CONFIG,
@@ -85,6 +90,70 @@ class TestRhsParser:
         with pytest.raises(ConfigError):
             parse_rhs("3 3")
 
+    @pytest.mark.parametrize(
+        "text", ["", "3/2", "3**2", "+3", "True", "1j", "'3'", "f(3)", "u.real", "u<3", "01", "9" * 400]
+    )
+    def test_outside_the_whitelist(self, text):
+        with pytest.raises(ConfigError):
+            parse_rhs(text)
+
+
+# rhs grammar properties, checked on three-dimensional points so that every
+# coordinate name is defined
+RHS_X, RHS_P = np.random.default_rng(5).uniform(-2.0, 2.0, size=(2, 4, 3))
+RHS_U = RHS_X.sum(axis=-1)
+RHS_ALPHABET = "0123456789.eEjx_+-*/()# \t\nuyzg"
+RHS_TREES = st.recursive(
+    st.one_of(st.sampled_from(["u", "g2", "x", "y", "z", "x1", "x2", "x3"]),
+              st.floats(0.0, 1e3), st.integers(0, 10**6)),
+    lambda sub: st.tuples(st.sampled_from("+-*"), sub, sub) | st.tuples(st.just("neg"), sub),
+    max_leaves=12,
+)
+
+
+def _render(tree) -> str:
+    if not isinstance(tree, tuple):
+        return tree if isinstance(tree, str) else repr(tree)
+    if tree[0] == "neg":
+        return f"-({_render(tree[1])})"
+    return f"({_render(tree[1])}){tree[0]}({_render(tree[2])})"
+
+
+def _reference(tree, env: dict) -> float:
+    """Plain-float evaluation of a generated tree."""
+    if isinstance(tree, str):
+        return env[tree]
+    if not isinstance(tree, tuple):
+        return float(tree)
+    if tree[0] == "neg":
+        return -_reference(tree[1], env)
+    a, b = _reference(tree[1], env), _reference(tree[2], env)
+    return {"+": a + b, "-": a - b, "*": a * b}[tree[0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=RHS_ALPHABET, max_size=30))
+def test_rhs_text_is_config_error_or_evaluates(text):
+    try:
+        rhs = parse_rhs(text)
+    except ConfigError:
+        return
+    with np.errstate(all="ignore"):
+        rhs(RHS_X, RHS_U, RHS_P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RHS_TREES)
+def test_rhs_matches_plain_float_reference(tree):
+    x, u, g2 = RHS_X, RHS_U, (RHS_P**2).sum(axis=-1)
+    with np.errstate(all="ignore"):
+        got = np.broadcast_to(parse_rhs(_render(tree))(x, u, RHS_P), u.shape)
+    for i in range(len(u)):
+        env = {"u": u[i], "g2": g2[i], "x": x[i, 0], "y": x[i, 1], "z": x[i, 2]}
+        env.update(x1=env["x"], x2=env["y"], x3=env["z"])
+        want = _reference(tree, {k: float(v) for k, v in env.items()})
+        assert got[i] == want or (np.isnan(got[i]) and np.isnan(want))
+
 
 class TestIdentitiesCommand:
     def test_default_suite_passes_with_eight_reports(self, tmp_path):
@@ -161,6 +230,20 @@ class TestSolveCommand:
         assert main(["solve", "--k", "5", "--n", "2", "--rhs", "3"]) == EXIT_CONFIG
         assert main(["solve", "--box", "2,1", "--rhs", "3"]) == EXIT_CONFIG
 
+    def test_long_sum_solves(self, tmp_path):
+        # a 985-term sum evaluates as flat bytecode; the CLI runs in its own
+        # process because the depth Python's compiler allows shrinks with
+        # the caller's stack, and pytest's is deeper than the CLI's
+        rhs = "+".join(["3"] * 985)
+        env = dict(os.environ, PYTHONPATH=str(Path(sumhess.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumhess.cli", "solve", "--cells", "5", "--rhs", rhs,
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads((tmp_path / "solve_report.json").read_text())["status"] == "converged"
+
     def test_singular_jacobian_is_stall(self, tmp_path, capsys):
         # alpha = 1e308 overflows the Jacobian: the sparse LU finds it
         # exactly singular, and the run reports a stall, not a crash
@@ -191,10 +274,18 @@ class TestSolveCommand:
         ["solve", "--config", "{nan_rtol_cfg}", "--rhs", "3"],
         ["solve", "--rhs", "(" * 300 + "3" + ")" * 300],
         ["solve", "--rhs", "+".join(["3"] * 3000)],
+        ["solve", "--cells", "5", "--rhs", "3+z"],
+        ["solve", "--cells", "5", "--rhs", "3+x3"],
+        ["solve", "--box=-1e200,1e200", "--cells", "5"],
+        ["solve", "--box=0,1e-300", "--cells", "5"],
+        ["rigidity", "--box=-1e200,1e200"],
+        ["rigidity", "--scale-ratio", "1e200"],
+        ["rigidity", "--box=0,1e-10", "--scale-ratio", "1e160"],
     ],
     ids=["box", "config-value", "betas", "betas-empty", "samples", "levels-0", "levels-1",
          "scale-ratio", "seed", "box-inf", "betas-nan", "alpha-inf", "rtol-negative", "rtol-nan",
-         "max-iter", "config-range", "rhs-nested", "rhs-long"],
+         "max-iter", "config-range", "rhs-nested", "rhs-long", "rhs-z-on-2d", "rhs-x3-on-2d",
+         "box-huge", "box-tiny", "rigidity-box-huge", "scale-ratio-huge", "scale-ratio-squared"],
 )
 def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"

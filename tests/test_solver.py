@@ -53,7 +53,7 @@ class TestInitialGuess:
         op = SumHessianOp(2, 2, 1.0)
         spec = ProblemSpec(op, grid2(15), rhs=const_rhs(3.0))
         u0 = initial_guess(spec)
-        state = _NodeState(spec, u0, check_rhs=False)
+        state = _NodeState(spec, u0)
         assert state.worst_margin > 0
         # boundary data reproduced exactly
         assert np.abs(u0.values[0, :]).max() == 0.0
@@ -65,7 +65,7 @@ class TestInitialGuess:
         u0 = initial_guess(spec)
         bc = GridField.from_function(grid2(15), ustar)
         assert u0.values[0, 3] == pytest.approx(bc.values[0, 3], abs=1e-14)
-        assert _NodeState(spec, u0, check_rhs=False).worst_margin > 0
+        assert _NodeState(spec, u0).worst_margin > 0
 
     def test_rejects_nonpositive_rhs(self):
         op = SumHessianOp(2, 2, 1.0)
@@ -123,7 +123,7 @@ class TestFirstAdmissible:
         assert drawn == [*self.bad, self.good]
 
     def test_none_admissible_reports_best_margin(self):
-        margins = [_NodeState(self.spec, u, check_rhs=False).worst_margin for u in self.bad]
+        margins = [_NodeState(self.spec, u).worst_margin for u in self.bad]
         assert max(margins) <= 0
         # the best margin is the first candidate's, not the last one's
         assert margins[0] > margins[1]
@@ -179,7 +179,7 @@ class TestAssembly:
         v = rng.normal(size=g.n_interior)
         errs = []
         for t in (1e-6, 1e-7):
-            shifted = _NodeState(spec, u0.with_interior(u0.interior_flat + t * v), check_rhs=False)
+            shifted = _NodeState(spec, u0.with_interior(u0.interior_flat + t * v))
             fd = (shifted.residual - state.residual) / t
             errs.append(np.abs(fd - J @ v).max() / (1.0 + np.abs(J @ v).max()))
         assert errs[0] <= 1e-3

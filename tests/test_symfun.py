@@ -143,6 +143,22 @@ class TestS:
 
 
 class TestDerivatives:
+    def test_one_gather_matches_per_index_loop(self):
+        # the stacked gather runs the recurrence over the same entries in
+        # the same order as one s_value call per deleted index
+        rng = np.random.default_rng(15)
+        for n in (1, 2, 3, 5):
+            lams = rng.uniform(-5, 5, size=(6, n))
+            for k in range(1, n + 1):
+                grad = np.stack([s_value(np.delete(lams, p, axis=-1), k - 1, 0.5)
+                                 for p in range(n)], axis=-1)
+                assert np.array_equal(s_gradient(lams, k, 0.5), grad), (n, k)
+                hess = np.zeros((6, n, n))
+                for p, q in itertools.combinations(range(n), 2):
+                    v = s_value(np.delete(lams, (p, q), axis=-1), k - 2, 0.5)
+                    hess[:, p, q] = hess[:, q, p] = v
+                assert np.array_equal(s_hessian(lams, k, 0.5), hess), (n, k)
+
     def test_gradient_all_ones(self):
         op = SumHessianOp(3, 2, 1.0)
         assert np.allclose(s_gradient([1.0, 1.0, 1.0], op.k, op.alpha), [3.0, 3.0, 3.0])
