@@ -38,6 +38,14 @@ EXIT_STALLED = 2
 EXIT_CONE_BREACH = 3
 EXIT_CONFIG = 64
 
+# Peak-memory growth per unit of run size, rounded down over the subcommands
+# that scale with it (measured as peak RSS at two sizes), so a run refused
+# for exceeding physical memory could not have fit: rigidity grows by 95 B
+# and identities by 2.1 kB per sample; rigidity by 217 B (2-D) and 457 B
+# (3-D) and solve by 2.9 kB (2-D) and 11 kB (3-D) per grid node.
+BYTES_PER_SAMPLE = 64
+BYTES_PER_NODE = 200
+
 _STATUS_EXIT = {"converged": EXIT_OK, "stalled": EXIT_STALLED, "domain_error": EXIT_STALLED,
                 "cone_breach": EXIT_CONE_BREACH}
 
@@ -56,14 +64,14 @@ _RHS_NODES = (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.UnaryOp
               ast.Name, ast.Load, ast.Constant)
 
 
-def parse_rhs(text: str):
-    """Compile an rhs expression into a vectorized (x, u, p) callable.
+def _compile_rhs(text: str):
+    """Compile an rhs expression to a code object.
 
     The expression is Python arithmetic restricted to real number literals,
     the coordinates x, y, z (or x1, x2, x3), u and g2 = |Du|^2 under binary
     +, -, *, unary - and parentheses.  Literals become floats before
-    compiling, so constant folding does float arithmetic only.  Evaluation
-    runs bytecode, so its stack depth does not grow with the expression.
+    compiling, so constant folding does float arithmetic only.  The names
+    the expression reads are the code's co_names.
     """
     try:
         with warnings.catch_warnings():
@@ -78,9 +86,16 @@ def parse_rhs(text: str):
                 if type(node.value) not in (int, float):
                     raise ConfigError(f"{node.value!r} is not a real number")
                 node.value = float(node.value)
-        code = compile(tree, "<rhs>", "eval")
+        return compile(tree, "<rhs>", "eval")
     except (SyntaxError, SyntaxWarning, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"bad rhs expression: {exc}") from None
+
+
+def parse_rhs(text: str):
+    """Compile an rhs expression (see _compile_rhs) into a vectorized
+    (x, u, p) callable.  Evaluation runs bytecode, so its stack depth does
+    not grow with the expression."""
+    code = _compile_rhs(text)
 
     def rhs(x, u, p):
         env = {name: x[..., a] for name, a in _RHS_AXES.items() if a < x.shape[-1]}
@@ -185,19 +200,46 @@ class RunConfig:
                 raise ConfigError(message)
         # the solver divides by h^2 (a normal h^2 keeps 1/h^2 finite too);
         # rigidity squares scale_ratio and scale_ratio times box coordinates
-        h = (self.box_hi - self.box_lo) / (self.cells + 1)
+        try:
+            h = (self.box_hi - self.box_lo) / (self.cells + 1)
+        except OverflowError:  # cells too large for a float: h underflows
+            h = 0.0
         reach = self.scale_ratio * max(1.0, abs(self.box_lo), abs(self.box_hi))
         if not sys.float_info.min <= h * h < math.inf:
             raise ConfigError("box and cells give a spacing h whose h^2 is not a finite normal float")
         if not reach * reach < math.inf:
             raise ConfigError("scale_ratio times max(1, |box|) overflows when squared")
+        memory = _physical_memory()
+        if self._run_bytes() > memory:
+            raise ConfigError(
+                f"samples, cells or levels ask for more than the {memory / 2**30:.3g} GiB "
+                "of physical memory"
+            )
         return self
+
+    def _run_bytes(self) -> int:
+        """Lower bound on the bytes the subcommand allocates: samples for
+        identities and rigidity, nodes of the (finest) grid for the rest.
+        Past 64 levels the finest grid exceeds any memory already."""
+        side = self.cells
+        if self.subcommand == "estimate":
+            side = (self.cells + 1) * 2 ** (min(self.levels, 64) - 1) - 1
+        samples = self.samples if self.subcommand in ("identities", "rigidity") else 0
+        nodes = side**self.n if self.subcommand != "identities" else 0
+        return max(samples * BYTES_PER_SAMPLE, nodes * BYTES_PER_NODE)
 
     def op(self) -> SumHessianOp:
         return SumHessianOp(self.n, self.k, self.alpha)
 
     def grid(self) -> Grid:
         return Grid((self.box_lo,) * self.n, (self.box_hi,) * self.n, (self.cells,) * self.n)
+
+
+def _physical_memory() -> float:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return math.inf
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -261,8 +303,8 @@ def _build_problem(config: RunConfig) -> ProblemSpec:
         probe = np.asarray(rhs(x, np.zeros(len(x)), np.zeros_like(x)), dtype=float)
     except NameError as exc:
         raise ConfigError(f"rhs {exc} on a {config.n}-D grid") from None
-    if not (probe > 0).all():
-        raise ConfigError("rhs must be positive on the domain (sampled at u=0, Du=0)")
+    if not (np.isfinite(probe) & (probe > 0)).all():
+        raise ConfigError("rhs must be finite and positive on the domain (sampled at u=0, Du=0)")
     return ProblemSpec(op, grid, rhs=rhs)
 
 
@@ -273,7 +315,7 @@ def cmd_solve(config: RunConfig) -> int:
     report = continuation_solve(spec, solve_config)
     payload = report.to_json_dict()
     payload["config"] = config.to_dict()
-    payload["gradient_dependent_rhs"] = "g2" in config.rhs
+    payload["gradient_dependent_rhs"] = "g2" in _compile_rhs(config.rhs).co_names
     _dump_json(os.path.join(config.out, "solve_report.json"), payload)
     csv_path = os.path.join(config.out, "solution.csv")
     report.final_field.to_csv(csv_path + ".tmp", name="u")

@@ -158,52 +158,34 @@ class GridField:
 # batched stencils
 # ---------------------------------------------------------------------------
 
+def _shifted(v: np.ndarray, offset) -> np.ndarray:
+    """Interior-shaped view of the padded array v moved by `offset` (one
+    entry in {-1, 0, 1} per axis)."""
+    return v[tuple(slice(1 + o, n - 1 + o) for n, o in zip(v.shape, offset))]
+
+
 def gradient_field_array(u: GridField) -> np.ndarray:
     """Central first differences at every interior node, shape cells+(dim,)."""
-    v = u.values
-    h = u.grid.h
-    dim = u.grid.dim
-    out = np.empty(u.grid.shape + (dim,))
-    core = [slice(1, -1)] * dim
-    for a in range(dim):
-        plus = list(core)
-        minus = list(core)
-        plus[a] = slice(2, None)
-        minus[a] = slice(0, -2)
-        out[..., a] = (v[tuple(plus)] - v[tuple(minus)]) / (2.0 * h[a])
-    return out
+    v, h, e = u.values, u.grid.h, np.eye(u.grid.dim, dtype=int)
+    return np.stack(
+        [(_shifted(v, e[a]) - _shifted(v, -e[a])) / (2.0 * h[a]) for a in range(u.grid.dim)], axis=-1
+    )
 
 
 def hessian_field_array(u: GridField) -> np.ndarray:
     """Second-difference Hessians at every interior node,
     shape cells+(dim, dim)."""
-    v = u.values
-    h = u.grid.h
-    dim = u.grid.dim
+    v, h, dim = u.values, u.grid.h, u.grid.dim
+    e = np.eye(dim, dtype=int)
     out = np.empty(u.grid.shape + (dim, dim))
-    core = [slice(1, -1)] * dim
-    center = v[tuple(core)]
+    center = _interior_view(v)
     for a in range(dim):
-        plus = list(core)
-        minus = list(core)
-        plus[a] = slice(2, None)
-        minus[a] = slice(0, -2)
-        out[..., a, a] = (v[tuple(plus)] - 2.0 * center + v[tuple(minus)]) / (h[a] * h[a])
-    for a in range(dim):
+        out[..., a, a] = (_shifted(v, e[a]) - 2.0 * center + _shifted(v, -e[a])) / (h[a] * h[a])
         for b in range(a + 1, dim):
-            pp = list(core)
-            pm = list(core)
-            mp = list(core)
-            mm = list(core)
-            pp[a] = pm[a] = slice(2, None)
-            mp[a] = mm[a] = slice(0, -2)
-            pp[b] = mp[b] = slice(2, None)
-            pm[b] = mm[b] = slice(0, -2)
-            mixed = (v[tuple(pp)] - v[tuple(pm)] - v[tuple(mp)] + v[tuple(mm)]) / (
-                4.0 * h[a] * h[b]
-            )
-            out[..., a, b] = mixed
-            out[..., b, a] = mixed
+            out[..., a, b] = out[..., b, a] = (
+                _shifted(v, e[a] + e[b]) - _shifted(v, e[a] - e[b])
+                - _shifted(v, e[b] - e[a]) + _shifted(v, -e[a] - e[b])
+            ) / (4.0 * h[a] * h[b])
     return out
 
 

@@ -1,17 +1,19 @@
 """Damped Newton solver for the discrete Dirichlet problem
 S_k(lam(D^2 u)) = f(x, u, Du) on a box, with cone-preserving line search.
 
-The residual is assembled node-wise from the second-difference Hessian;
-the Jacobian contracts the per-node tensor F = Q diag(S_k^{pp}) Q^T
-against the same stencils, so Newton differentiates exactly the discrete
-residual (f_u, f_p enter through forward differences).  Ellipticity of
-the linearization is exactly positivity of S_k^{pp}, which holds inside
-the admissible cone; the line search therefore never accepts an iterate
+The residual is assembled node-wise from the second-difference Hessian.
+The Jacobian v -> sum_ab F^{ab} (D^2 v)_ab - f_u v - f_p . Dv, with
+F = Q diag(S_k^{pp}) Q^T, and the lifts' Dirichlet Laplacian are read off
+fdgrid's stencils, so Newton differentiates exactly the discrete residual
+(f_u, f_p enter through forward differences).  Ellipticity of the
+linearization is exactly positivity of S_k^{pp}, which holds inside the
+admissible cone; the line search therefore never accepts an iterate
 whose worst cone margin drops below a fraction of its current value.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
@@ -134,50 +136,27 @@ def _fd_partials(spec: ProblemSpec, state: _NodeState) -> tuple[np.ndarray, np.n
     return fu, fp
 
 
-def _stencil_matrix(grid: Grid, F: np.ndarray, fu: np.ndarray | None, fp: np.ndarray | None):
-    """Sparse operator v -> sum_ab F^{ab} D_ab v - fu*v - fp . Dv on
-    interior nodes, Dirichlet-eliminated (boundary neighbors dropped)."""
-    dim = grid.dim
-    cells = grid.cells
-    h = grid.h
-    N = grid.n_interior
-    coords = np.stack(
-        np.meshgrid(*[np.arange(c) for c in cells], indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-    strides = np.array([int(np.prod(cells[a + 1 :])) for a in range(dim)])
-    idx = coords @ strides
-
-    rows, cols, vals = [], [], []
-
-    def add(offset, coeff):
-        nbr = coords + offset
-        ok = ((nbr >= 0) & (nbr < np.array(cells))).all(axis=1)
-        rows.append(idx[ok])
-        cols.append(nbr[ok] @ strides)
-        vals.append(coeff[ok])
-
-    center = -fu if fu is not None else np.zeros(N)
-    for a in range(dim):
-        center = center - 2.0 * F[:, a, a] / (h[a] * h[a])
-    add(np.zeros(dim, int), center)
-
-    eye = np.eye(dim, dtype=int)
-    for a in range(dim):
-        second = F[:, a, a] / (h[a] * h[a])
-        first = fp[:, a] / (2.0 * h[a]) if fp is not None else 0.0
-        add(eye[a], second - first)
-        add(-eye[a], second + first)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            w = F[:, a, b] / (2.0 * h[a] * h[b])
-            add(eye[a] + eye[b], w)
-            add(-eye[a] - eye[b], w)
-            add(eye[a] - eye[b], -w)
-            add(eye[b] - eye[a], -w)
-
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
-    ).tocsr()
+def _probed_matrix(grid: Grid, apply: Callable) -> sp.csr_matrix:
+    """Sparse matrix of a linear map on interior values (Dirichlet boundary
+    eliminated) whose stencil spans at most two axes, read off one probe
+    per class of nodes with equal coordinates mod 3 (Curtis, Powell and
+    Reid, IMA J. Appl. Math. 13, 1974)."""
+    offsets = itertools.product((-1, 0, 1), repeat=grid.dim)
+    offsets = np.array([o for o in offsets if np.count_nonzero(o) <= 2])
+    bands = np.empty((len(offsets),) + grid.cells)  # bands[k][i]: entry (i, i + offsets[k])
+    for c in itertools.product(range(3), repeat=grid.dim):
+        probe = np.zeros(grid.cells)
+        probe[tuple(slice(a, None, 3) for a in c)] = 1.0
+        image = apply(probe.ravel()).reshape(grid.cells)
+        for band, o in zip(bands, offsets):  # the rows whose neighbor at o is in class c
+            lattice = tuple(slice((a - b) % 3, None, 3) for a, b in zip(c, o))
+            band[lattice] = image[lattice]
+    coords = np.indices(grid.cells).reshape(grid.dim, -1).T
+    k, rows = np.nonzero([((coords + o >= 0) & (coords + o < grid.cells)).all(axis=1) for o in offsets])
+    strides = np.ravel_multi_index(np.eye(grid.dim, dtype=int), grid.cells)  # flat step per axis
+    cols = rows + (offsets @ strides)[k]
+    vals = bands.reshape(len(offsets), -1)[k, rows]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(coords),) * 2)
 
 
 def assemble_newton(spec: ProblemSpec, state: _NodeState):
@@ -194,7 +173,15 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
     sp_grad = s_gradient(state.lams, spec.op.k, spec.op.alpha)
     F = np.einsum("nij,nj,nkj->nik", state.Q, sp_grad, state.Q)
     fu, fp = _fd_partials(spec, state)
-    return _stencil_matrix(spec.grid, F, fu, fp)
+    n = spec.grid.dim
+
+    def jacobian_times(v):
+        vf = GridField.from_interior(spec.grid, v)
+        Hv = hessian_field_array(vf).reshape(-1, n, n)
+        Dv = gradient_field_array(vf).reshape(-1, n)
+        return np.einsum("nab,nab->n", F, Hv) - fu * v - np.einsum("na,na->n", fp, Dv)
+
+    return _probed_matrix(spec.grid, jacobian_times)
 
 
 class _LinearSolveError(RuntimeError):
@@ -225,9 +212,10 @@ def _linear_solve(J, rhs) -> np.ndarray:
 
 def _harmonic_lifts(grid: Grid, *traces) -> list[GridField]:
     """Discrete harmonic functions with the given Dirichlet traces
-    (5/7-point Laplacian, one sparse LU shared by all of them)."""
-    eye = np.broadcast_to(np.eye(grid.dim), (grid.n_interior, grid.dim, grid.dim))
-    lu = spla.splu(_stencil_matrix(grid, eye, None, None).tocsc())
+    (fdgrid's Laplacian, one sparse LU shared by all of them)."""
+    lu = spla.splu(_probed_matrix(
+        grid, lambda v: laplacian_field(GridField.from_interior(grid, v)).interior_flat
+    ).tocsc())
     lifts = []
     for trace in traces:
         base = GridField.from_interior(grid, np.zeros(grid.shape), boundary=trace)

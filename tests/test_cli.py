@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sumhess
+from sumhess import cli
 from sumhess.cli import (
     EXIT_CONE_BREACH,
     EXIT_CONFIG,
@@ -205,6 +206,13 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["gradient_dependent_rhs"] is True
 
+    def test_gradient_flag_reads_the_compiled_names(self, tmp_path):
+        # a comment that mentions g2 leaves the right side independent of Du
+        rc = main(["solve", "--cells", "5", "--rhs", "3 # no g2", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["gradient_dependent_rhs"] is False
+
     def test_cone_breach_exit_code(self, tmp_path):
         # n = k = 3 with zero trace has no admissible start once the grid
         # resolves the corners (documented limitation)
@@ -281,11 +289,14 @@ class TestSolveCommand:
         ["rigidity", "--box=-1e200,1e200"],
         ["rigidity", "--scale-ratio", "1e200"],
         ["rigidity", "--box=0,1e-10", "--scale-ratio", "1e160"],
+        ["solve", "--cells", "5", "--rhs", "1e999"],
+        ["solve", "--cells", "9" * 400],
     ],
     ids=["box", "config-value", "betas", "betas-empty", "samples", "levels-0", "levels-1",
          "scale-ratio", "seed", "box-inf", "betas-nan", "alpha-inf", "rtol-negative", "rtol-nan",
          "max-iter", "config-range", "rhs-nested", "rhs-long", "rhs-z-on-2d", "rhs-x3-on-2d",
-         "box-huge", "box-tiny", "rigidity-box-huge", "scale-ratio-huge", "scale-ratio-squared"],
+         "box-huge", "box-tiny", "rigidity-box-huge", "scale-ratio-huge", "scale-ratio-squared",
+         "rhs-inf", "cells-huge"],
 )
 def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
@@ -301,6 +312,61 @@ def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "Traceback" not in err
+
+
+class TestRunSizeBound:
+    """validate() refuses a run whose arrays cannot fit in physical memory
+    before any command starts; nothing large is allocated here."""
+
+    @pytest.fixture(autouse=True)
+    def no_commands(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError(f"{config.subcommand} started")
+
+        monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, refuse))
+
+    @staticmethod
+    def physical_memory(monkeypatch, nbytes):
+        sizes = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identities", "--samples", "100000000000"],
+            ["rigidity", "--samples", "100000000000"],
+            ["solve", "--cells", "1000000"],
+            ["rigidity", "--n", "3", "--cells", "100000"],
+            ["estimate", "--cells", "5", "--levels", "40"],
+        ],
+        ids=["identities-samples", "rigidity-samples", "solve-cells", "rigidity-cells", "estimate-levels"],
+    )
+    def test_oversized_runs_are_config_errors(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "physical memory" in capsys.readouterr().err
+
+    def test_node_bound_uses_the_finest_grid(self, monkeypatch):
+        self.physical_memory(monkeypatch, cli.BYTES_PER_NODE * 511**2)
+        RunConfig(subcommand="solve", cells=511).validate()
+        RunConfig(subcommand="solve", n=3, cells=63).validate()
+        RunConfig(subcommand="estimate", cells=15, levels=6).validate()  # finest side 511
+        RunConfig(subcommand="identities", cells=512).validate()
+        for config in (
+            RunConfig(subcommand="solve", cells=512),
+            RunConfig(subcommand="solve", n=3, cells=64),
+            RunConfig(subcommand="rigidity", cells=512, samples=10),
+            RunConfig(subcommand="estimate", cells=15, levels=7),
+        ):
+            with pytest.raises(ConfigError, match="physical memory"):
+                config.validate()
+
+    def test_sample_bound_applies_to_sampling_commands(self, monkeypatch):
+        self.physical_memory(monkeypatch, cli.BYTES_PER_SAMPLE * 10**6)
+        RunConfig(subcommand="identities", samples=10**6).validate()
+        RunConfig(subcommand="solve", cells=9, samples=10**6 + 1).validate()
+        for sub in ("identities", "rigidity"):
+            with pytest.raises(ConfigError, match="physical memory"):
+                RunConfig(subcommand=sub, cells=9, samples=10**6 + 1).validate()
 
 
 class TestEstimateCommand:

@@ -7,7 +7,7 @@ import pytest
 
 from sumhess import solver
 from sumhess.errors import ConeBreachError, DomainError
-from sumhess.fdgrid import Grid, GridField
+from sumhess.fdgrid import Grid, GridField, gradient_field_array, hessian_field_array
 from sumhess.solver import (
     ProblemSpec,
     SolveConfig,
@@ -21,7 +21,7 @@ from sumhess.solver import (
     prolong,
     solve,
 )
-from sumhess.symfun import SumHessianOp
+from sumhess.symfun import SumHessianOp, s_gradient
 
 
 def grid2(cells):
@@ -132,18 +132,51 @@ class TestFirstAdmissible:
 
 
 class TestAssembly:
-    def test_k1_jacobian_is_laplacian(self):
-        # S_1 linearizes to the 5-point Laplacian
-        op = SumHessianOp(2, 1, 1.0)
-        g = grid2(7)
-        spec = ProblemSpec(op, g, rhs=const_rhs(3.0))
-        u = GridField.from_interior(g, np.zeros(g.shape))
-        J = assemble_newton(spec, _NodeState(spec, u))
+    @staticmethod
+    def _check_k1_laplacian(dim):
+        # S_1 linearizes to the 5-point (7-point in 3-D) Laplacian
+        g = Grid((-1.0,) * dim, (1.0,) * dim, (7,) * dim)
+        spec = ProblemSpec(SumHessianOp(dim, 1, 1.0), g, rhs=const_rhs(3.0))
+        J = assemble_newton(spec, _NodeState(spec, GridField.from_interior(g, np.zeros(g.shape))))
+        center = np.full(dim, 3)
+        row = J.getrow(np.ravel_multi_index(center, g.cells)).toarray().ravel()
         h2 = g.h[0] ** 2
-        row = J.getrow(3 * 7 + 3).toarray().ravel()
-        assert row[3 * 7 + 3] == pytest.approx(-4.0 / h2)
-        assert row[3 * 7 + 4] == pytest.approx(1.0 / h2)
-        assert row[2 * 7 + 3] == pytest.approx(1.0 / h2)
+        assert row[np.ravel_multi_index(center, g.cells)] == pytest.approx(-2.0 * dim / h2)
+        for e in np.eye(dim, dtype=int):
+            assert row[np.ravel_multi_index(center + e, g.cells)] == pytest.approx(1.0 / h2)
+            assert row[np.ravel_multi_index(center - e, g.cells)] == pytest.approx(1.0 / h2)
+        assert np.abs(row).sum() == pytest.approx(4.0 * dim / h2)
+
+    def test_k1_jacobian_is_laplacian(self):
+        self._check_k1_laplacian(2)
+
+    def test_k1_jacobian_is_laplacian_3d(self):
+        self._check_k1_laplacian(3)
+
+    @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+    def test_jacobian_is_the_fdgrid_stencil_operator(self, dim):
+        # J v equals sum_ab F^{ab} (D^2 v)_ab - f_u v - f_p . Dv built from
+        # fdgrid's stencils, and every row away from the boundary stores the
+        # full 9-point (19-point in 3-D) pattern
+        g = Grid((-1.0,) * dim, (1.0, 0.5, 2.0)[:dim], (9, 7, 8)[:dim])
+
+        def rhs(x, u, p):
+            return 3.0 + 0.1 * (p**2).sum(axis=-1) + 0.05 * u + 0.2 * x.prod(axis=-1)
+
+        spec = ProblemSpec(SumHessianOp(dim, 2, 1.0), g, rhs=rhs)
+        state = _NodeState(spec, initial_guess(spec))
+        J = assemble_newton(spec, state)
+        F = np.einsum("nij,nj,nkj->nik", state.Q, s_gradient(state.lams, 2, 1.0), state.Q)
+        fu, fp = solver._fd_partials(spec, state)
+        v = np.random.default_rng(71).normal(size=g.n_interior)
+        vf = GridField.from_interior(g, v)
+        Hv = hessian_field_array(vf).reshape(-1, dim, dim)
+        Dv = gradient_field_array(vf).reshape(-1, dim)
+        expected = (F * Hv).sum(axis=(1, 2)) - fu * v - (fp * Dv).sum(axis=1)
+        assert np.abs(J @ v - expected).max() <= 1e-13 * np.abs(expected).max()
+        away = np.zeros(g.shape, dtype=bool)
+        away[(slice(1, -1),) * dim] = True
+        assert (np.diff(J.indptr)[away.ravel()] == {2: 9, 3: 19}[dim]).all()
 
     def test_residual_constant_at_isotropic_start(self):
         # pure quadratic field (no lift): residual = S_k(cI) - f everywhere
