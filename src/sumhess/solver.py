@@ -3,24 +3,27 @@ S_k(lam(D^2 u)) = f(x, u, Du) on a box, with cone-preserving line search.
 
 The residual is assembled node-wise from the second-difference Hessian.
 The Jacobian v -> sum_ab F^{ab} (D^2 v)_ab - f_u v - f_p . Dv, with
-F = Q diag(S_k^{pp}) Q^T, and the lifts' Dirichlet Laplacian are read off
-fdgrid's stencils, so Newton differentiates exactly the discrete residual
-(f_u, f_p enter through forward differences).  Ellipticity of the
+F = Q diag(S_k^{pp}) Q^T, is applied matrix-free through fdgrid's
+stencils, so Newton differentiates exactly the discrete residual (f_u,
+f_p enter through forward differences).  Ellipticity of the
 linearization is exactly positivity of S_k^{pp}, which holds inside the
 admissible cone; the line search therefore never accepts an iterate
 whose worst cone margin drops below a fraction of its current value.
+There the Jacobian is spectrally equivalent to the Laplacian weighted
+by the mean S_k^{pp} (Faber, Manteuffel and Parter, 1990), so BiCGSTAB
+solves each step, preconditioned by that weight and a sine-transform
+inverse of fdgrid's Dirichlet Laplacian, which also gives the lifts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dstn, idstn
 
 from .cones import gamma_tilde_margins
 from .errors import ConeBreachError, DomainError
@@ -32,6 +35,8 @@ ARMIJO = 1e-4  # sufficient-decrease factor of the line search
 MIN_STEP = 2.0**-20  # line-search underflow
 CONE_FRACTION = 0.1  # share of every node's cone margin a step must keep
 LINEAR_RTOL = 1e-10  # relative residual contract of each linear solve
+LINEAR_ROUNDS = 3  # BiCGSTAB restarts on the true residual per linear solve
+LINEAR_MAXITER = 500  # BiCGSTAB iterations per round
 CONTINUATION_STEPS = 8
 
 
@@ -101,17 +106,19 @@ class _NodeState:
         grid = spec.grid
         n = grid.dim
         self.u = u
-        self.H = hessian_field_array(u).reshape(-1, n, n)
-        self.lams, self.Q = eigh_batch(self.H)
-        self.margins = gamma_tilde_margins(spec.op, self.lams).min(axis=-1)
         self.x = grid.interior_points_flat()
         self.uvals = u.interior_flat
         self.grads = gradient_field_array(u).reshape(-1, n)
         self.f = np.asarray(spec.rhs(self.x, self.uvals, self.grads), dtype=float)
         if self.f.shape != self.uvals.shape:
             self.f = np.broadcast_to(self.f, self.uvals.shape).astype(float)
-        self.sk = np.asarray(s_value(self.lams, spec.op.k, spec.op.alpha), dtype=float)
-        self.residual = self.sk - self.f
+        # an overflowing S_k is reported by solve as a stall, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.H = hessian_field_array(u).reshape(-1, n, n)
+            self.lams, self.Q = eigh_batch(self.H)
+            self.margins = gamma_tilde_margins(spec.op, self.lams).min(axis=-1)
+            self.sk = np.asarray(s_value(self.lams, spec.op.k, spec.op.alpha), dtype=float)
+            self.residual = self.sk - self.f
 
     @property
     def res_norm(self) -> float:
@@ -136,31 +143,19 @@ def _fd_partials(spec: ProblemSpec, state: _NodeState) -> tuple[np.ndarray, np.n
     return fu, fp
 
 
-def _probed_matrix(grid: Grid, apply: Callable) -> sp.csr_matrix:
-    """Sparse matrix of a linear map on interior values (Dirichlet boundary
-    eliminated) whose stencil spans at most two axes, read off one probe
-    per class of nodes with equal coordinates mod 3 (Curtis, Powell and
-    Reid, IMA J. Appl. Math. 13, 1974)."""
-    offsets = itertools.product((-1, 0, 1), repeat=grid.dim)
-    offsets = np.array([o for o in offsets if np.count_nonzero(o) <= 2])
-    bands = np.empty((len(offsets),) + grid.cells)  # bands[k][i]: entry (i, i + offsets[k])
-    for c in itertools.product(range(3), repeat=grid.dim):
-        probe = np.zeros(grid.cells)
-        probe[tuple(slice(a, None, 3) for a in c)] = 1.0
-        image = apply(probe.ravel()).reshape(grid.cells)
-        for band, o in zip(bands, offsets):  # the rows whose neighbor at o is in class c
-            lattice = tuple(slice((a - b) % 3, None, 3) for a, b in zip(c, o))
-            band[lattice] = image[lattice]
-    coords = np.indices(grid.cells).reshape(grid.dim, -1).T
-    k, rows = np.nonzero([((coords + o >= 0) & (coords + o < grid.cells)).all(axis=1) for o in offsets])
-    strides = np.ravel_multi_index(np.eye(grid.dim, dtype=int), grid.cells)  # flat step per axis
-    cols = rows + (offsets @ strides)[k]
-    vals = bands.reshape(len(offsets), -1)[k, rows]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(coords),) * 2)
+def _laplacian_inverse(grid: Grid) -> Callable:
+    """Exact inverse of fdgrid's Dirichlet Laplacian on interior values:
+    DST-I diagonalizes it, with eigenvalues
+    sum_a -(4/h_a^2) sin^2(pi j_a / (2(m_a+1))), j_a = 1..m_a."""
+    eig = sum(np.ix_(*(-4.0 / h**2 * np.sin(np.pi * np.arange(1, m + 1) / (2 * m + 2)) ** 2
+                       for m, h in zip(grid.cells, grid.h))))
+    return lambda r: idstn(dstn(np.reshape(r, grid.shape), type=1) / eig, type=1).ravel()
 
 
 def assemble_newton(spec: ProblemSpec, state: _NodeState):
-    """Jacobian matrix of the discrete problem at the iterate of `state`.
+    """Jacobian of the discrete problem at the iterate of `state`, as a
+    matrix-free operator, and its preconditioner v -> L^{-1}(v / d), with
+    L the Dirichlet Laplacian and d the node-wise mean of S_k^{pp}.
 
     Requires a strictly admissible iterate: every node's spectrum must
     sit inside the cone with positive margin, otherwise the linearization
@@ -171,7 +166,7 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
             f"iterate leaves the admissible cone (worst margin {state.worst_margin:.3e})"
         )
     sp_grad = s_gradient(state.lams, spec.op.k, spec.op.alpha)
-    F = np.einsum("nij,nj,nkj->nik", state.Q, sp_grad, state.Q)
+    F = (state.Q * sp_grad[:, None, :]) @ state.Q.transpose(0, 2, 1)
     fu, fp = _fd_partials(spec, state)
     n = spec.grid.dim
 
@@ -181,45 +176,47 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
         Dv = gradient_field_array(vf).reshape(-1, n)
         return np.einsum("nab,nab->n", F, Hv) - fu * v - np.einsum("na,na->n", fp, Dv)
 
-    return _probed_matrix(spec.grid, jacobian_times)
+    d = sp_grad.mean(axis=1)
+    laplacian_inverse = _laplacian_inverse(spec.grid)
+    shape = (spec.grid.n_interior,) * 2
+    return (spla.LinearOperator(shape, jacobian_times, dtype=float),
+            spla.LinearOperator(shape, lambda r: laplacian_inverse(r / d), dtype=float))
 
 
 class _LinearSolveError(RuntimeError):
-    """The linear residual contract could not be met (Jacobian singular or
-    close to it); the Newton loop reports a stall instead of crashing."""
+    """BiCGSTAB did not bring the true linear residual within LINEAR_RTOL
+    in LINEAR_ROUNDS restarts (Jacobian singular, close to it, or not
+    finite); the Newton loop reports a stall instead of crashing."""
 
 
-def _linear_solve(J, rhs) -> np.ndarray:
-    denom = float(np.abs(rhs).max()) or 1.0
-    try:
-        lu = spla.splu(J.tocsc())
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise _LinearSolveError(f"sparse LU failed: {exc}") from exc
-    delta = lu.solve(rhs)
-    # iterative refinement buys back the last digits on stiff Jacobians
-    for _ in range(3):
-        res = rhs - J @ delta
-        if float(np.abs(res).max()) / denom <= LINEAR_RTOL:
+def _linear_solve(J, M, rhs) -> np.ndarray:
+    """Solve J x = rhs by BiCGSTAB preconditioned with M, restarting on the
+    true residual until its max-norm, relative to max|rhs|, is at most
+    LINEAR_RTOL (a restart stops once its 2-norm is that small).  The
+    system is scaled to max|rhs| = 1, so BiCGSTAB's inner products stay
+    finite however large the Newton residual is."""
+    scale = float(np.abs(rhs).max()) or 1.0
+    b = rhs / scale
+    x, res = 0.0, b
+    for _ in range(LINEAR_ROUNDS):
+        x = x + spla.bicgstab(J, res, rtol=LINEAR_RTOL, atol=LINEAR_RTOL, maxiter=LINEAR_MAXITER, M=M)[0]
+        res = b - J @ x
+        lin_res = float(np.abs(res).max())
+        if lin_res <= LINEAR_RTOL:
+            return scale * x
+        if not np.isfinite(lin_res):
             break
-        delta = delta + lu.solve(res)
-    lin_res = float(np.abs(J @ delta - rhs).max()) / denom
-    if not np.isfinite(lin_res) or lin_res > LINEAR_RTOL:
-        raise _LinearSolveError(
-            f"linear solve residual {lin_res:.3e} exceeds {LINEAR_RTOL:.0e}"
-        )
-    return delta
+    raise _LinearSolveError(f"linear solve residual {lin_res:.3e} exceeds {LINEAR_RTOL:.0e}")
 
 
 def _harmonic_lifts(grid: Grid, *traces) -> list[GridField]:
     """Discrete harmonic functions with the given Dirichlet traces
-    (fdgrid's Laplacian, one sparse LU shared by all of them)."""
-    lu = spla.splu(_probed_matrix(
-        grid, lambda v: laplacian_field(GridField.from_interior(grid, v)).interior_flat
-    ).tocsc())
+    (fdgrid's Laplacian, inverted exactly by fast sine transforms)."""
+    laplacian_inverse = _laplacian_inverse(grid)
     lifts = []
     for trace in traces:
         base = GridField.from_interior(grid, np.zeros(grid.shape), boundary=trace)
-        lift = lu.solve(-laplacian_field(base).interior_flat)
+        lift = laplacian_inverse(-laplacian_field(base).interior_flat)
         lifts.append(base.with_interior(lift.reshape(grid.shape)))
     return lifts
 
@@ -231,7 +228,8 @@ def isotropic_level(op: SumHessianOp, target: float, tol: float = 1e-12) -> floa
         raise ValueError("target must be positive")
 
     def val(c):
-        return float(s_value(np.full(op.n, c), op.k, op.alpha)) - target
+        with np.errstate(over="ignore"):  # S_k = inf for a huge alpha still brackets the root
+            return float(s_value(np.full(op.n, c), op.k, op.alpha)) - target
 
     hi = 1.0
     while val(hi) < 0:
@@ -336,7 +334,8 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     and (c) the residual satisfies an Armijo decrease.  Step underflow
     reports domain_error, cone_breach or stalled after the condition that
     rejected the last trial; all keep the best iterate.  A start field
-    where the rhs is not positive reports domain_error.
+    where the rhs is not positive reports domain_error, one where S_k
+    overflows reports stalled.
     """
     config = config or SolveConfig()
     res_hist: list[float] = []
@@ -353,6 +352,11 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
             "domain_error", 0, [state.res_norm], [state.worst_margin], u,
             message="rhs must be positive on the sampled domain at the starting field",
         )
+    if not np.isfinite(state.residual).all():
+        return SolveReport(
+            "stalled", 0, [state.res_norm], [state.worst_margin], u,
+            message="S_k is not finite at the starting field",
+        )
     if state.worst_margin <= 0:
         return SolveReport(
             "cone_breach", 0, [state.res_norm], [state.worst_margin], u,
@@ -368,11 +372,11 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
             return SolveReport("converged", it, res_hist, margin_hist, u,
                                extras={"f_scale": f_scale})
         try:
-            J = assemble_newton(spec, state)
+            # an overflowing product fails the linear residual contract
+            with np.errstate(over="ignore", invalid="ignore"):
+                delta = _linear_solve(*assemble_newton(spec, state), -state.residual)
         except ConeBreachError as exc:
             return SolveReport("cone_breach", it, res_hist, margin_hist, best[1], message=str(exc))
-        try:
-            delta = _linear_solve(J, -state.residual).reshape(spec.grid.shape)
         except _LinearSolveError as exc:
             return SolveReport("stalled", it, res_hist, margin_hist, best[1], message=str(exc))
 
@@ -380,7 +384,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
         accepted = None
         blocked = "stalled"
         while step >= MIN_STEP:
-            trial = u.with_interior(u.interior + step * delta)
+            trial = u.with_interior(u.interior_flat + step * delta)
             tstate = _NodeState(spec, trial)
             if not (tstate.f > 0).all():
                 blocked = "domain_error"

@@ -252,9 +252,11 @@ class TestSolveCommand:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads((tmp_path / "solve_report.json").read_text())["status"] == "converged"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_singular_jacobian_is_stall(self, tmp_path, capsys):
-        # alpha = 1e308 overflows the Jacobian: the sparse LU finds it
-        # exactly singular, and the run reports a stall, not a crash
+        # alpha = 1e308 overflows the Jacobian's coefficients: the linear
+        # solve misses its contract, and the run reports a stall, without a
+        # crash or a warning
         rc = main(["solve", "--alpha", "1e308", "--cells", "5", "--out", str(tmp_path)])
         assert rc == EXIT_STALLED
         assert json.loads((tmp_path / "solve_report.json").read_text())["status"] == "stalled"

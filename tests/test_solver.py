@@ -7,11 +7,15 @@ import pytest
 
 from sumhess import solver
 from sumhess.errors import ConeBreachError, DomainError
-from sumhess.fdgrid import Grid, GridField, gradient_field_array, hessian_field_array
+from sumhess.fdgrid import Grid, GridField, gradient_field_array, hessian_field_array, laplacian_field
 from sumhess.solver import (
+    LINEAR_RTOL,
     ProblemSpec,
     SolveConfig,
     _harmonic_lifts,
+    _laplacian_inverse,
+    _linear_solve,
+    _LinearSolveError,
     _NodeState,
     assemble_newton,
     continuation_solve,
@@ -90,18 +94,14 @@ class TestHarmonicLifts:
         assert np.abs(lifts[0].interior - exact.interior).max() <= 1e-13
         assert np.abs(lifts[1].interior - (2.0 * exact.interior - 0.5)).max() <= 1e-13
 
-    def test_initial_guess_factors_the_laplacian_once(self, monkeypatch):
-        calls = []
-        splu = solver.spla.splu
-
-        def counting_splu(A):
-            calls.append(A.shape)
-            return splu(A)
-
-        monkeypatch.setattr(solver.spla, "splu", counting_splu)
-        ustar = lambda x: 0.5 * ((x**2).sum(axis=-1) - 1.0)
-        initial_guess(ProblemSpec(SumHessianOp(2, 2, 1.0), grid2(15), rhs=const_rhs(3.0), boundary=ustar))
-        assert calls == [(225, 225)]
+    @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+    def test_sine_transform_inverts_the_fdgrid_laplacian(self, dim):
+        # the DST eigenvalues restate fdgrid's stencil exactly, also on an
+        # anisotropic grid with unequal spacings and node counts
+        g = Grid((-1.0,) * dim, (1.0, 0.5, 2.0)[:dim], (9, 7, 8)[:dim])
+        v = np.random.default_rng(72).normal(size=g.n_interior)
+        r = laplacian_field(GridField.from_interior(g, v)).interior_flat
+        assert np.abs(_laplacian_inverse(g)(r) - v).max() <= 1e-12 * np.abs(v).max()
 
 
 class TestFirstAdmissible:
@@ -134,12 +134,15 @@ class TestFirstAdmissible:
 class TestAssembly:
     @staticmethod
     def _check_k1_laplacian(dim):
-        # S_1 linearizes to the 5-point (7-point in 3-D) Laplacian
+        # S_1 linearizes to the 5-point (7-point in 3-D) Laplacian; it is
+        # symmetric, so J applied to the centre unit vector is the centre row
         g = Grid((-1.0,) * dim, (1.0,) * dim, (7,) * dim)
         spec = ProblemSpec(SumHessianOp(dim, 1, 1.0), g, rhs=const_rhs(3.0))
-        J = assemble_newton(spec, _NodeState(spec, GridField.from_interior(g, np.zeros(g.shape))))
+        J, _ = assemble_newton(spec, _NodeState(spec, GridField.from_interior(g, np.zeros(g.shape))))
         center = np.full(dim, 3)
-        row = J.getrow(np.ravel_multi_index(center, g.cells)).toarray().ravel()
+        unit = np.zeros(g.n_interior)
+        unit[np.ravel_multi_index(center, g.cells)] = 1.0
+        row = J @ unit
         h2 = g.h[0] ** 2
         assert row[np.ravel_multi_index(center, g.cells)] == pytest.approx(-2.0 * dim / h2)
         for e in np.eye(dim, dtype=int):
@@ -156,8 +159,7 @@ class TestAssembly:
     @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
     def test_jacobian_is_the_fdgrid_stencil_operator(self, dim):
         # J v equals sum_ab F^{ab} (D^2 v)_ab - f_u v - f_p . Dv built from
-        # fdgrid's stencils, and every row away from the boundary stores the
-        # full 9-point (19-point in 3-D) pattern
+        # fdgrid's stencils, with F formed independently by einsum
         g = Grid((-1.0,) * dim, (1.0, 0.5, 2.0)[:dim], (9, 7, 8)[:dim])
 
         def rhs(x, u, p):
@@ -165,7 +167,7 @@ class TestAssembly:
 
         spec = ProblemSpec(SumHessianOp(dim, 2, 1.0), g, rhs=rhs)
         state = _NodeState(spec, initial_guess(spec))
-        J = assemble_newton(spec, state)
+        J, _ = assemble_newton(spec, state)
         F = np.einsum("nij,nj,nkj->nik", state.Q, s_gradient(state.lams, 2, 1.0), state.Q)
         fu, fp = solver._fd_partials(spec, state)
         v = np.random.default_rng(71).normal(size=g.n_interior)
@@ -174,9 +176,6 @@ class TestAssembly:
         Dv = gradient_field_array(vf).reshape(-1, dim)
         expected = (F * Hv).sum(axis=(1, 2)) - fu * v - (fp * Dv).sum(axis=1)
         assert np.abs(J @ v - expected).max() <= 1e-13 * np.abs(expected).max()
-        away = np.zeros(g.shape, dtype=bool)
-        away[(slice(1, -1),) * dim] = True
-        assert (np.diff(J.indptr)[away.ravel()] == {2: 9, 3: 19}[dim]).all()
 
     def test_residual_constant_at_isotropic_start(self):
         # pure quadratic field (no lift): residual = S_k(cI) - f everywhere
@@ -207,7 +206,7 @@ class TestAssembly:
         )
         u0 = initial_guess(spec)
         state = _NodeState(spec, u0)
-        J = assemble_newton(spec, state)
+        J, _ = assemble_newton(spec, state)
         rng = np.random.default_rng(70)
         v = rng.normal(size=g.n_interior)
         errs = []
@@ -218,6 +217,27 @@ class TestAssembly:
         assert errs[0] <= 1e-3
         # error is O(t): shrinking t by 10 shrinks the error
         assert errs[1] <= 0.5 * errs[0]
+
+
+class TestLinearSolve:
+    @pytest.mark.parametrize("dim, cells", [(2, 33), (3, 9)], ids=["2d", "3d"])
+    def test_true_residual_meets_contract_on_nonsymmetric_jacobian(self, dim, cells):
+        g = Grid((-1.0,) * dim, (1.0,) * dim, (cells,) * dim)
+        spec = ProblemSpec(
+            SumHessianOp(dim, 2, 1.0), g, rhs=lambda x, u, p: 3.0 + 0.1 * (p**2).sum(axis=-1)
+        )
+        state = _NodeState(spec, initial_guess(spec))
+        J, M = assemble_newton(spec, state)
+        rhs = -state.residual
+        x = _linear_solve(J, M, rhs)
+        assert np.abs(J @ x - rhs).max() <= LINEAR_RTOL * np.abs(rhs).max()
+
+    def test_nan_product_raises(self):
+        n = 16
+        J = solver.spla.LinearOperator((n, n), lambda v: np.full(n, np.nan), dtype=float)
+        M = solver.spla.LinearOperator((n, n), lambda r: r, dtype=float)
+        with pytest.raises(_LinearSolveError):
+            _linear_solve(J, M, np.ones(n))
 
 
 class TestSolve:
@@ -294,6 +314,17 @@ class TestSolve:
         rep = solve(spec, u0=u0)
         assert rep.status == "domain_error"
         assert rep.iterations == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_start_is_stall(self):
+        # alpha * sigma_1 overflows at this start field: the solve stops
+        # before any linear algebra, without a warning
+        g = grid2(7)
+        spec = ProblemSpec(SumHessianOp(2, 2, 1e308), g, rhs=const_rhs(3.0))
+        rep = solve(spec, u0=GridField.from_function(g, lambda x: 5.0 * (x**2).sum(axis=-1)))
+        assert rep.status == "stalled"
+        assert rep.iterations == 0
+        assert "S_k is not finite" in rep.message
 
     def test_one_node_state_per_evaluated_field(self, monkeypatch):
         # the start field and each line-search trial are evaluated once;
