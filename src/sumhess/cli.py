@@ -1,8 +1,9 @@
 """Command-line driver: reproducible experiments with JSON/CSV reports.
 
-Subcommands: identities (inequality sweep), solve (continuation solve),
-estimate (refinement studies over a weight-exponent sweep), rigidity
-(entire-solution sweep, quadratic classification, scaling invariance).
+Subcommands: identities (inequality sweep), solve (direct Newton solve,
+with continuation only when it fails), estimate (refinement studies over a
+weight-exponent sweep), rigidity (entire-solution sweep, quadratic
+classification, scaling invariance).
 
 Exit codes: 0 pass, 1 property failure, 2 solver stall or domain error
 during a solve, 3 cone breach, 64 configuration error.  All outputs land

@@ -13,6 +13,8 @@ There the Jacobian is spectrally equivalent to the Laplacian weighted
 by the mean S_k^{pp} (Faber, Manteuffel and Parter, 1990), so BiCGSTAB
 solves each step, preconditioned by that weight and a sine-transform
 inverse of fdgrid's Dirichlet Laplacian, which also gives the lifts.
+continuation_solve first solves the target problem directly and follows
+a homotopy in the right side only when that attempt fails.
 """
 
 from __future__ import annotations
@@ -222,8 +224,9 @@ def _harmonic_lifts(grid: Grid, *traces) -> list[GridField]:
 
 
 def isotropic_level(op: SumHessianOp, target: float, tol: float = 1e-12) -> float:
-    """The c > 0 with S_k(c, ..., c) = target, by bisection (the map is
-    increasing in c for positive c)."""
+    """The c > 0 with S_k(c, ..., c) = target, by bisection to a relative
+    bracket width tol (the map is increasing in c for positive c), so the
+    tiny roots of a large alpha are as accurate as roots above 1."""
     if target <= 0:
         raise ValueError("target must be positive")
 
@@ -235,8 +238,10 @@ def isotropic_level(op: SumHessianOp, target: float, tol: float = 1e-12) -> floa
     while val(hi) < 0:
         hi *= 2.0
     lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent subnormals: the bracket cannot shrink
+            break
         if val(mid) < 0:
             lo = mid
         else:
@@ -415,16 +420,24 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
 
 
 def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> SolveReport:
-    """Homotopy from an isotropic constant right side to the target
-    problem, warm-starting each stage from the previous solution.
+    """Solve the target problem directly and, only when that fails,
+    follow a homotopy from an isotropic constant right side.
 
-    The path blends f_t = (1-t)*S_k(cI) + t*f with c chosen as in
-    initial_guess, in CONTINUATION_STEPS equal t-steps; stage failures
-    halve the t-step (down to 2^-8 of the original) before giving up with
-    the failing t recorded.  Every rejected stage is listed with its t
-    and status under rejected_stages.
+    The direct attempt is solve(spec) from initial_guess.  The homotopy
+    blends f_t = (1-t)*S_k(cI) + t*f with c chosen as in initial_guess, in
+    CONTINUATION_STEPS equal t-steps, warm-starting each stage from the
+    previous solution; stage failures halve the t-step (down to 2^-8 of
+    the original) before giving up with the failing t recorded.
+    continuation_ts lists the t of every converged stage ([1.0] after a
+    direct solve), rejected_stages the t and status of every failed one,
+    the direct attempt first.
     """
     config = config or SolveConfig()
+    report = solve(spec, config)
+    if report.converged:
+        report.extras["continuation_ts"] = [1.0]
+        return report
+    rejected = [{"t": 1.0, "status": report.status}]
     s0 = 2.0 * _sup_rhs(spec)
 
     def path(t: float) -> ProblemSpec:
@@ -434,15 +447,14 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
         return replace(spec, rhs=rhs)
 
     ts: list[float] = []
-    rejected: list[dict] = []
     t = 0.0
     dt = 1.0 / CONTINUATION_STEPS
     report = solve(path(0.0), config)
-    ts.append(0.0)
     if not report.converged:
-        report.extras["continuation_ts"] = ts
-        report.extras["failed_t"] = 0.0
+        rejected.append({"t": 0.0, "status": report.status})
+        report.extras.update(continuation_ts=ts, failed_t=0.0, rejected_stages=rejected)
         return report
+    ts.append(0.0)
     u = report.final_field
     min_dt = 1.0 / (CONTINUATION_STEPS * 256)
     while t < 1.0 - 1e-12:
@@ -460,11 +472,7 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
             rejected.append({"t": t_next, "status": stage.status})
             dt *= 0.5
             if dt < min_dt:
-                stage.extras["continuation_ts"] = ts
-                stage.extras["failed_t"] = t_next
-                stage.extras["rejected_stages"] = rejected
+                stage.extras.update(continuation_ts=ts, failed_t=t_next, rejected_stages=rejected)
                 return stage
-    report.extras["continuation_ts"] = ts
-    if rejected:
-        report.extras["rejected_stages"] = rejected
+    report.extras.update(continuation_ts=ts, rejected_stages=rejected)
     return report

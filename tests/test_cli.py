@@ -1,10 +1,15 @@
 """CLI behaviour: exit codes, outputs, determinism, config round-trip."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from sumhess.cli import (
     main,
     parse_rhs,
 )
+from sumhess.inequalities import run_inequality_suite
 
 FAST_IDENTITIES = ["identities", "--samples", "60", "--seed", "3"]
 
@@ -223,13 +229,16 @@ class TestSolveCommand:
         assert rc == EXIT_CONE_BREACH
 
     def test_domain_error_during_solve_is_not_config_error(self, tmp_path, capsys):
-        # f = 3 + 10u passes the u = 0 probe but is negative at the warm
-        # start of the t = 1 stage; continuation halves the step instead
-        rc = main(["solve", "--rhs", "3+10*u", "--cells", "17", "--out", str(tmp_path)])
+        # f = 3 + 30u passes the u = 0 probe but is negative at the
+        # initial guess, so the direct attempt ends in a domain error,
+        # listed first under rejected_stages; the homotopy then halves its
+        # t-step past the stages where that recurs
+        rc = main(["solve", "--rhs", "3+30*u", "--cells", "17", "--out", str(tmp_path)])
         assert rc != EXIT_CONFIG
         text = (tmp_path / "solve_report.json").read_text()
         assert "domain_error" in text
         assert json.loads(text)["extras"]["rejected_stages"][0]["status"] == "domain_error"
+        assert json.loads(text)["extras"]["rejected_stages"][0]["t"] == 1.0
         assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_flags_are_config_errors(self, tmp_path):
@@ -314,6 +323,114 @@ def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "Traceback" not in err
+
+
+# exit-code contract over generated argv: every run ends in a known code
+# without a traceback.  Sizes are capped (cells <= 7, samples <= 20,
+# levels <= 3, and levels 2 for a 3-D estimate) so that each run is short.
+_BAD_INT = ["x", "", "nan", "inf", "1e999", "2.5", "-1", "0"]
+_BAD_FLOAT = ["x", "", "nan", "inf", "-inf", "1e999", "-1e999", "0", "-1", "1e308", "1e-300", "5e-324"]
+_INT_FLAGS = {
+    "--n": ["2", "3", "1", "4"],
+    "--k": ["1", "2", "3", "4"],
+    "--seed": ["0", "7"],
+    "--samples": ["1", "20"],
+    "--cells": ["3", "5", "7", "9" * 400],
+    "--max-iter": ["1", "5", "30"],
+    "--levels": ["2", "3", "9" * 400],
+}
+_FLOAT_FLAGS = {
+    "--alpha": ["1", "0.5", "10", "1e12", "1e308"],
+    "--rtol": ["1e-8", "1e-3", "1e-300"],
+    "--scale-ratio": ["2", "1.5", "1", "1e200"],
+}
+_TEXT_FLAGS = {
+    "--box": ["-1,1", "0,1", "2,1", "1,a", "1", "1,2,3", ",", "-1e200,1e200", "0,1e-300", "0,inf",
+              "nan,1", "-inf,0"],
+    "--rhs": ["3", "3+0.1*g2", "3+x*y-0.5*u", "3+30*u", "3-10*u", "-1", "0", "1e999", "1e-300",
+              "3+z", "3+x3", "(", "__import__('os')", "3 # g2", "1e300*g2", "3+1e10*u", ""],
+    "--betas": ["1,2", "1,1.1,2", "x", "nan", "inf", "1,,2", "", ","],
+    "--negate-oracle": ["s_newton", "no_such_report"],
+}
+_COMMON = ("--n", "--k", "--alpha", "--seed", "--samples")
+_SUBCOMMAND_FLAGS = {
+    "identities": (*_COMMON, "--negate-oracle"),
+    "solve": (*_COMMON, "--cells", "--box", "--rhs", "--rtol", "--max-iter"),
+    "estimate": (*_COMMON, "--cells", "--box", "--rhs", "--rtol", "--max-iter", "--betas", "--levels"),
+    "rigidity": (*_COMMON, "--cells", "--box", "--scale-ratio"),
+    "frobnicate": _COMMON,
+}
+# the flags that bound a run's size; each run passes them, and flags
+# override --config, so the file cannot lift the caps
+_SIZE_FLAGS = {"identities": ("--samples",), "rigidity": ("--samples", "--cells"),
+               "solve": ("--cells",), "estimate": ("--cells",)}
+
+
+# the inequality sweep costs about 4 s whatever its sample count, so
+# identities runs one valid (samples, seed) pair, cached below
+_IDENTITIES_FLAGS = {"--samples": ["20"], "--seed": ["0"]}
+
+
+def _flag_values(flag, sub, bad):
+    """The flag's own values, or bad ones; --box, --rhs and --betas mix both."""
+    if flag in _INT_FLAGS:
+        valid = _IDENTITIES_FLAGS.get(flag, _INT_FLAGS[flag]) if sub == "identities" else _INT_FLAGS[flag]
+        return st.sampled_from(_BAD_INT if bad else valid)
+    if flag in _FLOAT_FLAGS:
+        return st.sampled_from(_BAD_FLOAT if bad else _FLOAT_FLAGS[flag])
+    values = st.sampled_from(_TEXT_FLAGS[flag])
+    return values | st.text(RHS_ALPHABET, max_size=12) if flag == "--rhs" else values
+
+
+@st.composite
+def _argv_and_config(draw):
+    """A subcommand with up to four flags, at most one of them (or one
+    --config key) drawn from the bad values, so most runs get past parsing."""
+    sub = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    flags = _SUBCOMMAND_FLAGS[sub]
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True, max_size=4))
+    chosen += [f for f in _SIZE_FLAGS.get(sub, ()) if f not in chosen]
+    keys = draw(st.lists(st.sampled_from(flags), max_size=3)) if draw(st.booleans()) else None
+    bad = draw(st.sampled_from([None, *chosen, *(keys or ())]))
+    argv = [sub] + [f"{flag}={draw(_flag_values(flag, sub, flag == bad))}" for flag in chosen]
+    config = None
+    if keys is not None:
+        lines = [f"{key[2:].replace('-', '_')}={draw(_flag_values(key, sub, key == bad))}" for key in keys]
+        lines += draw(st.lists(st.sampled_from(["# note", "garbage", "=3", "unknown=1", ""]),
+                               max_size=2))
+        config = "\n".join(lines)
+    if sub == "estimate" and ("--n=3" in argv or "n=3" in (config or "")):
+        argv.append("--levels=2")
+    return argv, config
+
+
+_SWEEPS = {}
+
+
+def _cached_inequality_suite(samples, seed):
+    """The real sweep, run once per (samples, seed), on which alone its
+    outcome depends."""
+    if (samples, seed) not in _SWEEPS:
+        _SWEEPS[samples, seed] = run_inequality_suite(samples=samples, seed=seed)
+    return copy.deepcopy(_SWEEPS[samples, seed])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_argv_and_config())
+def test_exit_code_contract_holds_for_generated_argv(case):
+    argv, config = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(config)
+            argv = argv + [f"--config={path}"]
+        with (mock.patch.object(cli, "run_inequality_suite", _cached_inequality_suite),
+              contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+            rc = main(argv + [f"--out={os.path.join(tmp, 'out')}"])
+    assert rc in (EXIT_OK, EXIT_PROPERTY, EXIT_STALLED, EXIT_CONE_BREACH, EXIT_CONFIG), argv
+    assert "Traceback" not in stderr.getvalue(), (argv, stderr.getvalue())
 
 
 class TestRunSizeBound:

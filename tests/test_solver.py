@@ -12,6 +12,7 @@ from sumhess.solver import (
     LINEAR_RTOL,
     ProblemSpec,
     SolveConfig,
+    SolveReport,
     _harmonic_lifts,
     _laplacian_inverse,
     _linear_solve,
@@ -25,7 +26,7 @@ from sumhess.solver import (
     prolong,
     solve,
 )
-from sumhess.symfun import SumHessianOp, s_gradient
+from sumhess.symfun import SumHessianOp, s_gradient, s_value
 
 
 def grid2(cells):
@@ -50,6 +51,20 @@ class TestIsotropicLevel:
         op = SumHessianOp(3, 3, 1.0)
         c = isotropic_level(op, 2.0)
         assert c**3 + 3 * c**2 == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n, k, alpha", [(2, 2, 1e12), (2, 2, 1e20), (2, 2, 1e308), (3, 3, 1e300)])
+    def test_tiny_root_is_relatively_accurate(self, n, k, alpha):
+        # a large alpha makes the root tiny (3e-308 to 3e-12 here), far
+        # below an absolute bracket width of 1e-12
+        c = isotropic_level(SumHessianOp(n, k, alpha), 6.0)
+        assert 0.0 < c < 1e-11
+        assert abs(float(s_value(np.full(n, c), k, alpha)) / 6.0 - 1.0) <= 1e-11
+
+    def test_underflowing_root_terminates(self):
+        # the root, about 1e-608, is below the smallest subnormal: the
+        # bracket shrinks to [0, 5e-324] and the bisection stops there
+        c = isotropic_level(SumHessianOp(2, 2, 1e308), 1e-300)
+        assert 0.0 <= c <= 5e-324
 
 
 class TestInitialGuess:
@@ -390,6 +405,9 @@ class TestContinuation:
         rep = continuation_solve(spec)
         assert rep.converged
         assert rep.extras["continuation_ts"][-1] == 1.0
+        # the direct attempt converges, so no homotopy stage runs
+        assert rep.extras["continuation_ts"] == [1.0]
+        assert "rejected_stages" not in rep.extras
 
     def test_rescues_stalled_direct_solve(self):
         # strongly gradient-dependent right side: the Newton path from the
@@ -405,6 +423,7 @@ class TestContinuation:
         assert direct.status == "stalled"
         cont = continuation_solve(spec, config=cfg)
         assert cont.converged
+        assert cont.extras["rejected_stages"][0] == {"t": 1.0, "status": "stalled"}
 
     def test_failure_records_t(self):
         op = SumHessianOp(2, 2, 1.0)
@@ -417,3 +436,17 @@ class TestContinuation:
         assert rep.status != "converged"
         assert 0.0 < rep.extras["failed_t"] <= 1.0
         assert rep.extras["rejected_stages"][-1] == {"t": rep.extras["failed_t"], "status": rep.status}
+        assert rep.extras["rejected_stages"][0]["t"] == 1.0
+
+    def test_failure_at_t0_records_the_direct_attempt(self, monkeypatch):
+        # every stage fails: the direct attempt comes first, then t = 0
+        def failing(spec, config=None, u0=None):
+            return SolveReport("stalled", 0, [], [], spec.boundary_field())
+
+        monkeypatch.setattr(solver, "solve", failing)
+        spec = ProblemSpec(SumHessianOp(2, 2, 1.0), grid2(5), rhs=const_rhs(3.0))
+        rep = continuation_solve(spec)
+        assert rep.extras["failed_t"] == 0.0
+        assert rep.extras["continuation_ts"] == []
+        assert rep.extras["rejected_stages"] == [{"t": 1.0, "status": "stalled"},
+                                                 {"t": 0.0, "status": "stalled"}]
