@@ -103,16 +103,12 @@ def _sample_cone_array(
     total_kept = 0
     drawn = 0
     batch = 4096
-    while total_kept < count and drawn < MAX_DRAWS:
-        pts = rng.uniform(-radius, radius, size=(batch, n))
-        drawn += batch
-        keep = (margins_fn(pts) > 0).all(axis=-1)
-        kept = pts[keep]
-        if kept.size:
-            accepted.append(kept)
-            total_kept += len(kept)
     while total_kept < count:
-        pts = _fallback_positive(n, count - total_kept, radius, rng)
+        if drawn < MAX_DRAWS:
+            pts = rng.uniform(-radius, radius, size=(batch, n))
+            drawn += batch
+        else:
+            pts = _fallback_positive(n, count - total_kept, radius, rng)
         keep = (margins_fn(pts) > 0).all(axis=-1)
         kept = pts[keep]
         if kept.size:

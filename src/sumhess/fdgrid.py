@@ -9,9 +9,9 @@ populated too because the mixed-derivative cross stencil touches them.
 
 Second derivatives: 3-point central differences on the diagonal,
 4-point cross differences for the mixed entries.  Eigen-decomposition
-of the per-node Hessian uses the closed form for 2x2 and cyclic Jacobi
-rotations for 3x3 (reliable at nearly degenerate spectra, unlike the
-characteristic polynomial).
+of the per-node Hessian uses LAPACK (np.linalg.eigh) for 3x3 and a
+closed-form rotation for 2x2, which on a batch the size of a 145^2
+grid takes about a third of LAPACK's time.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-
-JACOBI_OFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -206,44 +204,6 @@ def _eigh2_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lams, Q
 
 
-def _eigh3_jacobi_batch(M: np.ndarray, max_sweeps: int = 30) -> tuple[np.ndarray, np.ndarray]:
-    A = M.copy()
-    Q = np.zeros(M.shape)
-    Q[..., np.arange(3), np.arange(3)] = 1.0
-    norm = 1.0 + np.abs(M).max()
-    for _ in range(max_sweeps):
-        off = np.abs(np.stack([A[..., 0, 1], A[..., 0, 2], A[..., 1, 2]], axis=-1)).max()
-        if off <= JACOBI_OFF_TOL * norm:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = A[..., p, q]
-            active = np.abs(apq) > 1e-300
-            theta = np.zeros_like(apq)
-            np.divide(A[..., q, q] - A[..., p, p], 2.0 * apq, out=theta, where=active)
-            sign = np.where(theta >= 0.0, 1.0, -1.0)
-            # theta^2 may overflow to inf; t -> 0 is the right limit there
-            with np.errstate(over="ignore"):
-                t = sign / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            t = np.where(active, t, 0.0)
-            cs = 1.0 / np.sqrt(t * t + 1.0)
-            sn = t * cs
-            # rotate rows/columns p, q of A and columns of Q
-            Ap = A[..., p, :].copy()
-            Aq = A[..., q, :].copy()
-            A[..., p, :] = cs[..., None] * Ap - sn[..., None] * Aq
-            A[..., q, :] = sn[..., None] * Ap + cs[..., None] * Aq
-            Ap = A[..., :, p].copy()
-            Aq = A[..., :, q].copy()
-            A[..., :, p] = cs[..., None] * Ap - sn[..., None] * Aq
-            A[..., :, q] = sn[..., None] * Ap + cs[..., None] * Aq
-            Qp = Q[..., :, p].copy()
-            Qq = Q[..., :, q].copy()
-            Q[..., :, p] = cs[..., None] * Qp - sn[..., None] * Qq
-            Q[..., :, q] = sn[..., None] * Qp + cs[..., None] * Qq
-    lams = A[..., np.arange(3), np.arange(3)]
-    return lams, Q
-
-
 def eigh_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a batch of symmetric 2x2 or 3x3 matrices.
 
@@ -252,12 +212,12 @@ def eigh_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Q @ diag(lams) @ Q.T reconstructs M.
     """
     dim = M.shape[-1]
-    if dim == 2:
-        lams, Q = _eigh2_batch(M)
-    elif dim == 3:
-        lams, Q = _eigh3_jacobi_batch(M)
-    else:
+    if dim == 3:
+        lams, Q = np.linalg.eigh(M)  # LAPACK, eigenvalues ascending
+        return lams[..., ::-1], Q[..., ::-1]
+    if dim != 2:
         raise ValueError(f"only 2x2 and 3x3 matrices are supported, got {dim}x{dim}")
+    lams, Q = _eigh2_batch(M)
     order = np.argsort(-lams, axis=-1, kind="stable")
     lams = np.take_along_axis(lams, order, axis=-1)
     Q = np.take_along_axis(Q, order[..., None, :], axis=-1)

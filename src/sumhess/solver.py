@@ -118,9 +118,9 @@ class _NodeState:
         with np.errstate(over="ignore", invalid="ignore"):
             self.H = hessian_field_array(u).reshape(-1, n, n)
             self.lams, self.Q = eigh_batch(self.H)
-            self.margins = gamma_tilde_margins(spec.op, self.lams).min(axis=-1)
-            self.sk = np.asarray(s_value(self.lams, spec.op.k, spec.op.alpha), dtype=float)
-            self.residual = self.sk - self.f
+            s_all = gamma_tilde_margins(spec.op, self.lams)  # S_1..S_k
+            self.margins = s_all.min(axis=-1)
+            self.residual = s_all[:, -1] - self.f
 
     @property
     def res_norm(self) -> float:
@@ -297,9 +297,16 @@ def initial_guess(spec: ProblemSpec) -> GridField:
     lift_g, lift_q = _harmonic_lifts(grid, spec.boundary, quad)
     bowl = GridField.from_function(grid, quad).values - lift_q.values
     factors = (1.0, 1.5, 2.0, 4.0, 0.7, 0.5, 0.35, 0.25, 0.15, 0.1, 0.05, 0.02, 0.01, 0.005)
-    return first_admissible(
-        spec, (GridField(grid, factor * c_root * bowl + lift_g.values) for factor in factors)
-    )
+
+    def candidates():
+        for factor in factors:
+            # a huge box with a huge right side overflows: skip such candidates
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = factor * c_root * bowl + lift_g.values
+            if np.isfinite(values).all():
+                yield GridField(grid, values)
+
+    return first_admissible(spec, candidates())
 
 
 def prolong(u: GridField, fine: Grid, boundary=None) -> GridField:
@@ -370,12 +377,15 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     f_scale = 1.0 + float(np.abs(state.f).max())
     best = (state.res_norm, u)
 
-    for it in range(config.max_iter):
+    for it in range(config.max_iter + 1):
         res_hist.append(state.res_norm)
         margin_hist.append(state.worst_margin)
         if state.res_norm <= config.rtol * f_scale:
             return SolveReport("converged", it, res_hist, margin_hist, u,
                                extras={"f_scale": f_scale})
+        if it == config.max_iter:
+            return SolveReport("stalled", it, res_hist, margin_hist, best[1],
+                               message="maximum iterations reached")
         try:
             # an overflowing product fails the linear residual contract
             with np.errstate(over="ignore", invalid="ignore"):
@@ -410,14 +420,6 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
         if state.res_norm < best[0]:
             best = (state.res_norm, u)
 
-    res_hist.append(state.res_norm)
-    margin_hist.append(state.worst_margin)
-    if state.res_norm <= config.rtol * f_scale:
-        return SolveReport("converged", config.max_iter, res_hist, margin_hist, u,
-                           extras={"f_scale": f_scale})
-    return SolveReport("stalled", config.max_iter, res_hist, margin_hist, best[1],
-                       message="maximum iterations reached")
-
 
 def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> SolveReport:
     """Solve the target problem directly and, only when that fails,
@@ -427,7 +429,8 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
     blends f_t = (1-t)*S_k(cI) + t*f with c chosen as in initial_guess, in
     CONTINUATION_STEPS equal t-steps, warm-starting each stage from the
     previous solution; stage failures halve the t-step (down to 2^-8 of
-    the original) before giving up with the failing t recorded.
+    the original) before giving up with the failing t recorded, and a
+    success doubles it again unless the stage before was rejected.
     continuation_ts lists the t of every converged stage ([1.0] after a
     direct solve), rejected_stages the t and status of every failed one,
     the direct attempt first.
@@ -457,6 +460,7 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
     ts.append(0.0)
     u = report.final_field
     min_dt = 1.0 / (CONTINUATION_STEPS * 256)
+    just_rejected = False
     while t < 1.0 - 1e-12:
         t_next = min(1.0, t + dt)
         stage_spec = path(t_next)
@@ -467,12 +471,14 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
             u = stage.final_field
             report = stage
             ts.append(t)
-            dt = min(2.0 * dt, 1.0 / CONTINUATION_STEPS)
+            if not just_rejected:
+                dt = min(2.0 * dt, 1.0 / CONTINUATION_STEPS)
         else:
             rejected.append({"t": t_next, "status": stage.status})
             dt *= 0.5
             if dt < min_dt:
                 stage.extras.update(continuation_ts=ts, failed_t=t_next, rejected_stages=rejected)
                 return stage
+        just_rejected = not stage.converged
     report.extras.update(continuation_ts=ts, rejected_stages=rejected)
     return report

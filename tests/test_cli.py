@@ -325,6 +325,23 @@ def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--cells", "5", "--box=-1e100,1e100", "--rhs", "1e300"],
+        ["estimate", "--cells", "5", "--box=-1e100,1e100", "--rhs", "1e300", "--levels", "2"],
+        ["solve", "--n", "3", "--cells", "5", "--box=-1e150,1e150", "--rhs", "1e300"],
+    ],
+    ids=["solve", "estimate", "solve-3d"],
+)
+def test_overflowing_initial_guess_is_cone_breach(argv, tmp_path, capsys):
+    # every candidate c * bowl of initial_guess overflows, so none is
+    # admissible: a cone breach, without a warning or a traceback
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONE_BREACH
+    assert capsys.readouterr().err == ""
+
+
 # exit-code contract over generated argv: every run ends in a known code
 # without a traceback.  Sizes are capped (cells <= 7, samples <= 20,
 # levels <= 3, and levels 2 for a 3-D estimate) so that each run is short.

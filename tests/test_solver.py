@@ -438,6 +438,27 @@ class TestContinuation:
         assert rep.extras["rejected_stages"][-1] == {"t": rep.extras["failed_t"], "status": rep.status}
         assert rep.extras["rejected_stages"][0]["t"] == 1.0
 
+    def test_step_does_not_regrow_after_a_rejection(self, monkeypatch):
+        # f = 1, so stage t solves the constant right side 2 - t; a warm
+        # stage converges only when its t-step is at most 1/16
+        converged_ts = []
+
+        def stub(spec, config=None, u0=None):
+            x = spec.grid.interior_points_flat()
+            t = 2.0 - float(spec.rhs(x, np.zeros(len(x)), np.zeros_like(x)).max())
+            if t == 0.0 or (u0 is not None and t - converged_ts[-1] <= 1.0 / 16):
+                converged_ts.append(t)
+                return SolveReport("converged", 1, [], [], spec.boundary_field())
+            return SolveReport("stalled", 1, [], [], spec.boundary_field())
+
+        monkeypatch.setattr(solver, "solve", stub)
+        spec = ProblemSpec(SumHessianOp(2, 2, 1.0), grid2(5), rhs=const_rhs(1.0))
+        rep = continuation_solve(spec)
+        assert rep.converged
+        assert rep.extras["continuation_ts"] == [j / 16 for j in range(17)]
+        # one rejection per two accepted stages, not one per stage
+        assert [r["t"] for r in rep.extras["rejected_stages"]] == [1.0] + [j / 8 for j in range(1, 9)]
+
     def test_failure_at_t0_records_the_direct_attempt(self, monkeypatch):
         # every stage fails: the direct attempt comes first, then t = 0
         def failing(spec, config=None, u0=None):
