@@ -38,10 +38,15 @@ class ConeVerdict:
         return min(self.margins)
 
 
+def members(margins: np.ndarray) -> np.ndarray:
+    """Per-spectrum membership for margins of shape (..., m): each margin
+    exceeds -DEFAULT_TOL * (1 + max |margin|) of its own spectrum."""
+    scale = 1.0 + np.abs(margins).max(axis=-1, keepdims=True)
+    return (margins > -DEFAULT_TOL * scale).all(axis=-1)
+
+
 def _verdict(margins: np.ndarray) -> ConeVerdict:
-    scale = 1.0 + float(np.abs(margins).max())
-    member = bool((margins > -DEFAULT_TOL * scale).all())
-    return ConeVerdict(member, tuple(float(m) for m in margins), DEFAULT_TOL)
+    return ConeVerdict(bool(members(margins)), tuple(float(m) for m in margins), DEFAULT_TOL)
 
 
 def gamma_k_margins(lam, k: int) -> np.ndarray:

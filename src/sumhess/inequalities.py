@@ -24,9 +24,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .cones import (
+    gamma_k_margins,
     gamma_tilde_margins,
     in_gamma_k,
     in_gamma_tilde_k,
+    members,
     sample_cone_array,
     sample_gamma_k_array,
 )
@@ -58,25 +60,29 @@ class InequalityReport:
 
 class _WorstTracker:
     """Keeps the WITNESSES smallest margins; ties resolve to the earliest
-    sample index."""
+    sample index.  A non-finite margin (NaN or +-inf) ranks below every
+    finite one, so a broken evaluation is never hidden behind a passing
+    worst margin."""
 
     def __init__(self):
-        self.items: list[tuple[float, int, dict]] = []
+        self.items: list[tuple[float, int, float, dict]] = []  # rank, index, margin, witness
         self.count = 0
 
     def add_batch(self, margins: np.ndarray, witness_fn):
-        for j in np.argsort(margins, kind="stable")[:WITNESSES]:
-            self.items.append((float(margins[j]), self.count + int(j), witness_fn(int(j))))
+        ranks = np.where(np.isfinite(margins), margins, -np.inf)
+        for j in np.argsort(ranks, kind="stable")[:WITNESSES]:
+            j = int(j)
+            self.items.append((ranks[j], self.count + j, float(margins[j]), witness_fn(j)))
         self.count += len(margins)
         self.items.sort(key=lambda t: (t[0], t[1]))
         del self.items[WITNESSES:]
 
     @property
     def worst(self) -> float:
-        return self.items[0][0] if self.items else math.inf
+        return self.items[0][2] if self.items else math.inf
 
     def witnesses(self) -> list[dict]:
-        return [dict(w, margin=m) for m, _, w in self.items]
+        return [dict(w, margin=m) for _, _, m, w in self.items]
 
 
 def _require_admissible(op: SumHessianOp, lam) -> np.ndarray:
@@ -391,33 +397,65 @@ def capped_spectrum_bounds(op: SumHessianOp, lam, n0: float, eps0: float = 0.1) 
     )
 
 
-def _capped_family_worst(op, n0, eps0, lam1, tail_base):
-    """Worst conditional margin over the capped family with top eigenvalue
-    lam1: spectra (lam1, s*nu) with s solved so that S_k = 0.9*n0.
-    Returns +inf when no family member is feasible at this lam1."""
+def _family_coefficients(op, lam1s, tail_sigma):
+    """Coefficients (c_{k-2}, c_{k-1}, c_k) of S_k(L, s*nu) as a polynomial
+    in s, for every top eigenvalue L in lam1s (rows) and every tail nu
+    (columns) given by tail_sigma = [sig_0(nu), ..., sig_n(nu)]:
+
+        S_k = s^k sig_k(nu) + (L+alpha) s^{k-1} sig_{k-1}(nu) + alpha L s^{k-2} sig_{k-2}(nu).
+    """
     k, alpha = op.k, op.alpha
+    ls = lam1s[:, None]
+    coef = (alpha * ls * tail_sigma[:, k - 2], (ls + alpha) * tail_sigma[:, k - 1], tail_sigma[:, k])
+    return tuple(np.broadcast_to(c, (len(ls), len(tail_sigma))) for c in coef)
+
+
+def _family_gap(s, coef, k, target):
+    """S_k(L, s*nu) - target from the _family_coefficients; the same
+    operations for arrays and floats, so a batched bracket and a scalar
+    root solve see equal values."""
+    c_lo, c_mid, c_hi = coef
+    val = c_lo + s * (c_mid + s * c_hi)
+    for _ in range(k - 2):
+        val = val * s
+    return val - target
+
+
+def _capped_family_worst(op, n0, eps0, lam1s, tails, tail_sigma):
+    """Worst conditional margin over the capped family at each top
+    eigenvalue L in lam1s: spectra (L, s*nu), nu a row of tails, with s
+    solved so that S_k = 0.9*n0.  +inf where no member is feasible.
+
+    On the family S_k is a polynomial in s (see _family_coefficients;
+    tail_sigma holds sig_0..sig_n of each tail, sig_n = 0 on its n-1
+    entries), so every (L, nu) pair is bracketed in one array pass: s_hi
+    is the first of 1e-3 * 2^j, j = 0..30, where the gap S_k - 0.9*n0 is
+    nonnegative (else j = 30), and a pair is kept when the gap is negative
+    at 1e-9 and nonnegative at s_hi.  Each kept pair gets one brentq solve
+    on its scalar polynomial.  The spectra whose top entry is still L and
+    that lie in Gamma_k are scored in one batch.
+    """
+    k = op.k
     target = 0.9 * n0
-    worst = math.inf
-    for nu in tail_base:
-
-        def gap(s):
-            return float(s_value(np.concatenate([[lam1], s * nu]), k, alpha)) - target
-
-        s_hi = 1e-3
-        while gap(s_hi) < 0 and s_hi < 1e6:
-            s_hi *= 2.0
-        if gap(1e-9) >= 0 or gap(s_hi) < 0:
-            continue
-        s = brentq(gap, 1e-9, s_hi, xtol=1e-12, rtol=1e-12)
-        spec = np.sort(np.concatenate([[lam1], s * nu]))[::-1]
-        if spec[0] != lam1 or not in_gamma_k(spec, k).member:
-            continue
-        d = _capped_bounds_batch(op, spec[None, :], n0, eps0)
-        worst = min(
-            worst,
-            float(d["weighted"][0] / d["weighted_scale"][0]),
-            float(d["top"][0] / d["top_scale"][0]),
-        )
+    coef = _family_coefficients(op, lam1s, tail_sigma)
+    s_grid = 1e-3 * 2.0 ** np.arange(31)
+    below = _family_gap(s_grid, tuple(c[..., None] for c in coef), k, target) < 0
+    s_hi = s_grid[np.where(below.all(axis=-1), 30, np.argmin(below, axis=-1))]
+    keep = ~((_family_gap(1e-9, coef, k, target) >= 0) | (_family_gap(s_hi, coef, k, target) < 0))
+    li, ti = np.nonzero(keep)
+    kept_coef = np.stack([c[keep] for c in coef], axis=-1).tolist()
+    roots = [
+        brentq(_family_gap, 1e-9, hi, args=(cs, k, target), xtol=1e-12, rtol=1e-12)
+        for cs, hi in zip(kept_coef, s_hi[keep].tolist())
+    ]
+    specs = np.concatenate([lam1s[li, None], np.asarray(roots)[:, None] * tails[ti]], axis=1)
+    specs = np.sort(specs, axis=-1)[:, ::-1]
+    ok = (specs[:, 0] == lam1s[li]) & members(gamma_k_margins(specs, k))
+    d = _capped_bounds_batch(op, specs[ok], n0, eps0)
+    worst = np.full(len(lam1s), math.inf)
+    np.minimum.at(
+        worst, li[ok], np.minimum(d["weighted"] / d["weighted_scale"], d["top"] / d["top_scale"])
+    )
     return worst
 
 
@@ -431,11 +469,15 @@ def capped_threshold_search(
     """Empirical threshold for the two conditional capped-spectrum bounds.
 
     Builds a family of Gamma_k spectra lam = (L, s*nu) with the tail nu a
-    Gamma_{k-1} sample scaled (via a 1-d root solve on s) so that
-    S_k(lam) = 0.9*n0, then scans the top eigenvalue L over a geometric
-    grid.  lambda_star is the smallest probed L beyond which both
-    conditional margins stay nonnegative; nothing is asserted about it
-    beyond finiteness.
+    Gamma_{k-1} sample scaled so that S_k(lam) = 0.9*n0, then scans the top
+    eigenvalue L over a geometric grid, one block of L values at a time.
+    On the family S_k is a polynomial in s, so each block brackets the
+    scale of every (L, nu) pair in one array pass and solves each
+    bracketed pair by one brentq call (see _capped_family_worst).  The scan
+    stops after the first block whose largest feasible L passes.
+    lambda_star is the smallest probed L beyond which both conditional
+    margins stay nonnegative; nothing is asserted about it beyond
+    finiteness.
 
     For k = 2 the cap itself bounds the top eigenvalue (alpha*lam_1 < S_2
     <= n0 on Gamma_2), so "lam_1 sufficiently large" can leave the
@@ -447,7 +489,8 @@ def capped_threshold_search(
     if k < 2:
         raise ValueError("threshold search needs k >= 2")
     target = 0.9 * n0
-    tail_base = sample_gamma_k_array(n - 1, k - 1, CAPPED_TAILS, 1.0, rng)
+    tails = sample_gamma_k_array(n - 1, k - 1, CAPPED_TAILS, 1.0, rng)
+    tail_sigma = np.pad(sigma_all(tails), ((0, 0), (0, 1)))
     if k == 2:
         grids = [np.geomspace(0.02 * target / alpha, 0.98 * target / alpha, 12)]
     else:
@@ -458,10 +501,8 @@ def capped_threshold_search(
         ]
     probes = []
     for grid in grids:
-        for lam1 in grid:
-            worst = _capped_family_worst(op, n0, eps0, float(lam1), tail_base)
-            if worst < math.inf:
-                probes.append((float(lam1), worst))
+        worst = _capped_family_worst(op, n0, eps0, grid, tails, tail_sigma)
+        probes += [(float(l), float(w)) for l, w in zip(grid, worst) if w < math.inf]
         if probes and probes[-1][1] >= -tol:
             break
     lambda_star = math.inf
@@ -535,7 +576,7 @@ def _finish(name, tracker, tol, extras=None):
         samples=tracker.count,
         worst_margin=worst,
         tolerance=tol,
-        passed=bool(worst >= -tol),
+        passed=not tracker.count or (math.isfinite(worst) and worst >= -tol),
         witnesses=tracker.witnesses(),
         extras=extras or {},
     )

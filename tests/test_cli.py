@@ -383,8 +383,9 @@ _SIZE_FLAGS = {"identities": ("--samples",), "rigidity": ("--samples", "--cells"
                "solve": ("--cells",), "estimate": ("--cells",)}
 
 
-# the inequality sweep costs about 4 s whatever its sample count, so
-# identities runs one valid (samples, seed) pair, cached below
+# the inequality sweep costs about 1 s even at 20 samples and the
+# generated cases ask for it about 30 times, so identities runs one
+# valid (samples, seed) pair, cached below
 _IDENTITIES_FLAGS = {"--samples": ["20"], "--seed": ["0"]}
 
 

@@ -4,10 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from sumhess.cones import sample_cone_array, sample_gamma_k_array
+from sumhess import inequalities
+from sumhess.cones import in_gamma_k, sample_cone_array, sample_gamma_k_array
 from sumhess.errors import DegenerateEigenvaluesError, DomainError
 from sumhess.inequalities import (
+    CAPPED_TAILS,
+    _capped_bounds_batch,
+    _capped_family_worst,
+    _family_coefficients,
+    _family_gap,
+    _finish,
+    _WorstTracker,
     capped_spectrum_bounds,
     capped_threshold_search,
     concavity_probe,
@@ -18,7 +27,7 @@ from sumhess.inequalities import (
     run_inequality_suite,
     s_newton_margin,
 )
-from sumhess.symfun import SumHessianOp, s_hessian, s_value
+from sumhess.symfun import SumHessianOp, s_hessian, s_value, sigma_all
 
 
 class TestQuotientConcavityForm:
@@ -251,6 +260,120 @@ class TestCappedBounds:
         rng = np.random.default_rng(48)
         res = capped_threshold_search(SumHessianOp(2, 2, 0.1), 10.0, 0.1, rng)
         assert res["finite"]
+
+
+def _family_worst_per_pair(op, n0, eps0, lam1, tails):
+    """Reference for _capped_family_worst at one top eigenvalue: each tail
+    gets its own doubling scan and brentq solve on the s_value gap, its
+    own Gamma_k test and its own single-row bounds evaluation."""
+    k, alpha = op.k, op.alpha
+    target = 0.9 * n0
+    worst = math.inf
+    for nu in tails:
+
+        def gap(s):
+            return float(s_value(np.concatenate([[lam1], s * nu]), k, alpha)) - target
+
+        s_hi = 1e-3
+        while gap(s_hi) < 0 and s_hi < 1e6:
+            s_hi *= 2.0
+        if gap(1e-9) >= 0 or gap(s_hi) < 0:
+            continue
+        s = brentq(gap, 1e-9, s_hi, xtol=1e-12, rtol=1e-12)
+        spec = np.sort(np.concatenate([[lam1], s * nu]))[::-1]
+        if spec[0] != lam1 or not in_gamma_k(spec, k).member:
+            continue
+        d = _capped_bounds_batch(op, spec[None, :], n0, eps0)
+        worst = min(
+            worst,
+            float(d["weighted"][0] / d["weighted_scale"][0]),
+            float(d["top"][0] / d["top_scale"][0]),
+        )
+    return worst
+
+
+# k = 2 (the vacuous branch), 2 < k < n, k = n, and n = 6
+FAMILY_OPS = [
+    (2, 2, 0.1), (3, 2, 1.0), (4, 3, 1.0), (5, 3, 10.0),
+    (3, 3, 1.0), (4, 4, 0.1), (6, 4, 1.0), (6, 6, 10.0),
+]
+
+
+class TestCappedFamilyBatch:
+    def test_coefficients_reproduce_s_value(self):
+        rng = np.random.default_rng(60)
+        for n, k, alpha in FAMILY_OPS:
+            op = SumHessianOp(n, k, alpha)
+            tails = rng.uniform(-2.0, 3.0, size=(5, n - 1))
+            lam1s = rng.uniform(0.1, 50.0, size=4)
+            coef = _family_coefficients(op, lam1s, np.pad(sigma_all(tails), ((0, 0), (0, 1))))
+            for s in rng.uniform(0.01, 5.0, size=3):
+                got = _family_gap(s, coef, k, 0.0)
+                for i, lam1 in enumerate(lam1s):
+                    for j, nu in enumerate(tails):
+                        want = float(s_value(np.concatenate([[lam1], s * nu]), k, alpha))
+                        assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n,k,alpha", FAMILY_OPS)
+    @pytest.mark.parametrize("n0", [10.0, 0.5])
+    def test_matches_per_pair_reference(self, n, k, alpha, n0):
+        op = SumHessianOp(n, k, alpha)
+        rng = np.random.default_rng(61)
+        tails = sample_gamma_k_array(n - 1, k - 1, CAPPED_TAILS, 1.0, rng)
+        target = 0.9 * n0
+        lam1s = np.concatenate([
+            np.geomspace(0.02 * target / alpha, 0.98 * target / alpha, 12),
+            np.geomspace(0.5, 1e6, 18),
+        ])
+        got = _capped_family_worst(
+            op, n0, 0.1, lam1s, tails, np.pad(sigma_all(tails), ((0, 0), (0, 1)))
+        )
+        want = np.array([_family_worst_per_pair(op, n0, 0.1, float(l), tails) for l in lam1s])
+        assert np.array_equal(got == math.inf, want == math.inf)
+        assert np.isfinite(want).any()
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,k,alpha", FAMILY_OPS)
+    def test_threshold_search_matches_per_pair_reference(self, n, k, alpha, monkeypatch):
+        op = SumHessianOp(n, k, alpha)
+        got = capped_threshold_search(op, 10.0, 0.1, np.random.default_rng(62))
+
+        def per_pair(op, n0, eps0, lam1s, tails, tail_sigma):
+            return np.array([_family_worst_per_pair(op, n0, eps0, float(l), tails) for l in lam1s])
+
+        monkeypatch.setattr(inequalities, "_capped_family_worst", per_pair)
+        want = capped_threshold_search(op, 10.0, 0.1, np.random.default_rng(62))
+        assert got["lambda_star"] == want["lambda_star"]
+        assert got["vacuous"] == want["vacuous"]
+        assert [p[0] for p in got["probes"]] == [p[0] for p in want["probes"]]
+        np.testing.assert_allclose(
+            [p[1] for p in got["probes"]], [p[1] for p in want["probes"]], rtol=0, atol=1e-12
+        )
+
+
+class TestWorstTracker:
+    def test_nan_margin_ranks_worst_and_fails(self):
+        tracker = _WorstTracker()
+        tracker.add_batch(np.array([0.0, math.nan, 0.5]), lambda j: {"j": j})
+        report = _finish("probe", tracker, 1e-9)
+        assert math.isnan(report.worst_margin)
+        assert not report.passed
+        assert report.witnesses[0]["j"] == 1
+        assert [w["j"] for w in report.witnesses] == [1, 0, 2]
+
+    def test_infinite_margin_fails_across_batches(self):
+        tracker = _WorstTracker()
+        tracker.add_batch(np.array([0.3, 0.1]), lambda j: {"j": j})
+        tracker.add_batch(np.array([math.inf, 0.2]), lambda j: {"j": j + 2})
+        report = _finish("probe", tracker, 1e-9)
+        assert report.worst_margin == math.inf
+        assert not report.passed
+        assert [w["j"] for w in report.witnesses] == [2, 1, 3, 0]
+
+    def test_empty_sweep_passes(self):
+        report = _finish("probe", _WorstTracker(), 1e-9)
+        assert report.passed and report.samples == 0
 
 
 class TestConcavityProbe:
