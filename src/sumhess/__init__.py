@@ -9,7 +9,7 @@ from .cones import ConeVerdict, in_gamma_k, in_gamma_tilde_k
 from .errors import ConeBreachError, DegenerateEigenvaluesError, DomainError
 from .fdgrid import Grid, GridField, laplacian_field
 from .solver import ProblemSpec, SolveConfig, SolveReport, continuation_solve, initial_guess, solve
-from .symfun import SumHessianOp, identity_residuals, sigma_all, sigma_deleted
+from .symfun import SumHessianOp, identity_residuals, sigma_all
 
 __all__ = [
     "ConeVerdict",
@@ -29,6 +29,5 @@ __all__ = [
     "initial_guess",
     "laplacian_field",
     "sigma_all",
-    "sigma_deleted",
     "solve",
 ]

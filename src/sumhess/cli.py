@@ -6,9 +6,10 @@ weight-exponent sweep), rigidity (entire-solution sweep, quadratic
 classification, scaling invariance).
 
 Exit codes: 0 pass, 1 property failure, 2 solver stall or domain error
-during a solve, 3 cone breach, 64 configuration error.  All outputs land
-under --out and are written atomically (temp file, then rename).  Runs are deterministic for a
-fixed (config, seed); every report embeds the resolved config.
+during a solve or the estimate convexity probe, 3 cone breach, 64
+configuration error.  All outputs land under --out and are written
+atomically (temp file, then rename).  Runs are deterministic for a fixed
+(config, seed); every report embeds the resolved config.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ EXIT_CONFIG = 64
 
 # Peak-memory growth per unit of run size, rounded down over the subcommands
 # that scale with it (measured as peak RSS at two sizes), so a run refused
-# for exceeding physical memory could not have fit: rigidity grows by 95 B
+# for exceeding physical memory could not have fit: rigidity grows by 127 B
 # and identities by 2.1 kB per sample; rigidity by 217 B (2-D) and 457 B
 # (3-D) and solve by 2.9 kB (2-D) and 11 kB (3-D) per grid node.
 BYTES_PER_SAMPLE = 64
@@ -334,14 +335,20 @@ def cmd_estimate(config: RunConfig) -> int:
     except SolveFailure as exc:
         print(f"FAIL estimate beta={config.betas[0]}: {exc}")
         return _STATUS_EXIT.get(exc.status, EXIT_PROPERTY)
+    near_linear = [beta for beta in config.betas if 1.0 < beta < 2.0]
+    if near_linear:
+        # the near-linear weight presumes f^{1/k} convex in the gradient;
+        # spot-check the declaration once and report the margin
+        try:
+            probe = rhs_gradient_convexity_probe(spec, np.random.default_rng(config.seed))
+        except DomainError as exc:
+            print(f"FAIL estimate beta={near_linear[0]}: gradient convexity probe: {exc}")
+            return EXIT_STALLED
     all_stable = True
     for beta, rep in zip(config.betas, reports):
         payload = rep.to_dict()
         payload["config"] = config.to_dict()
-        if 1.0 < beta < 2.0:
-            # the near-linear weight presumes f^{1/k} convex in the
-            # gradient; spot-check the declaration and report the margin
-            probe = rhs_gradient_convexity_probe(spec, np.random.default_rng(config.seed))
+        if beta in near_linear:
             payload["gradient_convexity_worst_margin"] = probe
         _dump_json(os.path.join(config.out, f"estimate_beta_{beta}.json"), payload)
         sups = [e["sup"] for e in rep.per_refinement]
@@ -354,7 +361,7 @@ def cmd_rigidity(config: RunConfig) -> int:
     os.makedirs(config.out, exist_ok=True)
     rng = np.random.default_rng(config.seed)
     pts = rng.uniform(-1.0, 1.0, size=(max(10, config.samples), 3))
-    residuals, sigma1 = entire_solution_residual(pts[:, 0], pts[:, 1], pts[:, 2])
+    residuals, sigma1 = entire_solution_residual(pts)
     sweep_ok = bool(residuals.max() <= 1e-9 and (sigma1 > 0).all())
 
     op = config.op()

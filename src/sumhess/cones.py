@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfun import SumHessianOp, _as_array, s_value, sigma_all
+from .symfun import SumHessianOp, _as_array, sigma_all
 
 DEFAULT_TOL = 1e-12
 MAX_DRAWS = 1_000_000  # rejection draws before the positive-orthant fallback
@@ -74,19 +74,6 @@ def in_gamma_k(lam, k: int) -> ConeVerdict:
 def in_gamma_tilde_k(op: SumHessianOp, lam) -> ConeVerdict:
     """Admissible cone test: S_m(lam) > 0 for m = 1..k."""
     return _verdict(gamma_tilde_margins(op, lam))
-
-
-def equivalence_check(op: SumHessianOp, lam) -> bool:
-    """True iff the two characterizations of the admissible cone agree
-    on lam: (Gamma_{k-1} and S_k > 0)  <=>  (S_m > 0 for m = 1..k)."""
-    arr = _as_array(lam)
-    via_gamma = True
-    if op.k > 1:
-        via_gamma = in_gamma_k(arr, op.k - 1).member
-    sk = float(s_value(arr, op.k, op.alpha))
-    route_a = via_gamma and sk > -DEFAULT_TOL * (1.0 + abs(sk))
-    route_b = in_gamma_tilde_k(op, arr).member
-    return route_a == route_b
 
 
 def _fallback_positive(n: int, count: int, radius: float, rng: np.random.Generator) -> np.ndarray:

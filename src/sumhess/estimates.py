@@ -16,14 +16,13 @@ discretely); the full-interior supremum is recorded alongside.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .fdgrid import GridField, eigh_batch, gradient_field_array, hessian_field_array, laplacian_field
+from .fdgrid import GridField, laplacian_field
 from .solver import ProblemSpec, SolveConfig, solve
-from .symfun import SumHessianOp
 
 STABILITY_RTOL = 0.05
 
@@ -74,65 +73,6 @@ def pogorelov_quantity(u: GridField, exponent: float) -> GridField:
     lap = laplacian_field(u)
     weighted = np.power(-interior, exponent) * lap.interior
     return GridField.from_interior(u.grid, weighted, boundary=0.0)
-
-
-def eigenvalue_test_function(
-    u: GridField, beta: float, eps: float, a: float
-) -> tuple[GridField, tuple[int, ...]]:
-    """The weighted top-eigenvalue diagnostic
-        lam_1 * (-u)^beta * exp(eps/2 |Du|^2 + a/2 |x|^2)
-    evaluated node-wise; returns the field and its interior argmax."""
-    interior = _require_nonpositive(u)
-    grid = u.grid
-    lams, _ = eigh_batch(hessian_field_array(u).reshape(-1, grid.dim, grid.dim))
-    lam1 = lams[:, 0].reshape(grid.shape)
-    grad2 = (gradient_field_array(u) ** 2).sum(axis=-1)
-    x2 = (grid.points() ** 2).sum(axis=-1)
-    phi = lam1 * np.power(-interior, beta) * np.exp(0.5 * eps * grad2 + 0.5 * a * x2)
-    argmax = np.unravel_index(int(np.argmax(phi)), grid.shape)
-    return GridField.from_interior(grid, phi, boundary=0.0), tuple(int(i) for i in argmax)
-
-
-class LogPowerResult(NamedTuple):
-    field: GridField
-    argmax: tuple[int, ...]
-    flagged: list[tuple[int, ...]]
-    k0: float
-
-
-def log_power_test_function(
-    u: GridField, op: SumHessianOp, m: int, big_n: float, f_sup: float
-) -> LogPowerResult:
-    """The shifted-eigenvalue diagnostic
-        m log(-u) + log(sum_j kap_j^m) + m*N/2 |Du|^2,
-    with kap_j = lam_j + K0 and K0 = n (f_sup / alpha)^{1/(k-1)}.
-
-    Nodes where some kap_j dips below -tol are flagged (the cap bound
-    guarantees kap_j >= 0 for spectra under it), never silently clamped;
-    flagged nodes are excluded from the argmax.  Requires u < 0 strictly
-    on the interior and k >= 2 (K0 is undefined for k = 1).
-    """
-    if op.k < 2:
-        raise ValueError("the shift K0 needs k >= 2")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    interior = _require_nonpositive(u)
-    if (interior == 0).any():
-        raise DomainError("log(-u) needs u < 0 strictly on the interior")
-    grid = u.grid
-    k0 = op.n * (f_sup / op.alpha) ** (1.0 / (op.k - 1))
-    lams, _ = eigh_batch(hessian_field_array(u).reshape(-1, grid.dim, grid.dim))
-    kap = lams.reshape(grid.shape + (grid.dim,)) + k0
-    tol = 1e-9 * (1.0 + k0)
-    flag_mask = (kap < -tol).any(axis=-1)
-    p_m = (kap**m).sum(axis=-1)
-    grad2 = (gradient_field_array(u) ** 2).sum(axis=-1)
-    phi = m * np.log(-interior) + np.log(np.maximum(p_m, 1e-300)) + 0.5 * m * big_n * grad2
-    masked = np.where(flag_mask, -np.inf, phi)
-    argmax = np.unravel_index(int(np.argmax(masked)), grid.shape)
-    flagged = [tuple(int(i) for i in idx) for idx in np.argwhere(flag_mask)]
-    field_ = GridField.from_interior(grid, phi, boundary=0.0)
-    return LogPowerResult(field_, tuple(int(i) for i in argmax), flagged, k0)
 
 
 def rhs_gradient_convexity_probe(

@@ -26,14 +26,12 @@ from scipy.optimize import brentq
 from .cones import (
     gamma_k_margins,
     gamma_tilde_margins,
-    in_gamma_k,
-    in_gamma_tilde_k,
     members,
     sample_cone_array,
     sample_gamma_k_array,
 )
-from .errors import DegenerateEigenvaluesError, DomainError
-from .symfun import SumHessianOp, _as_array, s_gradient, s_hessian, s_value, sigma_all
+from .errors import DegenerateEigenvaluesError
+from .symfun import SumHessianOp, s_gradient, s_hessian, s_value, sigma_all
 
 SWEEP_TOL = 1e-9
 WITNESSES = 5  # worst samples kept per report
@@ -83,13 +81,6 @@ class _WorstTracker:
 
     def witnesses(self) -> list[dict]:
         return [dict(w, margin=m) for _, _, m, w in self.items]
-
-
-def _require_admissible(op: SumHessianOp, lam) -> np.ndarray:
-    arr = _as_array(lam)
-    if not in_gamma_tilde_k(op, arr).member:
-        raise DomainError(f"spectrum {arr.tolist()} is not admissible for k={op.k}")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -143,22 +134,6 @@ def _quotient_concavity_batch(op, l, lams, ws, split_delta=None):
     return lhs - rhs, 1.0 + scale
 
 
-def quotient_concavity_margin(
-    op: SumHessianOp, l: int, lam, w, delta: float | None = None, normalized: bool = False
-) -> float:
-    """LHS - RHS of the quotient-concavity form inequality at (lam, w);
-    its delta-split variant when delta is given."""
-    if not 1 <= l < op.k:
-        raise ValueError(f"need 1 <= l < k, got l={l}, k={op.k}")
-    if delta is not None and not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    arr = _require_admissible(op, lam)
-    margins, scales = _quotient_concavity_batch(
-        op, l, arr[None, :], np.asarray(w, float)[None, :], split_delta=delta
-    )
-    return float(margins[0] / scales[0]) if normalized else float(margins[0])
-
-
 # ---------------------------------------------------------------------------
 # second derivative of a symmetric matrix function in a direction
 # ---------------------------------------------------------------------------
@@ -208,7 +183,11 @@ def _partial_product_batch(op, lams, s_lo=1, s_hi=None):
     """Per-sample min over s = s_lo..s_hi of
         S_s - (lam_1...lam_s + alpha*lam_1...lam_{s-1})
     on descending-sorted spectra, with matching term scales, plus the
-    empirical constant min_{j<=k-1} lam_j S_k^{jj} / S_k."""
+    empirical constant min_{j<=k-1} lam_j S_k^{jj} / S_k (needs k >= 2).
+
+    Every term is positive on the Garding cone Gamma_k; on the larger
+    admissible cone only s <= k-2 is guaranteed, and s = k-1 can go
+    negative (lam = (2, -0.2, -0.3), k = 2, alpha = 1: S_1 = 2.5 < 3)."""
     k, alpha = op.k, op.alpha
     s_hi = k - 1 if s_hi is None else s_hi
     lams = np.sort(np.asarray(lams, float), axis=-1)[..., ::-1]
@@ -230,41 +209,13 @@ def _partial_product_batch(op, lams, s_lo=1, s_hi=None):
     return worst, scale, theta
 
 
-def partial_product_margins(op: SumHessianOp, lam) -> tuple[float, float]:
-    """(min_s [S_s - leading partial product], min_j lam_j S_k^{jj}/S_k)
-    for a descending-sorted admissible spectrum; needs k >= 2.
-
-    The first component ranges over s = 1..k-1.  Positivity of every
-    term is guaranteed on the Garding cone Gamma_k; on the larger
-    admissible cone only the terms s <= k-2 are guaranteed, and the
-    boundary term s = k-1 can go negative (e.g. lam = (2, -0.2, -0.3)
-    with k = 2, alpha = 1 is admissible but S_1 = 2.5 < lam_1 + alpha).
-    The second component is the observed constant of the top-share bound
-    S_k^{jj} >= theta S_k / lam_j; it is reported, never asserted
-    against a fixed value.
-    """
-    if op.k < 2:
-        raise ValueError("partial products need k >= 2")
-    arr = _require_admissible(op, lam)
-    worst, _, theta = _partial_product_batch(op, arr[None, :])
-    return float(worst[0]), float(theta[0])
-
-
 # ---------------------------------------------------------------------------
 # Newton-type inequality for adjacent operator orders
 # ---------------------------------------------------------------------------
 
-def s_newton_margin(op: SumHessianOp, lam) -> float:
-    """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2) for an admissible spectrum.
-
-    For k = n the top order is totalized with sigma_{n+1} = 0, i.e.
-    S_{n+1} = alpha*sigma_n.
-    """
-    arr = _require_admissible(op, lam)
-    return float(_s_newton_batch(op, arr[None, :])[0])
-
-
 def _s_newton_batch(op, lams):
+    """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2); for k = n, sigma_{n+1} = 0
+    gives S_{n+1} = alpha*sigma_n."""
     k, alpha = op.k, op.alpha
     sk = np.asarray(s_value(lams, k, alpha), dtype=float)
     skm = np.asarray(s_value(lams, k - 1, alpha), dtype=float)
@@ -277,6 +228,9 @@ def _s_newton_batch(op, lams):
 # ---------------------------------------------------------------------------
 
 def _newton_maclaurin_batch(lams, k):
+    """Normalized margins, on Gamma_k with k >= 2, of
+        sigma_{k-1} >= sigma_1^{1/(k-1)} sigma_k^{(k-2)/(k-1)}  and
+        sigma_k sigma_{k-1} >= sigma_{k-2} sigma_{k+1}."""
     sig = sigma_all(lams)
     s1, skm2, skm1, sk = sig[..., 1], sig[..., k - 2], sig[..., k - 1], sig[..., k]
     skp1 = sig[..., k + 1] if k + 1 < sig.shape[-1] else np.zeros_like(sk)
@@ -286,56 +240,17 @@ def _newton_maclaurin_batch(lams, k):
     return m1, m2
 
 
-def newton_maclaurin_margins(lam, k: int) -> tuple[float, float]:
-    """Normalized margins of two log-concavity consequences on Gamma_k:
-
-        sigma_{k-1} >= sigma_1^{1/(k-1)} sigma_k^{(k-2)/(k-1)}
-        sigma_k sigma_{k-1} >= sigma_{k-2} sigma_{k+1}
-
-    Requires k >= 2 and a spectrum in Gamma_k (so the fractional powers
-    are defined).
-    """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    arr = _as_array(lam)
-    if not in_gamma_k(arr, k).member:
-        raise DomainError("spectrum must lie in Gamma_k")
-    sig = sigma_all(arr)
-    if sig[k] < 0:
-        raise DomainError("sigma_k must be nonnegative for the fractional power")
-    m1, m2 = _newton_maclaurin_batch(arr[None, :], k)
-    return float(m1[0]), float(m2[0])
-
-
 # ---------------------------------------------------------------------------
 # bounds under an operator cap S_k <= N0 (Garding-cone spectra)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CappedBounds:
-    """Margins available for a Gamma_k spectrum whose operator value is
-    capped by n0.  With K0 = n*(n0/alpha)^{1/(k-1)} and kap_i = lam_i + K0:
-
-    cap_margin           (n0/alpha)^{1/(k-1)} - lam_{k-1}     (unconditional)
-    floor_margin         lam_n + K0                           (unconditional)
-    weighted_top_margin  min_i 2 kap_1^{k+2} S^{11} - kap_i^{k+2} S^{ii}
-                                           (holds only for large lam_1)
-    top_share_margin     S_k - (1-eps0) lam_1 S^{11}
-                                           (holds only for large lam_1)
-    bounded_share_margin min_i C0 S_k - lam_i S^{ii} with the explicit
-                         C0 = 2 + K0*binom(n,k)/alpha         (unconditional)
-    """
-
-    k0: float
-    c0: float
-    cap_margin: float
-    floor_margin: float
-    weighted_top_margin: float
-    top_share_margin: float
-    bounded_share_margin: float
-
-
 def _capped_bounds_batch(op, lams, n0, eps0):
+    """Margins for Gamma_k spectra with S_k <= n0, k >= 2, each with its
+    term scale.  With K0 = n*(n0/alpha)^{1/(k-1)} and kap_i = lam_i + K0:
+    cap (n0/alpha)^{1/(k-1)} - lam_{k-1}, floor lam_n + K0 and share
+    min_i C0 S_k - lam_i S^{ii}, C0 = 2 + K0*binom(n,k)/alpha, hold
+    unconditionally; weighted min_i 2 kap_1^{k+2} S^{11} - kap_i^{k+2} S^{ii}
+    and top S_k - (1-eps0) lam_1 S^{11} only for large lam_1."""
     n, k, alpha = op.n, op.k, op.alpha
     lams = np.sort(np.asarray(lams, float), axis=-1)[..., ::-1]
     sk = np.asarray(s_value(lams, k, alpha), dtype=float)
@@ -370,31 +285,6 @@ def _capped_bounds_batch(op, lams, n0, eps0):
         "share": share,
         "share_scale": share_scale,
     }
-
-
-def capped_spectrum_bounds(op: SumHessianOp, lam, n0: float, eps0: float = 0.1) -> CappedBounds:
-    """All capped-spectrum margins for one descending-sorted Gamma_k
-    spectrum with S_k(lam) <= n0.  See CappedBounds for the catalogue."""
-    if op.k < 2:
-        raise ValueError("capped bounds need k >= 2")
-    if not eps0 > 0:
-        raise ValueError("eps0 must be positive")
-    arr = _as_array(lam)
-    if not in_gamma_k(arr, op.k).member:
-        raise DomainError("spectrum must lie in Gamma_k")
-    sk = float(s_value(arr, op.k, op.alpha))
-    if sk > n0 * (1.0 + 1e-12):
-        raise DomainError(f"S_k = {sk} exceeds the cap n0 = {n0}")
-    d = _capped_bounds_batch(op, arr[None, :], n0, eps0)
-    return CappedBounds(
-        k0=float(d["k0"][0]),
-        c0=float(d["c0"][0]),
-        cap_margin=float(d["cap"][0]),
-        floor_margin=float(d["floor"][0]),
-        weighted_top_margin=float(d["weighted"][0]),
-        top_share_margin=float(d["top"][0]),
-        bounded_share_margin=float(d["share"][0]),
-    )
 
 
 def _family_coefficients(op, lam1s, tail_sigma):
@@ -528,7 +418,7 @@ def capped_threshold_search(
 
 
 # ---------------------------------------------------------------------------
-# midpoint concavity probes
+# midpoint concavity of S_k^{1/k} and (S_k/S_l)^{1/(k-l)}
 # ---------------------------------------------------------------------------
 
 def _concavity_values(op, lams, l=None):
@@ -538,24 +428,6 @@ def _concavity_values(op, lams, l=None):
         return sk ** (1.0 / k)
     sl = np.asarray(s_value(lams, l, alpha), dtype=float)
     return (sk / sl) ** (1.0 / (k - l))
-
-
-def concavity_probe(op: SumHessianOp, lam_a, lam_b, l: int | None = None) -> float | None:
-    """Midpoint-concavity margin g(mid) - (g(a) + g(b))/2 for
-    g = S_k^{1/k}, or g = (S_k/S_l)^{1/(k-l)} when l is given.
-
-    Returns None (a skip, not a failure) when the midpoint falls outside
-    the admissible cone.
-    """
-    if l is not None and not 1 <= l < op.k:
-        raise ValueError(f"need 1 <= l < k, got l={l}")
-    a = _require_admissible(op, lam_a)
-    b = _require_admissible(op, lam_b)
-    mid = 0.5 * (a + b)
-    if not in_gamma_tilde_k(op, mid).member:
-        return None
-    vals = _concavity_values(op, np.stack([mid, a, b]), l)
-    return float(vals[0] - 0.5 * (vals[1] + vals[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +515,7 @@ def _report_partial_products(ns, alphas, samples, rng, tol):
     """Asserts the partial-product bound where it genuinely holds:
     s = 1..k-2 on admissible-cone samples and the full s = 1..k-1 on
     Garding-cone samples.  The s = k-1 term on merely admissible spectra
-    is false in general (see partial_product_margins); its observed
+    is false in general (see _partial_product_batch); its observed
     worst margin is reported as a diagnostic instead of asserted."""
     tracker = _WorstTracker()
     thetas = {}

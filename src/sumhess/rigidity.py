@@ -1,13 +1,12 @@
-"""Scaling construction, quadratic-solution classification, quadratic
-growth checks, and the explicit non-polynomial entire solution.
+"""Scaling construction, quadratic-solution classification, and the
+explicit non-polynomial entire solution.
 
 The rigidity statement itself (entire admissible solutions of
 S_k(D^2 u) = 1 with quadratic growth are quadratic polynomials) is not
 machine-checkable; this module implements its verifiable shell: the
-scaling transform and its Hessian invariance, the growth condition as a
-concrete fit over sampled spheres, the classification of quadratic
-candidates, and an exact check of the known 1-convex non-polynomial
-entire solution in three variables.
+scaling transform and its Hessian invariance, the classification of
+quadratic candidates, and an exact check of the known 1-convex
+non-polynomial entire solution in three variables.
 """
 
 from __future__ import annotations
@@ -75,54 +74,6 @@ class ScaledField:
         y = np.asarray(y, dtype=float)
         return (np.asarray(self.u(self.R * y), dtype=float) - self.R**2) / self.R**2
 
-    def in_domain(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return np.asarray(self.u(self.R * y), dtype=float) <= self.R**2
-
-
-def _unit_directions(dim: int, count: int) -> np.ndarray:
-    """Deterministic, roughly equidistributed unit vectors."""
-    if dim == 2:
-        ang = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    if dim == 3:
-        # golden-spiral points on the sphere
-        i = np.arange(count) + 0.5
-        phi = np.arccos(1.0 - 2.0 * i / count)
-        theta = np.pi * (1.0 + 5.0**0.5) * i
-        return np.stack(
-            [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)], axis=-1
-        )
-    vecs = np.random.default_rng(0).normal(size=(count, dim))
-    return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
-
-
-def growth_check(
-    u, radii, c_min: float, dim: int, directions: int = 64
-) -> tuple[float, float, bool]:
-    """Fit the tightest minorant u(x) >= c|x|^2 - b over sampled spheres.
-
-    For each radius the infimum of u over `directions` unit directions is
-    taken; c is the smallest secant slope of these minima against |x|^2
-    over the outer half of the radii (the growth condition only
-    constrains large |x|), and b is the smallest constant making the
-    minorant valid on every sampled sphere.  Passes iff c >= c_min.
-    """
-    radii = np.asarray(sorted(float(r) for r in radii))
-    if len(radii) < 2:
-        raise ValueError("need at least two radii")
-    if (np.diff(radii) <= 0).any():
-        raise ValueError("radii must be strictly increasing")
-    dirs = _unit_directions(dim, directions)
-    mins = np.array([np.min(np.asarray(u(r * dirs), dtype=float)) for r in radii])
-    s = radii**2
-    secants = np.diff(mins) / np.diff(s)
-    tail = secants[max(0, (len(secants) - 1) // 2) :]
-    c_fit = float(tail.min())
-    b_fit = float(np.max(c_fit * s - mins))
-    slack = 1e-12 * (1.0 + abs(c_min))
-    return c_fit, b_fit, bool(c_fit >= c_min - slack)
-
 
 # ---------------------------------------------------------------------------
 # the explicit non-polynomial entire solution (three variables, k = 2,
@@ -159,17 +110,12 @@ def entire_solution_hessian(points) -> np.ndarray:
     return H
 
 
-def entire_solution_residual(x, y, t) -> tuple[np.ndarray, np.ndarray]:
+def entire_solution_residual(points) -> tuple[np.ndarray, np.ndarray]:
     """(|sigma_2 + sigma_1 - 1|, sigma_1) of the analytic Hessian at
-    (x, y, t); the second value certifies 1-convexity pointwise."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    e4t = np.exp(4.0 * t)
-    p = (e4t - 1.0) / 2.0
-    qx = 2.0 * e4t * x
-    qy = 2.0 * e4t * y
-    r = 4.0 * e4t * (x * x + y * y) + (7.0 / e4t - e4t - 2.0) / 4.0
+    points of shape (..., 3); the second value certifies 1-convexity
+    pointwise."""
+    H = entire_solution_hessian(points)
+    p, qx, qy, r = H[..., 0, 0], H[..., 0, 2], H[..., 1, 2], H[..., 2, 2]
     sigma1 = 2.0 * p + r
     sigma2 = p * p + 2.0 * p * r - qx * qx - qy * qy
     return np.abs(sigma2 + sigma1 - 1.0), sigma1

@@ -77,21 +77,6 @@ def _deleted(arr: np.ndarray, drops: Sequence[Sequence[int]]) -> np.ndarray:
     return arr[..., np.array([[i for i in range(n) if i not in d] for d in drops], dtype=int)]
 
 
-def sigma_deleted(lam, drop: Sequence[int], j: int) -> np.ndarray | float:
-    """sigma_j of lam with the entries at `drop` removed (0, 1 or 2 indices)."""
-    arr = _as_array(lam)
-    n = arr.shape[-1]
-    idx = tuple(drop)
-    if len(idx) != len(set(idx)):
-        raise ValueError(f"drop indices must be distinct, got {idx}")
-    if len(idx) > 2:
-        raise ValueError(f"at most two deletions are supported, got {len(idx)}")
-    for i in idx:
-        if not 0 <= i < n:
-            raise ValueError(f"drop index {i} out of range for n={n}")
-    return s_value(arr[..., [i for i in range(n) if i not in idx]], j, 0.0)
-
-
 def s_value(lam, m: int, alpha: float) -> np.ndarray | float:
     """sigma_m + alpha*sigma_{m-1} from one coefficient pass, with the
     boundary conventions sigma_{j<0} = 0, sigma_0 = 1, sigma_{j>n} = 0.

@@ -213,7 +213,7 @@ def test_criterion_5_estimate_stability():
 def test_criterion_6_entire_solution():
     rng = np.random.default_rng(1618)
     pts = rng.uniform(-1.0, 1.0, size=(10_000, 3))
-    residual, sigma1 = entire_solution_residual(pts[:, 0], pts[:, 1], pts[:, 2])
+    residual, sigma1 = entire_solution_residual(pts)
     assert residual.max() <= 1e-9
     assert (sigma1 > 0).all()
     # discrete Hessian agrees at second order on shared nodes

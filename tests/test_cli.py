@@ -517,6 +517,19 @@ class TestEstimateCommand:
         assert payload["stable"] is True
         assert len(payload["per_refinement"]) == 2
 
+    def test_convexity_probe_domain_error_is_not_config_error(self, tmp_path, capsys):
+        # both levels converge; then f = 3 - 0.2|Du|^2 turns nonpositive
+        # at some of the probe's gradients (|p| up to 3*sqrt(2)), which is
+        # a domain error after the solves, not a configuration error
+        rc = main(
+            ["estimate", "--rhs", "3-0.2*g2", "--cells", "7", "--betas", "1.1",
+             "--levels", "2", "--out", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert rc == EXIT_STALLED
+        assert captured.err == ""
+        assert captured.out.startswith("FAIL estimate beta=1.1: gradient convexity probe")
+
 
 class TestRigidityCommand:
     def test_default_passes(self, tmp_path):

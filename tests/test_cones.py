@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from sumhess.cones import (
-    equivalence_check,
+    DEFAULT_TOL,
+    gamma_k_margins,
     gamma_tilde_margins,
     in_gamma_k,
     in_gamma_tilde_k,
+    members,
     sample_cone_array,
     sample_gamma_k_array,
 )
-from sumhess.symfun import SumHessianOp, s_gradient
+from sumhess.symfun import SumHessianOp, s_gradient, s_value
 
 
 class TestGammaK:
@@ -72,8 +74,6 @@ class TestGammaTildeK:
     def test_membership_upgrade_when_next_order_positive(self):
         # within the admissible cone, S_{k+1} > 0 promotes membership one
         # order up, equivalently sigma_k > 0
-        from sumhess.symfun import s_value
-
         rng = np.random.default_rng(23)
         checked = 0
         for n in (3, 4, 5):
@@ -91,12 +91,21 @@ class TestGammaTildeK:
         assert checked > 100
 
 
+def equivalent(op, lam):
+    """True iff the two characterizations of the admissible cone agree
+    on lam: (Gamma_{k-1} and S_k > 0)  <=>  (S_m > 0 for m = 1..k)."""
+    via_gamma = op.k == 1 or bool(members(gamma_k_margins(lam, op.k - 1)))
+    sk = float(s_value(lam, op.k, op.alpha))
+    route_a = via_gamma and sk > -DEFAULT_TOL * (1.0 + abs(sk))
+    return route_a == bool(members(gamma_tilde_margins(op, lam)))
+
+
 class TestEquivalence:
     def test_member_case(self):
-        assert equivalence_check(SumHessianOp(3, 2, 1.0), [1.0, 1.0, -0.4])
+        assert equivalent(SumHessianOp(3, 2, 1.0), [1.0, 1.0, -0.4])
 
     def test_rejected_case(self):
-        assert equivalence_check(SumHessianOp(3, 2, 1.0), [-1.0, -1.0, -1.0])
+        assert equivalent(SumHessianOp(3, 2, 1.0), [-1.0, -1.0, -1.0])
 
     def test_random_agreement(self):
         rng = np.random.default_rng(24)
@@ -104,7 +113,7 @@ class TestEquivalence:
             n = int(rng.integers(2, 7))
             k = int(rng.integers(1, n + 1))
             op = SumHessianOp(n, k, float(rng.choice([0.1, 1.0, 10.0])))
-            assert equivalence_check(op, rng.uniform(-5, 5, size=n))
+            assert equivalent(op, rng.uniform(-5, 5, size=n))
 
 
 class TestSampler:

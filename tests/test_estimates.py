@@ -7,8 +7,6 @@ from sumhess import estimates, solver
 from sumhess.errors import DomainError
 from sumhess.estimates import (
     EstimateReport,
-    eigenvalue_test_function,
-    log_power_test_function,
     pogorelov_quantity,
     quantity_tag,
     refinement_study,
@@ -65,94 +63,6 @@ class TestPogorelovQuantity:
         u = paraboloid_field()  # sup(-u) = 0.5 < 1
         sups = [pogorelov_quantity(u, b).interior.max() for b in (1.0, 2.0, 4.0)]
         assert sups[0] >= sups[1] >= sups[2]
-
-
-class TestEigenvalueTestFunction:
-    def test_unit_hessian_reduces_to_depth(self):
-        u = paraboloid_field()
-        phi, arg = eigenvalue_test_function(u, 1.0, 0.0, 0.0)
-        assert arg == (7, 7)
-        assert phi.interior[7, 7] == pytest.approx(0.5, abs=1e-12)
-
-    def test_exponent_collapse_gives_top_eigenvalue(self):
-        u = paraboloid_field()
-        phi, _ = eigenvalue_test_function(u, 0.0, 0.0, 0.0)
-        assert np.allclose(phi.interior, 1.0, atol=1e-10)
-
-    def test_growing_weight_moves_argmax_outward(self):
-        # slightly asymmetric bowl: argmax sits near the center for a = 0
-        # and jumps to the most negative-x corner for large a
-        g = Grid((-1.0, -1.0), (1.0, 1.0), (15, 15))
-        u = GridField.from_function(
-            g, lambda x: 0.5 * (x**2).sum(axis=-1) - 1.2 + 0.1 * x[..., 0]
-        )
-        _, arg0 = eigenvalue_test_function(u, 1.0, 0.0, 0.0)
-        _, arg_big = eigenvalue_test_function(u, 1.0, 0.0, 12.0)
-        center = np.array([7.0, 7.0])
-        assert np.linalg.norm(np.array(arg_big) - center) > np.linalg.norm(
-            np.array(arg0) - center
-        )
-        assert arg_big[0] == 0  # most negative x side
-        assert arg_big[1] in (0, 14)
-
-
-class TestLogPowerTestFunction:
-    def test_shift_and_value_at_origin(self):
-        u = paraboloid_field()
-        for m in (1, 3, 10):
-            res = log_power_test_function(u, OP22, m=m, big_n=0.0, f_sup=3.0)
-            assert res.k0 == pytest.approx(6.0)
-            expected = m * np.log(0.5) + np.log(2.0 * 7.0**m)
-            assert res.field.interior[7, 7] == pytest.approx(expected, rel=1e-12)
-            assert not res.flagged
-
-    def test_single_power_reduction(self):
-        # m=1, N=0: phi = log(-u) + log(sigma_1 + n*K0)
-        u = paraboloid_field()
-        res = log_power_test_function(u, OP22, m=1, big_n=0.0, f_sup=3.0)
-        lap = laplacian_field(u).interior
-        expected = np.log(-u.interior) + np.log(lap + 2.0 * 6.0)
-        assert np.allclose(res.field.interior, expected, atol=1e-12)
-
-    def test_gradient_term_additivity(self):
-        u = paraboloid_field()
-        base = log_power_test_function(u, OP22, m=4, big_n=0.0, f_sup=3.0)
-        with_n = log_power_test_function(u, OP22, m=4, big_n=2.0, f_sup=3.0)
-        from sumhess.fdgrid import gradient_field_array
-
-        grad2 = (gradient_field_array(u) ** 2).sum(axis=-1)
-        assert np.allclose(
-            with_n.field.interior - base.field.interior, 0.5 * 4 * 2.0 * grad2, atol=1e-12
-        )
-
-    def test_large_power_argmax_dominated_by_top_eigenvalue(self):
-        g = Grid((-0.7, -0.7), (0.7, 0.7), (15, 15))
-        u = GridField.from_function(
-            g,
-            lambda x: 0.5 * ((x**2).sum(axis=-1) - 1.0)
-            + 0.02 * np.sin(2.0 * x[..., 0]) * np.sin(1.0 * x[..., 1]),
-        )
-        res = log_power_test_function(u, OP22, m=64, big_n=0.0, f_sup=3.0)
-        from sumhess.fdgrid import eigh_batch, hessian_field_array
-
-        lams, _ = eigh_batch(hessian_field_array(u).reshape(-1, 2, 2))
-        kap_max = lams[:, 0].reshape(u.grid.shape) + res.k0
-        limit_field = np.log(-u.interior) + np.log(kap_max)
-        limit_arg = np.unravel_index(int(np.argmax(limit_field)), u.grid.shape)
-        assert res.argmax == tuple(int(i) for i in limit_arg)
-
-    def test_vanishing_u_rejected(self):
-        g = Grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
-        vals = -np.ones((9, 9))
-        vals[4, 4] = 0.0
-        u = GridField.from_interior(g, vals, boundary=0.0)
-        with pytest.raises(DomainError):
-            log_power_test_function(u, OP22, m=2, big_n=0.0, f_sup=3.0)
-
-    def test_k1_rejected(self):
-        u = paraboloid_field()
-        with pytest.raises(ValueError):
-            log_power_test_function(u, SumHessianOp(2, 1, 1.0), m=2, big_n=0.0, f_sup=3.0)
 
 
 class TestGradientConvexityProbe:

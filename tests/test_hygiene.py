@@ -1,8 +1,10 @@
-"""Source hygiene: every module-level import in the package is used, and
-the benchmark's tracer still finds every name it hooks."""
+"""Source hygiene: every module-level import in the package is used,
+every top-level function and class is reached, and the benchmark's tracer
+still finds every name it hooks."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 import sumhess
 
 MODULES = sorted(p for p in Path(sumhess.__file__).parent.glob("*.py") if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -30,6 +33,39 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _references_outside(tree: ast.Module, skip: range) -> set[str]:
+    """Names and attributes read anywhere in tree except on the lines in skip."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and node.lineno not in skip
+    }
+
+
+def test_every_top_level_name_is_reached():
+    # a name counts as reached when package code reads it outside its own
+    # definition (a re-export in __init__.py does not count), when the
+    # benchmark's tracer names it (it hooks names by string), or when an
+    # acceptance criterion reads it
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
+    outside = "\n".join(
+        (REPO / rel).read_text() for rel in ("perfbench/tracer.py", "tests/test_acceptance.py")
+    )
+    unreached = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            used = any(
+                node.name in _references_outside(other, own if other is tree else range(0))
+                for other in trees.values()
+            )
+            if not used and not re.search(rf"\b{node.name}\b", outside):
+                unreached.append(f"{path.name}:{node.name}")
+    assert unreached == []
 
 
 def test_benchmark_tracer_installs():

@@ -7,70 +7,74 @@ import pytest
 from scipy.optimize import brentq
 
 from sumhess import inequalities
-from sumhess.cones import in_gamma_k, sample_cone_array, sample_gamma_k_array
-from sumhess.errors import DegenerateEigenvaluesError, DomainError
+from sumhess.cones import (
+    gamma_tilde_margins,
+    in_gamma_k,
+    members,
+    sample_cone_array,
+    sample_gamma_k_array,
+)
+from sumhess.errors import DegenerateEigenvaluesError
 from sumhess.inequalities import (
     CAPPED_TAILS,
     _capped_bounds_batch,
     _capped_family_worst,
+    _concavity_values,
     _family_coefficients,
     _family_gap,
     _finish,
+    _newton_maclaurin_batch,
+    _partial_product_batch,
+    _quotient_concavity_batch,
+    _s_newton_batch,
     _WorstTracker,
-    capped_spectrum_bounds,
     capped_threshold_search,
-    concavity_probe,
     directional_second_derivative,
-    newton_maclaurin_margins,
-    partial_product_margins,
-    quotient_concavity_margin,
     run_inequality_suite,
-    s_newton_margin,
 )
 from sumhess.symfun import SumHessianOp, s_hessian, s_value, sigma_all
+
+
+def _quotient_concavity(op, l, lam, w, delta=None):
+    margins, _ = _quotient_concavity_batch(op, l, np.array([lam]), np.array([w]), delta)
+    return float(margins[0])
+
+
+def _normalized_quotient_concavity(op, l, lams, ws, delta=None):
+    margins, scales = _quotient_concavity_batch(op, l, lams, ws, delta)
+    return margins / scales
 
 
 class TestQuotientConcavityForm:
     def test_zero_direction(self):
         op = SumHessianOp(3, 2, 1.0)
-        assert quotient_concavity_margin(op, 1, [1.0, 1.0, 1.0], np.zeros(3)) == 0.0
+        assert _quotient_concavity(op, 1, [1.0, 1.0, 1.0], np.zeros(3)) == 0.0
 
     def test_closed_form_point(self):
         # lam=(1,1,1), w=e_1: LHS = 0, RHS = (3/6 - 1/4)((1-1)3/6 - 2/4)
         op = SumHessianOp(3, 2, 1.0)
-        m = quotient_concavity_margin(op, 1, [1.0, 1.0, 1.0], [1.0, 0.0, 0.0])
+        m = _quotient_concavity(op, 1, [1.0, 1.0, 1.0], [1.0, 0.0, 0.0])
         assert m == pytest.approx(0.125)
-
-    def test_outside_cone_rejected(self):
-        op = SumHessianOp(3, 2, 1.0)
-        with pytest.raises(DomainError):
-            quotient_concavity_margin(op, 1, [-1.0, -1.0, -1.0], [1.0, 0.0, 0.0])
 
     def test_randomized_sweep(self):
         op = SumHessianOp(3, 2, 1.0)
         rng = np.random.default_rng(40)
         lams = sample_cone_array(op, 10_000, 5.0, rng)
         ws = rng.uniform(-1.0, 1.0, size=lams.shape)
-        for lam, w in zip(lams, ws):
-            assert quotient_concavity_margin(op, 1, lam, w, normalized=True) >= -1e-9
+        assert (_normalized_quotient_concavity(op, 1, lams, ws) >= -1e-9).all()
 
 
 class TestQuotientConcavitySplit:
     def test_zero_direction(self):
         op = SumHessianOp(3, 2, 1.0)
-        assert quotient_concavity_margin(op, 1, [1.0, 1.0, 1.0], np.zeros(3), delta=0.5) == 0.0
+        assert _quotient_concavity(op, 1, [1.0, 1.0, 1.0], np.zeros(3), delta=0.5) == 0.0
 
     def test_closed_form_point(self):
         # lam=(1,1,1), w=(1,-1,0): ddS_2 = -2, gradients cancel, so
         # LHS = 2 and RHS = 0
         op = SumHessianOp(3, 2, 1.0)
-        m = quotient_concavity_margin(op, 1, [1.0, 1.0, 1.0], [1.0, -1.0, 0.0], delta=0.5)
+        m = _quotient_concavity(op, 1, [1.0, 1.0, 1.0], [1.0, -1.0, 0.0], delta=0.5)
         assert m == pytest.approx(2.0)
-
-    def test_delta_range_validated(self):
-        op = SumHessianOp(3, 2, 1.0)
-        with pytest.raises(ValueError):
-            quotient_concavity_margin(op, 1, [1.0, 1.0, 1.0], np.zeros(3), delta=1.5)
 
     @pytest.mark.parametrize("delta", [0.5, 0.1, 0.01])
     def test_delta_sweep(self, delta):
@@ -79,9 +83,7 @@ class TestQuotientConcavitySplit:
         lams = sample_cone_array(op, 1000, 5.0, rng)
         ws = rng.uniform(-1.0, 1.0, size=lams.shape)
         for l in (1, 2):
-            for lam, w in zip(lams, ws):
-                m = quotient_concavity_margin(op, l, lam, w, delta=delta, normalized=True)
-                assert m >= -1e-9
+            assert (_normalized_quotient_concavity(op, l, lams, ws, delta) >= -1e-9).all()
 
 
 class TestDirectionalSecondDerivative:
@@ -129,39 +131,49 @@ class TestDirectionalSecondDerivative:
             checked += 1
 
 
+def _partial_products(op, lam):
+    worst, _, theta = _partial_product_batch(op, np.array([lam]))
+    return float(worst[0]), float(theta[0])
+
+
 class TestPartialProducts:
     def test_simple_point(self):
         op = SumHessianOp(3, 2, 1.0)
-        first, theta = partial_product_margins(op, [2.0, 1.0, 0.5])
+        first, theta = _partial_products(op, [2.0, 1.0, 0.5])
         assert first == pytest.approx(1.5)
         assert theta == pytest.approx(2.0 * 2.5 / 7.0)
 
     def test_two_dim_point(self):
         op = SumHessianOp(2, 2, 1.0)
-        first, _ = partial_product_margins(op, [1.0, 1.0])
+        first, _ = _partial_products(op, [1.0, 1.0])
         assert first == pytest.approx(1.0)
 
     def test_boundary_term_counterexample(self):
         # admissible but not Garding: the s = k-1 term goes negative,
         # which is why the sweep only asserts it on Garding samples
         op = SumHessianOp(3, 2, 1.0)
-        first, _ = partial_product_margins(op, [2.0, -0.2, -0.3])
+        first, _ = _partial_products(op, [2.0, -0.2, -0.3])
         assert first == pytest.approx(2.5 - 3.0)
 
     def test_positive_on_garding_samples(self):
         rng = np.random.default_rng(43)
         for n, k, alpha in [(3, 2, 1.0), (4, 3, 0.1), (5, 4, 10.0), (6, 2, 1.0)]:
             op = SumHessianOp(n, k, alpha)
-            for lam in sample_gamma_k_array(n, k, 2000, 5.0, rng):
-                first, theta = partial_product_margins(op, lam)
-                assert first > 0
-                assert theta > 0
+            first, _, theta = _partial_product_batch(
+                op, sample_gamma_k_array(n, k, 2000, 5.0, rng)
+            )
+            assert (first > 0).all()
+            assert (theta > 0).all()
+
+
+def _s_newton_margin(op, lam):
+    return float(_s_newton_batch(op, np.array([lam], dtype=float))[0])
 
 
 class TestSNewton:
     def test_all_ones(self):
         op = SumHessianOp(3, 2, 1.0)
-        assert s_newton_margin(op, [1.0, 1.0, 1.0]) == pytest.approx(20.0 / 37.0)
+        assert _s_newton_margin(op, [1.0, 1.0, 1.0]) == pytest.approx(20.0 / 37.0)
 
     def test_top_order_convention(self):
         # k = n uses sigma_{n+1} = 0, so S_{n+1} = alpha*sigma_n
@@ -170,14 +182,14 @@ class TestSNewton:
         sk = s_value(lam, 2, 1.0)
         skm = s_value(lam, 1, 1.0)
         skp = 1.0 * 2.0  # alpha * sigma_2
-        assert s_newton_margin(op, lam) == pytest.approx((sk**2 - skm * skp) / (1 + sk**2))
+        assert _s_newton_margin(op, lam) == pytest.approx((sk**2 - skm * skp) / (1 + sk**2))
 
     def test_isotropic_small_limit(self):
         # k = 1, lam = (t, t): margin = (3t^2+2t+1)/(2+4t+4t^2), which
         # tends to alpha^2/(1+alpha^2) = 1/2 as t -> 0+ and stays >= 0
         op = SumHessianOp(2, 1, 1.0)
         t = 1e-6
-        m = s_newton_margin(op, [t, t])
+        m = _s_newton_margin(op, [t, t])
         assert m == pytest.approx((3 * t**2 + 2 * t + 1) / (2 + 4 * t + 4 * t**2), rel=1e-12)
         assert m == pytest.approx(0.5, abs=1e-5)
 
@@ -187,8 +199,8 @@ class TestSNewton:
         op = SumHessianOp(1, 1, 2.0)
         lam = 0.7
         expected = ((lam + 2.0) ** 2 - 2.0 * lam) / (1 + (lam + 2.0) ** 2)
-        assert s_newton_margin(op, [lam]) == pytest.approx(expected)
-        assert s_newton_margin(op, [lam]) > 0
+        assert _s_newton_margin(op, [lam]) == pytest.approx(expected)
+        assert _s_newton_margin(op, [lam]) > 0
 
     def test_randomized_sweep(self):
         rng = np.random.default_rng(44)
@@ -196,58 +208,48 @@ class TestSNewton:
             for k in range(1, n + 1):
                 for alpha in (0.1, 1.0, 10.0):
                     op = SumHessianOp(n, k, alpha)
-                    for lam in sample_cone_array(op, 120, 5.0, rng):
-                        assert s_newton_margin(op, lam) >= -1e-9
+                    lams = sample_cone_array(op, 120, 5.0, rng)
+                    assert (_s_newton_batch(op, lams) >= -1e-9).all()
 
 
 class TestNewtonMaclaurin:
     def test_collapsed_exponents_all_ones(self):
-        m1, m2 = newton_maclaurin_margins([1.0, 1.0, 1.0], 2)
+        (m1,), (m2,) = _newton_maclaurin_batch(np.array([[1.0, 1.0, 1.0]]), 2)
         assert m1 == pytest.approx(0.0, abs=1e-15)
         assert m2 > 0
 
     def test_collapsed_exponents_generic_k2(self):
         # k = 2 collapses the first bound to sigma_1 >= sigma_1
-        m1, _ = newton_maclaurin_margins([2.0, 1.0, 1.0], 2)
+        (m1,), _ = _newton_maclaurin_batch(np.array([[2.0, 1.0, 1.0]]), 2)
         assert m1 == pytest.approx(0.0, abs=1e-15)
-
-    def test_outside_garding_rejected(self):
-        with pytest.raises(DomainError):
-            newton_maclaurin_margins([-1.0, -1.0, -1.0], 2)
 
     def test_randomized_sweep(self):
         rng = np.random.default_rng(45)
         for n in (3, 4, 5, 6):
             for k in range(2, n + 1):
-                for lam in sample_gamma_k_array(n, k, 400, 5.0, rng):
-                    m1, m2 = newton_maclaurin_margins(lam, k)
-                    assert m1 >= -1e-9
-                    assert m2 >= -1e-9
+                m1, m2 = _newton_maclaurin_batch(sample_gamma_k_array(n, k, 400, 5.0, rng), k)
+                assert (m1 >= -1e-9).all()
+                assert (m2 >= -1e-9).all()
 
 
 class TestCappedBounds:
     def test_cap_margin_point(self):
         op = SumHessianOp(3, 2, 1.0)
-        b = capped_spectrum_bounds(op, [2.0, 0.5, 0.1], 4.0)
-        assert b.cap_margin == pytest.approx(2.0)
-        assert b.k0 == pytest.approx(12.0)
-        assert b.c0 == pytest.approx(2.0 + 12.0 * 3.0)
-
-    def test_cap_violation_rejected(self):
-        op = SumHessianOp(3, 2, 1.0)
-        with pytest.raises(DomainError):
-            capped_spectrum_bounds(op, [2.0, 0.5, 0.1], 1.0)
+        b = _capped_bounds_batch(op, np.array([[2.0, 0.5, 0.1]]), 4.0, 0.1)
+        assert b["cap"][0] == pytest.approx(2.0)
+        assert b["k0"][0] == pytest.approx(12.0)
+        assert b["c0"][0] == pytest.approx(2.0 + 12.0 * 3.0)
 
     def test_unconditional_margins_on_selfcapped_sweep(self):
         rng = np.random.default_rng(46)
         for n, k, alpha in [(3, 2, 0.1), (4, 3, 1.0), (5, 2, 10.0), (6, 4, 1.0)]:
             op = SumHessianOp(n, k, alpha)
-            for lam in sample_gamma_k_array(n, k, 1000, 5.0, rng):
-                n0 = float(s_value(lam, k, alpha))
-                b = capped_spectrum_bounds(op, lam, n0)
-                assert b.cap_margin >= -1e-9 * (1 + abs(b.cap_margin))
-                assert b.floor_margin > 0
-                assert b.bounded_share_margin >= -1e-9 * (1 + n0 * b.c0)
+            lams = sample_gamma_k_array(n, k, 1000, 5.0, rng)
+            n0 = np.asarray(s_value(lams, k, alpha))
+            b = _capped_bounds_batch(op, lams, n0, 0.1)
+            assert (b["cap"] >= -1e-9 * (1 + np.abs(b["cap"]))).all()
+            assert (b["floor"] > 0).all()
+            assert (b["share"] >= -1e-9 * (1 + n0 * b["c0"])).all()
 
     def test_threshold_search_reports_finite(self):
         rng = np.random.default_rng(47)
@@ -376,35 +378,41 @@ class TestWorstTracker:
         assert report.passed and report.samples == 0
 
 
+def _concavity_margins(op, a, b, l=None):
+    """g(mid) - (g(a) + g(b))/2 per row, with the rows whose midpoint
+    leaves the admissible cone dropped, and their count."""
+    a, b = np.atleast_2d(a).astype(float), np.atleast_2d(b).astype(float)
+    mid = 0.5 * (a + b)
+    ok = members(gamma_tilde_margins(op, mid))
+    gm, ga, gb = (_concavity_values(op, x[ok], l) for x in (mid, a, b))
+    return gm - 0.5 * (ga + gb), int((~ok).sum())
+
+
 class TestConcavityProbe:
     def test_degenerate_segment(self):
         op = SumHessianOp(3, 2, 1.0)
-        assert concavity_probe(op, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]) == 0.0
+        (m,), _ = _concavity_margins(op, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        assert m == 0.0
 
     def test_symmetric_pair_positive(self):
         op = SumHessianOp(3, 2, 1.0)
-        m = concavity_probe(op, [3.0, 1.0, 1.0], [1.0, 1.0, 3.0])
+        (m,), _ = _concavity_margins(op, [3.0, 1.0, 1.0], [1.0, 1.0, 3.0])
         # midpoint (2,1,2): S_2 = 8+5 = 13; endpoints S_2 = 7+5 = 12
         assert m == pytest.approx(np.sqrt(13.0) - np.sqrt(12.0))
         assert m > 0
 
     def test_ratio_variant(self):
         op = SumHessianOp(3, 3, 1.0)
-        m = concavity_probe(op, [3.0, 1.0, 1.0], [1.0, 1.0, 3.0], l=1)
-        assert m is not None and m >= -1e-12
+        (m,), skips = _concavity_margins(op, [3.0, 1.0, 1.0], [1.0, 1.0, 3.0], l=1)
+        assert skips == 0 and m >= -1e-12
 
     def test_randomized_sweep(self):
         op = SumHessianOp(4, 2, 1.0)
         rng = np.random.default_rng(49)
         a = sample_cone_array(op, 10_000, 5.0, rng)
         b = sample_cone_array(op, 10_000, 5.0, rng)
-        skips = 0
-        for la, lb in zip(a, b):
-            m = concavity_probe(op, la, lb)
-            if m is None:
-                skips += 1
-            else:
-                assert m >= -1e-9 * (1 + abs(m))
+        m, skips = _concavity_margins(op, a, b)
+        assert (m >= -1e-9 * (1 + np.abs(m))).all()
         assert skips < len(a) // 2
 
 

@@ -1,5 +1,4 @@
-"""Scaling, growth, quadratic classification, and the explicit entire
-solution."""
+"""Scaling, quadratic classification, and the explicit entire solution."""
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from sumhess.rigidity import (
     entire_solution,
     entire_solution_hessian,
     entire_solution_residual,
-    growth_check,
     quadratic_residual,
 )
 from sumhess.solver import ProblemSpec, SolveConfig, isotropic_level, solve
@@ -83,12 +81,6 @@ class TestScaleField:
         y = np.array([0.3, 0.4])
         assert v(y) == pytest.approx(u(y) - 1.0, abs=1e-9)
 
-    def test_domain_indicator(self):
-        u = lambda x: (np.asarray(x) ** 2).sum(axis=-1)
-        v = ScaledField(u, R=2.0)
-        assert bool(v.in_domain(np.array([0.5, 0.5])))
-        assert not bool(v.in_domain(np.array([1.5, 0.0])))
-
     def test_discrete_hessian_spectrum_invariant(self):
         # aligned grids: the v grid on [-1,1]^3 with spacing h matches the
         # u grid on [-R,R]^3 with spacing R*h node for node
@@ -108,54 +100,28 @@ class TestScaleField:
         assert np.abs(lv - lu).max() <= 1e-10 * scale
 
 
-class TestGrowthCheck:
-    def test_pure_square(self):
-        u = lambda x: (np.asarray(x) ** 2).sum(axis=-1)
-        c, b, ok = growth_check(u, [1.0, 2.0, 4.0, 8.0], c_min=1.0, dim=2)
-        assert c == pytest.approx(1.0, abs=1e-12)
-        assert b == pytest.approx(0.0, abs=1e-10)
-        assert ok
-
-    def test_shifted_square(self):
-        u = lambda x: (np.asarray(x) ** 2).sum(axis=-1) - 5.0
-        c, b, ok = growth_check(u, [1.0, 2.0, 4.0, 8.0], c_min=0.5, dim=3)
-        assert c == pytest.approx(1.0, abs=1e-12)
-        assert b == pytest.approx(5.0, abs=1e-10)
-        assert ok
-
-    def test_entire_solution_fails_growth(self):
-        # along the third axis the solution dives like -e^{4t}/64, so no
-        # positive c can minorize it
-        c, _, ok = growth_check(entire_solution, [1.0, 2.0, 5.0], c_min=1e-6, dim=3)
-        assert not ok
-        assert c < 0
-        g5 = (7.0 * np.exp(-20.0) / 4.0 - np.exp(20.0) / 4.0 - 100.0) / 16.0
-        assert entire_solution(np.array([0.0, 0.0, 5.0])) == pytest.approx(g5, rel=1e-12)
-        assert g5 < -7.5e6
-
-    def test_radii_validation(self):
-        u = lambda x: (np.asarray(x) ** 2).sum(axis=-1)
-        with pytest.raises(ValueError):
-            growth_check(u, [2.0], c_min=0.1, dim=2)
-        with pytest.raises(ValueError):
-            growth_check(u, [2.0, 2.0], c_min=0.1, dim=2)
-
-
 class TestEntireSolution:
     def test_residual_at_origin(self):
-        res, s1 = entire_solution_residual(0.0, 0.0, 0.0)
+        res, s1 = entire_solution_residual([0.0, 0.0, 0.0])
         assert res == pytest.approx(0.0, abs=1e-15)
         assert s1 == pytest.approx(1.0)
 
     def test_residual_at_unit_x(self):
-        res, s1 = entire_solution_residual(1.0, 0.0, 0.0)
+        res, s1 = entire_solution_residual([1.0, 0.0, 0.0])
         assert res == pytest.approx(0.0, abs=1e-14)
         assert s1 == pytest.approx(5.0)
+
+    def test_dives_along_the_third_axis(self):
+        # along the third axis the solution falls like -e^{4t}/64, so no
+        # quadratic minorant c|x|^2 - b with c > 0 holds
+        g5 = (7.0 * np.exp(-20.0) / 4.0 - np.exp(20.0) / 4.0 - 100.0) / 16.0
+        assert entire_solution(np.array([0.0, 0.0, 5.0])) == pytest.approx(g5, rel=1e-12)
+        assert g5 < -7.5e6
 
     def test_randomized_sweep(self):
         rng = np.random.default_rng(91)
         pts = rng.uniform(-1.0, 1.0, size=(10_000, 3))
-        res, s1 = entire_solution_residual(pts[:, 0], pts[:, 1], pts[:, 2])
+        res, s1 = entire_solution_residual(pts)
         assert res.max() <= 1e-9
         assert (s1 > 0).all()
 

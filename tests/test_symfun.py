@@ -17,7 +17,6 @@ from sumhess.symfun import (
     s_hessian,
     s_value,
     sigma_all,
-    sigma_deleted,
 )
 
 
@@ -77,22 +76,16 @@ class TestSumHessianOp:
 
 
 class TestSigmaDeleted:
+    # sigma_j(lam|p) is entry p of s_gradient(lam, j+1, 0) and
+    # sigma_j(lam|pq) is entry (p, q) of s_hessian(lam, j+2, 0)
     def test_single_deletion(self):
-        assert sigma_deleted([1.0, 2.0, 3.0], (1,), 1) == pytest.approx(4.0)
+        assert s_gradient([1.0, 2.0, 3.0], 2, 0.0)[1] == pytest.approx(4.0)
 
     def test_double_deletion(self):
-        assert sigma_deleted([1.0, 2.0, 3.0], (0, 2), 1) == pytest.approx(2.0)
+        assert s_hessian([1.0, 2.0, 3.0], 3, 0.0)[0, 2] == pytest.approx(2.0)
 
     def test_product_of_survivors(self):
-        assert sigma_deleted([1.0, 1.0, -0.4], (2,), 2) == pytest.approx(1.0)
-
-    def test_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            sigma_deleted([1.0, 2.0], (2,), 1)
-
-    def test_duplicate_indices(self):
-        with pytest.raises(ValueError):
-            sigma_deleted([1.0, 2.0, 3.0], (1, 1), 1)
+        assert s_gradient([1.0, 1.0, -0.4], 3, 0.0)[2] == pytest.approx(1.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
@@ -101,7 +94,7 @@ class TestSigmaDeleted:
             p, q = rng.choice(5, size=2, replace=False)
             reduced = [lam[i] for i in range(5) if i not in (p, q)]
             for j in range(4):
-                assert sigma_deleted(lam, (int(p), int(q)), j) == pytest.approx(
+                assert s_hessian(lam, j + 2, 0.0)[p, q] == pytest.approx(
                     brute_sigma(reduced, j), rel=1e-12, abs=1e-12
                 )
 
