@@ -7,9 +7,11 @@ classification, scaling invariance).
 
 Exit codes: 0 pass, 1 property failure, 2 solver stall or domain error
 during a solve or the estimate convexity probe, 3 cone breach, 64
-configuration error.  All outputs land under --out and are written
-atomically (temp file, then rename).  Runs are deterministic for a fixed
-(config, seed); every report embeds the resolved config.
+configuration error.  A flag (--max-iter 5) and a --config line
+(max_iter=5) take the same text and give the same value; flags override
+the file.  All outputs land under --out and are written atomically (temp
+file, then rename).  Runs are deterministic for a fixed (config, seed);
+every report embeds the resolved config.
 """
 
 from __future__ import annotations
@@ -113,6 +115,13 @@ def parse_rhs(text: str):
 # configuration
 # ---------------------------------------------------------------------------
 
+def _floats(text: str, key: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{key} takes comma-separated numbers, got {text!r}") from None
+
+
 @dataclass
 class RunConfig:
     subcommand: str = "identities"
@@ -133,21 +142,10 @@ class RunConfig:
     out: str = "."
     negate_oracle: str = ""
 
-    def serialize(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(repr(float(x)) for x in v)
-            else:
-                v = repr(v) if isinstance(v, float) else str(v)
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
+        """Read key=value lines (blank lines and # comments skipped)."""
+        config = cls()
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -155,26 +153,27 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"bad config line {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            typ = known[key].type
-            try:
-                if typ in ("int", int):
-                    kwargs[key] = int(val)
-                elif typ in ("float", float):
-                    kwargs[key] = float(val)
-                elif typ in ("tuple", tuple):
-                    kwargs[key] = tuple(float(s) for s in val.split(",") if s)
-                else:
-                    kwargs[key] = val
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {val!r}") from exc
-        return cls(**kwargs)
+            config.set(key, val)
+        return config
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["betas"] = list(self.betas)
-        return d
+    def set(self, key: str, text: str) -> None:
+        """Set one setting from its text, the same for a flag and a config
+        line; box sets box_lo and box_hi from lo,hi."""
+        types = {f.name: f.type for f in dataclasses.fields(self)}
+        if key == "box":
+            lo_hi = _floats(text, key)
+            if len(lo_hi) != 2:
+                raise ConfigError("box must be lo,hi")
+            self.box_lo, self.box_hi = lo_hi
+        elif key not in types:
+            raise ConfigError(f"unknown config key {key!r}")
+        elif types[key] == "tuple":
+            setattr(self, key, _floats(text, key))
+        else:
+            try:
+                setattr(self, key, {"int": int, "float": float, "str": str}[types[key]](text))
+            except ValueError:
+                raise ConfigError(f"bad value for {key}: {text!r}") from None
 
     def validate(self) -> "RunConfig":
         """Raise ConfigError for the first value out of range, whether it
@@ -274,7 +273,6 @@ def _identity_sweep_passes(samples: int, seed: int) -> bool:
 
 
 def cmd_identities(config: RunConfig) -> int:
-    os.makedirs(config.out, exist_ok=True)
     reports = run_inequality_suite(samples=config.samples, seed=config.seed)
     if config.negate_oracle:
         for rep in reports:
@@ -285,7 +283,7 @@ def cmd_identities(config: RunConfig) -> int:
     all_ok = True
     for rep in reports:
         payload = rep.to_dict()
-        payload["config"] = config.to_dict()
+        payload["config"] = dataclasses.asdict(config)
         _dump_json(os.path.join(config.out, f"{rep.name}.json"), payload)
         flag = "PASS" if rep.passed else "FAIL"
         print(f"{flag} {rep.name}: worst margin {rep.worst_margin:.3e} over {rep.samples} samples")
@@ -311,12 +309,11 @@ def _build_problem(config: RunConfig) -> ProblemSpec:
 
 
 def cmd_solve(config: RunConfig) -> int:
-    os.makedirs(config.out, exist_ok=True)
     spec = _build_problem(config)
     solve_config = SolveConfig(rtol=config.rtol, max_iter=config.max_iter)
     report = continuation_solve(spec, solve_config)
     payload = report.to_json_dict()
-    payload["config"] = config.to_dict()
+    payload["config"] = dataclasses.asdict(config)
     payload["gradient_dependent_rhs"] = "g2" in _compile_rhs(config.rhs).co_names
     _dump_json(os.path.join(config.out, "solve_report.json"), payload)
     csv_path = os.path.join(config.out, "solution.csv")
@@ -327,7 +324,6 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_estimate(config: RunConfig) -> int:
-    os.makedirs(config.out, exist_ok=True)
     spec = _build_problem(config)
     solve_config = SolveConfig(rtol=config.rtol, max_iter=config.max_iter)
     try:
@@ -347,7 +343,7 @@ def cmd_estimate(config: RunConfig) -> int:
     all_stable = True
     for beta, rep in zip(config.betas, reports):
         payload = rep.to_dict()
-        payload["config"] = config.to_dict()
+        payload["config"] = dataclasses.asdict(config)
         if beta in near_linear:
             payload["gradient_convexity_worst_margin"] = probe
         _dump_json(os.path.join(config.out, f"estimate_beta_{beta}.json"), payload)
@@ -358,7 +354,6 @@ def cmd_estimate(config: RunConfig) -> int:
 
 
 def cmd_rigidity(config: RunConfig) -> int:
-    os.makedirs(config.out, exist_ok=True)
     rng = np.random.default_rng(config.seed)
     pts = rng.uniform(-1.0, 1.0, size=(max(10, config.samples), 3))
     residuals, sigma1 = entire_solution_residual(pts)
@@ -403,7 +398,7 @@ def cmd_rigidity(config: RunConfig) -> int:
             "max_spectrum_error": scaling_err,
             "passed": scaling_ok,
         },
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
     }
     _dump_json(os.path.join(config.out, "rigidity_report.json"), payload)
     for name, block in payload.items():
@@ -416,66 +411,45 @@ def cmd_rigidity(config: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# the settings each subcommand takes as flags (--max-iter sets max_iter),
+# with their help texts; box is the pair box_lo,box_hi
+_SHARED = {"n": None, "k": None, "alpha": None, "seed": None, "samples": None,
+           "out": "output directory"}
+_GRID = {"cells": None, "box": "lo,hi (applied to every axis)"}
+_SOLVE = {**_GRID, "rhs": "expression over constants, x/y/z, u, g2=|Du|^2", "rtol": None,
+          "max_iter": None}
+_FLAGS = {
+    "identities": {**_SHARED, "negate_oracle": argparse.SUPPRESS},
+    "solve": {**_SHARED, **_SOLVE},
+    "estimate": {**_SHARED, **_SOLVE, "betas": "comma list of weight exponents", "levels": None},
+    "rigidity": {**_SHARED, **_GRID, "scale_ratio": None},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumhess", description="Sum Hessian operator experiments"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file; flags override it")
-    common.add_argument("--n", type=int)
-    common.add_argument("--k", type=int)
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--samples", type=int)
-    common.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("identities", parents=[common], help="inequality sweep")
-    p.add_argument("--negate-oracle", dest="negate_oracle", help=argparse.SUPPRESS)
-
-    for name in ("solve", "estimate"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("--cells", type=int)
-        p.add_argument("--box", help="lo,hi (applied to every axis)")
-        p.add_argument("--rhs", help="expression over constants, x/y/z, u, g2=|Du|^2")
-        p.add_argument("--rtol", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
-        if name == "estimate":
-            p.add_argument("--betas", help="comma list of weight exponents")
-            p.add_argument("--levels", type=int)
-
-    p = sub.add_parser("rigidity", parents=[common])
-    p.add_argument("--cells", type=int)
-    p.add_argument("--box", help="lo,hi (applied to every axis)")
-    p.add_argument("--scale-ratio", dest="scale_ratio", type=float)
+    for name, flags in _FLAGS.items():
+        # a subparser given help=None would still be listed in the top-level help
+        p = sub.add_parser(name, **({"help": "inequality sweep"} if name == "identities" else {}))
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for key, text in flags.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
     return parser
-
-
-def _floats(text: str, flag: str) -> list[float]:
-    try:
-        return [float(s) for s in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             config = RunConfig.parse(fh.read())
     config.subcommand = args.subcommand
-    for key in ("n", "k", "alpha", "seed", "samples", "out", "cells", "rhs",
-                "rtol", "max_iter", "levels", "negate_oracle", "scale_ratio"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(config, key, val)
-    if getattr(args, "box", None):
-        parts = _floats(args.box, "--box")
-        if len(parts) != 2:
-            raise ConfigError("--box must be lo,hi")
-        config.box_lo, config.box_hi = parts
-    if getattr(args, "betas", None):
-        config.betas = tuple(_floats(args.betas, "--betas"))
+    for key in _FLAGS[args.subcommand]:
+        text = getattr(args, key)
+        if text is not None:
+            config.set(key, text)
     return config.validate()
 
 
@@ -496,6 +470,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         config = _config_from_args(args)
+        os.makedirs(config.out, exist_ok=True)
         return _COMMANDS[config.subcommand](config)
     except (ConfigError, DomainError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

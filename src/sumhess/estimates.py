@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fdgrid import GridField, laplacian_field
-from .solver import ProblemSpec, SolveConfig, solve
+from .solver import ProblemSpec, SolveConfig, continuation_solve
 
 STABILITY_RTOL = 0.05
 
@@ -126,6 +126,9 @@ def refinement_study(
     cold initial guess, and track the supremum of the weighted quantity
     for every exponent on that level's solution.  One report per
     exponent, stable when its last two core suprema agree within 5%.
+    Each level is a continuation_solve, so, as in the solve subcommand, a
+    level whose direct solve fails falls back to the homotopy; its
+    newton_iterations then count the final stage only.
 
     The prolonged coarse solution is not used as a start: it lacks the
     fine grid's corner boundary layer and breaches the cone there, and
@@ -133,7 +136,7 @@ def refinement_study(
     reports = [EstimateReport(quantity_tag(e), float(e)) for e in exponents]
     grid = spec.grid
     for level in range(levels):
-        result = solve(replace(spec, grid=grid), config)
+        result = continuation_solve(replace(spec, grid=grid), config)
         if not result.converged:
             raise SolveFailure(level, result.status, result.message)
         u = result.final_field

@@ -463,9 +463,8 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
     just_rejected = False
     while t < 1.0 - 1e-12:
         t_next = min(1.0, t + dt)
-        stage_spec = path(t_next)
-        warm = GridField.from_interior(stage_spec.grid, u.interior, boundary=stage_spec.boundary)
-        stage = solve(stage_spec, config, u0=warm)
+        # path(t) changes only the right side, so u already carries the trace
+        stage = solve(path(t_next), config, u0=u)
         if stage.converged:
             t = t_next
             u = stage.final_field

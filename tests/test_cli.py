@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -35,6 +36,13 @@ FAST_IDENTITIES = ["identities", "--samples", "60", "--seed", "3"]
 
 class TestRunConfig:
     def test_round_trip_lossless(self):
+        # every field, written as a config file spells it
+        text = (
+            "subcommand=estimate\nn=3\nk=2\nalpha=0.30000000000000004\ncells=17\n"
+            "box_lo=-1.0\nbox_hi=1.0\nrhs=3+0.1*g2\nrtol=1e-08\nmax_iter=60\n"
+            "betas=1.0,1.1\nlevels=3\nsamples=1000\nseed=42\nscale_ratio=2.0\n"
+            "out=/tmp/somewhere\nnegate_oracle=\n"
+        )
         cfg = RunConfig(
             subcommand="estimate",
             n=3,
@@ -46,16 +54,15 @@ class TestRunConfig:
             seed=42,
             out="/tmp/somewhere",
         )
-        assert RunConfig.parse(cfg.serialize()) == cfg
+        assert RunConfig.parse(text) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.parse("nope=1\n")
 
     def test_config_file_with_flag_override(self, tmp_path):
-        cfg = RunConfig(subcommand="solve", cells=9, rhs="2")
         path = tmp_path / "run.cfg"
-        path.write_text(cfg.serialize())
+        path.write_text("subcommand=solve\ncells=9\nrhs=2\n")
         rc = main(
             ["solve", "--config", str(path), "--cells", "11", "--out", str(tmp_path / "o")]
         )
@@ -63,6 +70,50 @@ class TestRunConfig:
         report = json.loads((tmp_path / "o" / "solve_report.json").read_text())
         assert report["config"]["cells"] == 11
         assert report["config"]["rhs"] == "2"
+
+
+# one valid value per setting that some subcommand takes as a flag
+_AGREEMENT_VALID = {
+    "n": "3", "k": "1", "alpha": "0.5", "seed": "7", "samples": "20", "out": "o",
+    "negate_oracle": "s_newton", "cells": "9", "box": "0,2", "rhs": "3+0.1*g2",
+    "rtol": "1e-6", "max_iter": "5", "betas": "1,1.5", "levels": "2", "scale_ratio": "3",
+}
+_AGREEMENT_CASES = [
+    (sub, key, text)
+    for sub, keys in cli._FLAGS.items()
+    for key in keys
+    for text in (_AGREEMENT_VALID[key], "", ",", "1,,2", "x", "nan")
+]
+
+
+def _resolved(monkeypatch, argv):
+    """Exit code of main(argv) and the config the subcommand would run."""
+    seen = []
+
+    def record(config):
+        seen.append(dataclasses.asdict(config))
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, record))
+    return main(argv), seen
+
+
+@pytest.mark.parametrize("sub,key,text", _AGREEMENT_CASES,
+                         ids=[f"{s}-{k}-{t!r}" for s, k, t in _AGREEMENT_CASES])
+def test_flag_and_config_line_agree(sub, key, text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"{key}={text}\n")
+    by_flag = _resolved(monkeypatch, [sub, f"--{key.replace('_', '-')}={text}"])
+    by_config = _resolved(monkeypatch, [sub, "--config=run.cfg"])
+    assert by_flag == by_config
+    assert by_flag[0] in (EXIT_OK, EXIT_CONFIG)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_every_setting_has_a_flag():
+    flags = set().union(*cli._FLAGS.values())
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert fields - {"subcommand", "box_lo", "box_hi"} <= flags
 
 
 class TestRhsParser:
@@ -302,12 +353,14 @@ class TestSolveCommand:
         ["rigidity", "--box=0,1e-10", "--scale-ratio", "1e160"],
         ["solve", "--cells", "5", "--rhs", "1e999"],
         ["solve", "--cells", "9" * 400],
+        ["solve", "--cells", "5", "--box="],
+        ["estimate", "--betas="],
     ],
     ids=["box", "config-value", "betas", "betas-empty", "samples", "levels-0", "levels-1",
          "scale-ratio", "seed", "box-inf", "betas-nan", "alpha-inf", "rtol-negative", "rtol-nan",
          "max-iter", "config-range", "rhs-nested", "rhs-long", "rhs-z-on-2d", "rhs-x3-on-2d",
          "box-huge", "box-tiny", "rigidity-box-huge", "scale-ratio-huge", "scale-ratio-squared",
-         "rhs-inf", "cells-huge"],
+         "rhs-inf", "cells-huge", "box-flag-empty", "betas-flag-empty"],
 )
 def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
@@ -529,6 +582,19 @@ class TestEstimateCommand:
         assert rc == EXIT_STALLED
         assert captured.err == ""
         assert captured.out.startswith("FAIL estimate beta=1.1: gradient convexity probe")
+
+    def test_level_falls_back_to_continuation(self, tmp_path):
+        # f = 3 + 30u is negative at the initial guess, so each level's
+        # direct solve ends in a domain error and the homotopy solves it,
+        # as the solve subcommand does; the sups then disagree by 29%
+        rc = main(
+            ["estimate", "--rhs", "3+30*u", "--cells", "9", "--levels", "2", "--betas", "1",
+             "--out", str(tmp_path)]
+        )
+        assert rc == EXIT_PROPERTY
+        payload = json.loads((tmp_path / "estimate_beta_1.0.json").read_text())
+        assert len(payload["per_refinement"]) == 2
+        assert payload["stable"] is False
 
 
 class TestRigidityCommand:

@@ -132,14 +132,15 @@ class TestRefinementStudy:
         assert len(rep.per_refinement) == 3
 
     def test_each_level_solved_once_for_all_exponents(self, monkeypatch):
+        # every Newton solve, the direct attempt of continuation_solve too
         calls = []
-        real_solve = estimates.solve
+        real_solve = solver.solve
 
         def counting_solve(*args, **kwargs):
             calls.append(args[0].grid.cells)
             return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(estimates, "solve", counting_solve)
+        monkeypatch.setattr(solver, "solve", counting_solve)
         exponents = [1.0, 1.1, 2.0, 4.0, 8.0]
         reports = refinement_study(self.quadratic_problem(), exponents, levels=3)
         assert calls == [(9, 9), (19, 19), (39, 39)]

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import in the package is used,
-every top-level function and class is reached, and the benchmark's tracer
-still finds every name it hooks."""
+every top-level function and class and every method of such a class is
+reached, and the benchmark's tracer still finds every name it hooks."""
 
 import ast
 import os
@@ -44,6 +44,19 @@ def _references_outside(tree: ast.Module, skip: range) -> set[str]:
     }
 
 
+def _definitions(tree: ast.Module):
+    """(label, node) for each top-level function and class, and for each
+    method and property of a top-level class; dunder methods are called
+    implicitly and left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_top_level_name_is_reached():
     # a name counts as reached when package code reads it outside its own
     # definition (a re-export in __init__.py does not count), when the
@@ -55,16 +68,14 @@ def test_every_top_level_name_is_reached():
     )
     unreached = []
     for path, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for label, node in _definitions(tree):
             own = range(node.lineno, node.end_lineno + 1)
             used = any(
                 node.name in _references_outside(other, own if other is tree else range(0))
                 for other in trees.values()
             )
             if not used and not re.search(rf"\b{node.name}\b", outside):
-                unreached.append(f"{path.name}:{node.name}")
+                unreached.append(f"{path.name}:{label}")
     assert unreached == []
 
 
