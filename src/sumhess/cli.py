@@ -442,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    if args.config:
+    if args.config is not None:
         with open(args.config) as fh:
             config = RunConfig.parse(fh.read())
     config.subcommand = args.subcommand

@@ -21,7 +21,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cones import (
     gamma_k_margins,
@@ -309,6 +308,64 @@ def _family_gap(s, coef, k, target):
     for _ in range(k - 2):
         val = val * s
     return val - target
+
+
+def brentq(f, a, b, args=(), xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100):
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4), a port of
+    scipy.optimize.brentq step for step, so the roots are bitwise the same
+    without loading scipy.optimize.  Raises ValueError when f(a) and f(b)
+    have the same sign or f returns NaN, and RuntimeError after maxiter
+    iterations.  Naming the three bracket points pre (last iterate),
+    cur (best) and blk (the other side of the bracket), each step tries
+    secant or inverse quadratic interpolation and falls back to bisection.
+    """
+
+    def call(x):
+        fx = float(f(x, *args))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gives inf or NaN here, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _capped_family_worst(op, n0, eps0, lam1s, tails, tail_sigma):

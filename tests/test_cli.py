@@ -355,12 +355,13 @@ class TestSolveCommand:
         ["solve", "--cells", "9" * 400],
         ["solve", "--cells", "5", "--box="],
         ["estimate", "--betas="],
+        ["solve", "--cells", "5", "--config="],
     ],
     ids=["box", "config-value", "betas", "betas-empty", "samples", "levels-0", "levels-1",
          "scale-ratio", "seed", "box-inf", "betas-nan", "alpha-inf", "rtol-negative", "rtol-nan",
          "max-iter", "config-range", "rhs-nested", "rhs-long", "rhs-z-on-2d", "rhs-x3-on-2d",
          "box-huge", "box-tiny", "rigidity-box-huge", "scale-ratio-huge", "scale-ratio-squared",
-         "rhs-inf", "cells-huge", "box-flag-empty", "betas-flag-empty"],
+         "rhs-inf", "cells-huge", "box-flag-empty", "betas-flag-empty", "config-flag-empty"],
 )
 def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"

@@ -96,3 +96,24 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_runs_without_scipy_fft_or_optimize(tmp_path):
+    # the runtime needs only scipy.sparse.linalg; a fresh process runs every
+    # subcommand at a tiny size and then lists what got imported
+    code = (
+        "import sys\n"
+        "from sumhess import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "argvs = (['identities', '--samples', '20'], ['solve', '--cells', '5'],\n"
+        "         ['estimate', '--cells', '5', '--levels', '2', '--betas', '1'], ['rigidity'])\n"
+        "codes = [cli.main(argv + ['--out', out]) for argv in argvs]\n"
+        "assert codes == [0, 0, 0, 0], codes\n"
+        "loaded = [m for m in ('scipy.fft', 'scipy.optimize') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sumhess.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -354,6 +354,83 @@ class TestCappedFamilyBatch:
         )
 
 
+def _same_root(f, a, b, **kw):
+    # the port and scipy must return the same double, bit for bit, or
+    # raise the same error
+    def outcome(solver):
+        try:
+            return solver(f, a, b, **kw).hex()
+        except (ValueError, RuntimeError) as exc:
+            return repr(exc)
+
+    assert outcome(inequalities.brentq) == outcome(brentq)
+
+
+class TestBrentPort:
+    def test_matches_scipy_on_family_brackets(self, monkeypatch):
+        # record the brackets _capped_family_worst itself builds
+        calls = []
+        port = inequalities.brentq
+
+        def recorder(f, a, b, **kw):
+            calls.append((f, a, b, kw))
+            return port(f, a, b, **kw)
+
+        monkeypatch.setattr(inequalities, "brentq", recorder)
+        rng = np.random.default_rng(63)
+        for n, k, alpha in FAMILY_OPS:
+            op = SumHessianOp(n, k, alpha)
+            tails = sample_gamma_k_array(n - 1, k - 1, CAPPED_TAILS, 1.0, rng)
+            tail_sigma = np.pad(sigma_all(tails), ((0, 0), (0, 1)))
+            for n0 in (10.0, 0.5):
+                target = 0.9 * n0
+                lam1s = np.concatenate([
+                    np.geomspace(0.02 * target / alpha, 0.98 * target / alpha, 12),
+                    rng.uniform(0.5, 1e3, size=12),
+                ])
+                _capped_family_worst(op, n0, 0.1, lam1s, tails, tail_sigma)
+        monkeypatch.undo()
+        assert len(calls) >= 200, len(calls)
+        for f, a, b, kw in calls:
+            assert kw["xtol"] == kw["rtol"] == 1e-12
+            _same_root(f, a, b, **kw)
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x * x - 1.0, 0.0, 2.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),  # Wallis
+            (lambda x: math.exp(x) - 2.0, -5.0, 5.0),
+            (lambda x: (x - 1.0 / 3.0) ** 3, 0.0, 1.0),  # flat root
+            (lambda x: (x - 1.0 / 3.0) ** 9, 0.0, 1.0),  # both give up after maxiter
+            (lambda x: math.atan(1e6 * (x - 0.7)), 0.0, 1.0),  # near-step
+            # products of slopes underflow, so interpolation divides by zero
+            (lambda x: 1e-300 * (x - 0.1), -1.0, 1.0),
+            (lambda x: 1e-160 * (x - 0.1) ** 3, -1.0, 1.0),
+            (lambda x: 1e300 * math.expm1(x - 0.4), -3.0, 3.0),  # overflowing values
+        ],
+        ids=["square", "cos", "wallis", "exp", "cube", "ninth-power", "atan-step", "tiny",
+             "tiny-cube", "huge"],
+    )
+    def test_matches_scipy_on_classic_functions(self, f, a, b):
+        _same_root(f, a, b, xtol=1e-12, rtol=1e-12)
+        _same_root(f, b, a, xtol=1e-12, rtol=1e-12)
+        _same_root(f, a, b)
+
+    @pytest.mark.parametrize("solver", [inequalities.brentq, brentq], ids=["port", "scipy"])
+    def test_errors_match_scipy(self, solver):
+        with pytest.raises(ValueError, match="different signs"):
+            solver(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            solver(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):  # NaN met inside the bracket
+            solver(lambda x: math.nan if 0.2 < x < 0.9 else x - 0.5, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+            solver(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, xtol=1e-12, rtol=1e-12, maxiter=3)
+        assert solver(lambda x: x - 0.5, 0.5, 1.0) == 0.5  # a root at an end is returned
+
+
 class TestWorstTracker:
     def test_nan_margin_ranks_worst_and_fails(self):
         tracker = _WorstTracker()

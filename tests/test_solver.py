@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.fft import dstn, idstn
 
 from sumhess import solver
 from sumhess.errors import ConeBreachError, DomainError
@@ -117,6 +118,22 @@ class TestHarmonicLifts:
         v = np.random.default_rng(72).normal(size=g.n_interior)
         r = laplacian_field(GridField.from_interior(g, v)).interior_flat
         assert np.abs(_laplacian_inverse(g)(r) - v).max() <= 1e-12 * np.abs(v).max()
+
+    @pytest.mark.parametrize(
+        "cells",
+        [(145, 145), (17, 17, 17), (72, 9), (5, 72, 11)],
+        ids=["145^2", "17^3", "72x9", "5x72x11"],
+    )
+    def test_sine_matrices_match_scipy_dst(self, cells):
+        # oracle: scipy's FFT-based DST-I; 72 nodes give the FFT length
+        # 2*73, a large prime factor
+        dim = len(cells)
+        g = Grid((-1.0,) * dim, (1.0, 0.5, 2.0)[:dim], cells)
+        eig = sum(np.ix_(*(-4.0 / h**2 * np.sin(np.pi * np.arange(1, m + 1) / (2 * m + 2)) ** 2
+                           for m, h in zip(g.cells, g.h))))
+        r = np.random.default_rng(73).normal(size=g.n_interior)
+        want = idstn(dstn(r.reshape(g.shape), type=1) / eig, type=1).ravel()
+        assert np.abs(_laplacian_inverse(g)(r) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestFirstAdmissible:
