@@ -218,10 +218,11 @@ def eigh_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if dim != 2:
         raise ValueError(f"only 2x2 and 3x3 matrices are supported, got {dim}x{dim}")
     lams, Q = _eigh2_batch(M)
-    order = np.argsort(-lams, axis=-1, kind="stable")
-    lams = np.take_along_axis(lams, order, axis=-1)
-    Q = np.take_along_axis(Q, order[..., None, :], axis=-1)
-    return lams, Q
+    l1, l2 = lams[..., 0], lams[..., 1]
+    # the pairs a stable argsort(-lams) reorders, NaN sorting last
+    swap = (-l2 < -l1) | (np.isnan(l1) & ~np.isnan(l2))
+    return (np.where(swap[..., None], lams[..., ::-1], lams),
+            np.where(swap[..., None, None], Q[..., ::-1], Q))
 
 
 def laplacian_field(u: GridField) -> GridField:

@@ -11,7 +11,7 @@ admissible cone; the line search therefore never accepts an iterate
 whose worst cone margin drops below a fraction of its current value.
 There the Jacobian is spectrally equivalent to the Laplacian weighted
 by the mean S_k^{pp} (Faber, Manteuffel and Parter, 1990), so BiCGSTAB
-solves each step, preconditioned by that weight and the inverse of
+solves each step inexactly, preconditioned by that weight and the inverse of
 fdgrid's Dirichlet Laplacian, applied as products with dense DST-I
 matrices, which also gives the lifts.
 continuation_solve first solves the target problem directly and follows
@@ -36,7 +36,7 @@ FD_STEP = 1e-6
 ARMIJO = 1e-4  # sufficient-decrease factor of the line search
 MIN_STEP = 2.0**-20  # line-search underflow
 CONE_FRACTION = 0.1  # share of every node's cone margin a step must keep
-LINEAR_RTOL = 1e-10  # relative residual contract of each linear solve
+LINEAR_RTOL = 1e-10  # floor of the forcing term eta, each linear solve's relative tolerance
 LINEAR_ROUNDS = 3  # BiCGSTAB restarts on the true residual per linear solve
 LINEAR_MAXITER = 500  # BiCGSTAB iterations per round
 CONTINUATION_STEPS = 8
@@ -209,29 +209,29 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
 
 
 class _LinearSolveError(RuntimeError):
-    """BiCGSTAB did not bring the true linear residual within LINEAR_RTOL
-    in LINEAR_ROUNDS restarts (Jacobian singular, close to it, or not
-    finite); the Newton loop reports a stall instead of crashing."""
+    """BiCGSTAB did not bring the true linear residual within the forcing
+    term eta in LINEAR_ROUNDS restarts (Jacobian singular, close to it, or
+    not finite); the Newton loop reports a stall instead of crashing."""
 
 
-def _linear_solve(J, M, rhs) -> np.ndarray:
+def _linear_solve(J, M, rhs, eta: float = LINEAR_RTOL) -> np.ndarray:
     """Solve J x = rhs by BiCGSTAB preconditioned with M, restarting on the
-    true residual until its max-norm, relative to max|rhs|, is at most
-    LINEAR_RTOL (a restart stops once its 2-norm is that small).  The
+    true residual until its max-norm, relative to max|rhs|, is at most the
+    forcing term eta (a restart stops once its 2-norm is that small).  The
     system is scaled to max|rhs| = 1, so BiCGSTAB's inner products stay
     finite however large the Newton residual is."""
     scale = float(np.abs(rhs).max()) or 1.0
     b = rhs / scale
     x, res = 0.0, b
     for _ in range(LINEAR_ROUNDS):
-        x = x + spla.bicgstab(J, res, rtol=LINEAR_RTOL, atol=LINEAR_RTOL, maxiter=LINEAR_MAXITER, M=M)[0]
+        x = x + spla.bicgstab(J, res, rtol=eta, atol=eta, maxiter=LINEAR_MAXITER, M=M)[0]
         res = b - J @ x
         lin_res = float(np.abs(res).max())
-        if lin_res <= LINEAR_RTOL:
+        if lin_res <= eta:
             return scale * x
         if not np.isfinite(lin_res):
             break
-    raise _LinearSolveError(f"linear solve residual {lin_res:.3e} exceeds {LINEAR_RTOL:.0e}")
+    raise _LinearSolveError(f"linear solve residual {lin_res:.3e} exceeds {eta:.3g}")
 
 
 def _harmonic_lifts(grid: Grid, *traces) -> list[GridField]:
@@ -370,7 +370,9 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     reports domain_error, cone_breach or stalled after the condition that
     rejected the last trial; all keep the best iterate.  A start field
     where the rhs is not positive reports domain_error, one where S_k
-    overflows reports stalled.
+    overflows reports stalled.  Each Newton step is solved inexactly, to a
+    relative max-norm residual eta_k = min(0.1, max(LINEAR_RTOL, ||F_k||^2))
+    (Dembo, Eisenstat and Steihaug, 1982), which keeps quadratic convergence.
     """
     config = config or SolveConfig()
     res_hist: list[float] = []
@@ -409,10 +411,11 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
         if it == config.max_iter:
             return SolveReport("stalled", it, res_hist, margin_hist, best[1],
                                message="maximum iterations reached")
+        eta = min(0.1, max(LINEAR_RTOL, state.res_norm * state.res_norm))  # r * r overflows to inf, r**2 raises
         try:
             # an overflowing product fails the linear residual contract
             with np.errstate(over="ignore", invalid="ignore"):
-                delta = _linear_solve(*assemble_newton(spec, state), -state.residual)
+                delta = _linear_solve(*assemble_newton(spec, state), -state.residual, eta)
         except ConeBreachError as exc:
             return SolveReport("cone_breach", it, res_hist, margin_hist, best[1], message=str(exc))
         except _LinearSolveError as exc:

@@ -322,6 +322,20 @@ class TestSolveCommand:
         assert json.loads((tmp_path / "solve_report.json").read_text())["status"] == "stalled"
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_residual_too_large_to_square_is_stall(self, tmp_path, capsys):
+        # the Newton residual is near 1e157 at the start field, so the
+        # forcing term's square overflows to inf and is capped at 0.1;
+        # the linear solve then misses even that and the run stalls
+        rc = main(["solve", "--rhs", "3+1e160*g2", "--cells", "5", "--out", str(tmp_path)])
+        assert rc == EXIT_STALLED
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["status"] == "stalled"
+        res = report["residual_history"][0]
+        assert res * res == float("inf")
+        assert report["message"].endswith("exceeds 0.1")
+        assert "Traceback" not in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv",

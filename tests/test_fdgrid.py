@@ -1,6 +1,7 @@
 """Stencil, field, and eigen-decomposition tests."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from sumhess.fdgrid import (
     Grid,
     GridField,
+    _eigh2_batch,
     eigh_batch,
     gradient_field_array,
     hessian_field_array,
@@ -193,6 +195,27 @@ class TestEigh:
         lams, Q = eigh_batch(M)
         rec = Q @ (lams[..., None] * np.swapaxes(Q, -1, -2))
         assert np.abs(rec - M).max() <= 1e-10
+
+    def test_2x2_order_matches_stable_argsort_bitwise(self):
+        rng = np.random.default_rng(66)
+        random = rng.normal(size=(300, 3))
+        tied = random[:100] * [1.0, 0.0, 0.0] + random[:100, :1] * [0.0, 0.0, 1.0]  # b = 0, a = c
+        # every (a, b, c) of special values: rows where one, both or neither
+        # eigenvalue is NaN, infinite or a signed zero
+        special = np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan], repeat=3)))
+        abc = np.concatenate([random, tied, special])
+        M = np.stack([abc[:, [0, 1]], abc[:, [1, 2]]], axis=-2)
+        with np.errstate(invalid="ignore"):
+            raw_lams, raw_Q = _eigh2_batch(M)
+            lams, Q = eigh_batch(M)
+        nan = np.isnan(raw_lams)
+        assert (nan[:, 0] & ~nan[:, 1]).any() and (~nan[:, 0] & nan[:, 1]).any()
+        order = np.argsort(-raw_lams, axis=-1, kind="stable")
+        ref_lams = np.take_along_axis(raw_lams, order, axis=-1)
+        ref_Q = np.take_along_axis(raw_Q, order[..., None, :], axis=-1)
+        for got, ref in ((lams, ref_lams), (Q, ref_Q)):
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))  # signed zeros too
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(65)

@@ -263,6 +263,9 @@ class TestLinearSolve:
         rhs = -state.residual
         x = _linear_solve(J, M, rhs)
         assert np.abs(J @ x - rhs).max() <= LINEAR_RTOL * np.abs(rhs).max()
+        for eta in (0.1, 1e-4):
+            x = _linear_solve(J, M, rhs, eta)
+            assert np.abs(J @ x - rhs).max() <= eta * np.abs(rhs).max()
 
     def test_nan_product_raises(self):
         n = 16
@@ -270,6 +273,29 @@ class TestLinearSolve:
         M = solver.spla.LinearOperator((n, n), lambda r: r, dtype=float)
         with pytest.raises(_LinearSolveError):
             _linear_solve(J, M, np.ones(n))
+        with pytest.raises(_LinearSolveError, match="exceeds 0.1$"):
+            _linear_solve(J, M, np.ones(n), 0.1)
+
+    @pytest.mark.parametrize("dim, cells", [(2, 33), (3, 9)], ids=["2d", "3d"])
+    def test_forcing_term_follows_the_newton_residual(self, dim, cells, monkeypatch):
+        etas = []
+
+        def spy(J, M, rhs, eta=None):
+            etas.append(eta)
+            return _linear_solve(J, M, rhs, eta)
+
+        monkeypatch.setattr(solver, "_linear_solve", spy)
+        g = Grid((-1.0,) * dim, (1.0,) * dim, (cells,) * dim)
+        spec = ProblemSpec(
+            SumHessianOp(dim, 2, 1.0), g, rhs=lambda x, u, p: 3.0 + 0.1 * (p**2).sum(axis=-1)
+        )
+        cfg = SolveConfig()
+        rep = solve(spec, cfg)
+        assert rep.converged
+        hist = rep.residual_history
+        assert len(etas) == rep.iterations == len(hist) - 1
+        assert etas == [min(0.1, max(LINEAR_RTOL, r**2)) for r in hist[:-1]]
+        assert hist[-1] <= cfg.rtol * rep.extras["f_scale"]
 
 
 class TestSolve:
