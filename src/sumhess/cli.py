@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError
 from .estimates import SolveFailure, refinement_study, rhs_gradient_convexity_probe
 from .fdgrid import Grid, GridField, hessian_field_array, eigh_batch
-from .inequalities import run_inequality_suite
+from .inequalities import REPORT_BUILDERS, run_inequality_suite
 from .rigidity import QuadraticCandidate, ScaledField, entire_solution_residual, quadratic_residual
 from .solver import ProblemSpec, SolveConfig, continuation_solve, isotropic_level
 from .symfun import SumHessianOp, identity_residuals, s_value
@@ -195,6 +195,8 @@ class RunConfig:
             (self.seed >= 0, "seed must be >= 0"),
             (finite(self.scale_ratio) and self.scale_ratio > 1,
              "scale_ratio must be finite and exceed 1"),
+            (self.negate_oracle in ("", *REPORT_BUILDERS),
+             "negate_oracle must be empty or a report name: " + ", ".join(REPORT_BUILDERS)),
         )
         for ok, message in checks:
             if not ok:
@@ -282,7 +284,7 @@ def cmd_identities(config: RunConfig) -> int:
                 rep.extras["negated_for_testing"] = True
     all_ok = True
     for rep in reports:
-        payload = rep.to_dict()
+        payload = dataclasses.asdict(rep)
         payload["config"] = dataclasses.asdict(config)
         _dump_json(os.path.join(config.out, f"{rep.name}.json"), payload)
         flag = "PASS" if rep.passed else "FAIL"
@@ -331,7 +333,7 @@ def cmd_estimate(config: RunConfig) -> int:
     except SolveFailure as exc:
         print(f"FAIL estimate beta={config.betas[0]}: {exc}")
         return _STATUS_EXIT.get(exc.status, EXIT_PROPERTY)
-    near_linear = [beta for beta in config.betas if 1.0 < beta < 2.0]
+    near_linear = [rep.beta_or_delta for rep in reports if rep.quantity == "near_linear"]
     if near_linear:
         # the near-linear weight presumes f^{1/k} convex in the gradient;
         # spot-check the declaration once and report the margin
@@ -342,9 +344,9 @@ def cmd_estimate(config: RunConfig) -> int:
             return EXIT_STALLED
     all_stable = True
     for beta, rep in zip(config.betas, reports):
-        payload = rep.to_dict()
+        payload = dataclasses.asdict(rep)
         payload["config"] = dataclasses.asdict(config)
-        if beta in near_linear:
+        if rep.quantity == "near_linear":
             payload["gradient_convexity_worst_margin"] = probe
         _dump_json(os.path.join(config.out, f"estimate_beta_{beta}.json"), payload)
         sups = [e["sup"] for e in rep.per_refinement]

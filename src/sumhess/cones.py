@@ -131,7 +131,5 @@ def sample_gamma_k_array(
     n: int, k: int, count: int, radius: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Like sample_cone_array but for the Garding cone Gamma_k."""
-    if k == 0:
-        return rng.uniform(-radius, radius, size=(count, n))
     return _sample_cone_array(n, count, radius, rng, lambda pts: gamma_k_margins(pts, k))
 

@@ -15,7 +15,7 @@ discretely); the full-interior supremum is recorded alongside.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -53,9 +53,6 @@ class EstimateReport:
     beta_or_delta: float
     per_refinement: list = field(default_factory=list)
     stable: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _require_nonpositive(u: GridField) -> np.ndarray:

@@ -17,8 +17,9 @@ searched and reported instead.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,8 @@ SWEEP_TOL = 1e-9
 WITNESSES = 5  # worst samples kept per report
 GAP_TOL = 1e-6  # smallest eigenvalue gap the directional derivative accepts
 CAPPED_TAILS = 6  # Gamma_{k-1} tails of the capped threshold search
+CAPPED_N0 = 10.0  # operator cap S_k <= N0 of the capped threshold search
+CAPPED_EPS0 = 0.1  # eps0 of the conditional top bound S_k >= (1-eps0) lam_1 S^{11}
 
 
 @dataclass
@@ -51,35 +54,49 @@ class InequalityReport:
     witnesses: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class _WorstTracker:
-    """Keeps the WITNESSES smallest margins; ties resolve to the earliest
-    sample index.  A non-finite margin (NaN or +-inf) ranks below every
-    finite one, so a broken evaluation is never hidden behind a passing
-    worst margin."""
+    """Keeps the WITNESSES smallest margins of one sweep and turns them into
+    its InequalityReport.  Ties resolve to the earliest sample index.  A
+    non-finite margin (NaN or +-inf) ranks below every finite one, so a
+    broken evaluation is never hidden behind a passing worst margin.
+
+    A kept sample j becomes the witness {n, k, alpha, lam, margin}: the
+    operator's triple, lam[j] and margins[j], plus one entry per keyword
+    field of add_batch, where an ndarray gives its row j as a list, None is
+    left out and any other value is kept as given."""
 
     def __init__(self):
-        self.items: list[tuple[float, int, float, dict]] = []  # rank, index, margin, witness
+        self.items: list[tuple[float, int, dict]] = []  # rank, index, witness
         self.count = 0
 
-    def add_batch(self, margins: np.ndarray, witness_fn):
+    def add_batch(self, margins: np.ndarray, op: SumHessianOp, lam: np.ndarray, **fields):
         ranks = np.where(np.isfinite(margins), margins, -np.inf)
         for j in np.argsort(ranks, kind="stable")[:WITNESSES]:
             j = int(j)
-            self.items.append((ranks[j], self.count + j, float(margins[j]), witness_fn(j)))
+            witness = {"n": op.n, "k": op.k, "alpha": op.alpha, "lam": lam[j].tolist()}
+            for key, val in fields.items():
+                if val is not None:
+                    witness[key] = val[j].tolist() if isinstance(val, np.ndarray) else val
+            witness["margin"] = float(margins[j])
+            self.items.append((ranks[j], self.count + j, witness))
         self.count += len(margins)
         self.items.sort(key=lambda t: (t[0], t[1]))
         del self.items[WITNESSES:]
 
-    @property
-    def worst(self) -> float:
-        return self.items[0][2] if self.items else math.inf
-
-    def witnesses(self) -> list[dict]:
-        return [dict(w, margin=m) for _, _, m, w in self.items]
+    def report(self, name: str, extras: dict | None = None) -> InequalityReport:
+        """The sweep's report: it passes when no sample was drawn or the
+        worst margin is finite and at least -SWEEP_TOL."""
+        worst = self.items[0][2]["margin"] if self.items else math.inf
+        return InequalityReport(
+            name=name,
+            samples=self.count,
+            worst_margin=worst,
+            tolerance=SWEEP_TOL,
+            passed=not self.count or (math.isfinite(worst) and worst >= -SWEEP_TOL),
+            witnesses=[w for _, _, w in self.items],
+            extras=extras or {},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +260,13 @@ def _newton_maclaurin_batch(lams, k):
 # bounds under an operator cap S_k <= N0 (Garding-cone spectra)
 # ---------------------------------------------------------------------------
 
-def _capped_bounds_batch(op, lams, n0, eps0):
+def _capped_bounds_batch(op, lams, n0):
     """Margins for Gamma_k spectra with S_k <= n0, k >= 2, each with its
     term scale.  With K0 = n*(n0/alpha)^{1/(k-1)} and kap_i = lam_i + K0:
     cap (n0/alpha)^{1/(k-1)} - lam_{k-1}, floor lam_n + K0 and share
     min_i C0 S_k - lam_i S^{ii}, C0 = 2 + K0*binom(n,k)/alpha, hold
     unconditionally; weighted min_i 2 kap_1^{k+2} S^{11} - kap_i^{k+2} S^{ii}
-    and top S_k - (1-eps0) lam_1 S^{11} only for large lam_1."""
+    and top S_k - (1-CAPPED_EPS0) lam_1 S^{11} only for large lam_1."""
     n, k, alpha = op.n, op.k, op.alpha
     lams = np.sort(np.asarray(lams, float), axis=-1)[..., ::-1]
     sk = np.asarray(s_value(lams, k, alpha), dtype=float)
@@ -263,7 +280,7 @@ def _capped_bounds_batch(op, lams, n0, eps0):
     rhs_w = kap ** (k + 2) * grad
     weighted = (lhs_w - rhs_w).min(axis=-1)
     weighted_scale = 1.0 + np.abs(lhs_w[..., 0]) + np.abs(rhs_w).max(axis=-1)
-    top_rhs = (1.0 - eps0) * lams[..., 0] * grad[..., 0]
+    top_rhs = (1.0 - CAPPED_EPS0) * lams[..., 0] * grad[..., 0]
     top = sk - top_rhs
     top_scale = 1.0 + np.abs(sk) + np.abs(top_rhs)
     c0 = 2.0 + k0 * math.comb(n, k) / alpha
@@ -368,7 +385,7 @@ def brentq(f, a, b, args=(), xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _capped_family_worst(op, n0, eps0, lam1s, tails, tail_sigma):
+def _capped_family_worst(op, n0, lam1s, tails, tail_sigma):
     """Worst conditional margin over the capped family at each top
     eigenvalue L in lam1s: spectra (L, s*nu), nu a row of tails, with s
     solved so that S_k = 0.9*n0.  +inf where no member is feasible.
@@ -398,7 +415,7 @@ def _capped_family_worst(op, n0, eps0, lam1s, tails, tail_sigma):
     specs = np.concatenate([lam1s[li, None], np.asarray(roots)[:, None] * tails[ti]], axis=1)
     specs = np.sort(specs, axis=-1)[:, ::-1]
     ok = (specs[:, 0] == lam1s[li]) & members(gamma_k_margins(specs, k))
-    d = _capped_bounds_batch(op, specs[ok], n0, eps0)
+    d = _capped_bounds_batch(op, specs[ok], n0)
     worst = np.full(len(lam1s), math.inf)
     np.minimum.at(
         worst, li[ok], np.minimum(d["weighted"] / d["weighted_scale"], d["top"] / d["top_scale"])
@@ -406,36 +423,32 @@ def _capped_family_worst(op, n0, eps0, lam1s, tails, tail_sigma):
     return worst
 
 
-def capped_threshold_search(
-    op: SumHessianOp,
-    n0: float,
-    eps0: float,
-    rng: np.random.Generator,
-    tol: float = SWEEP_TOL,
-) -> dict:
-    """Empirical threshold for the two conditional capped-spectrum bounds.
+def capped_threshold_search(op: SumHessianOp, rng: np.random.Generator) -> dict:
+    """Empirical threshold for the two conditional capped-spectrum bounds,
+    at the cap N0 = CAPPED_N0 and eps0 = CAPPED_EPS0.
 
-    Builds a family of Gamma_k spectra lam = (L, s*nu) with the tail nu a
-    Gamma_{k-1} sample scaled so that S_k(lam) = 0.9*n0, then scans the top
-    eigenvalue L over a geometric grid, one block of L values at a time.
-    On the family S_k is a polynomial in s, so each block brackets the
-    scale of every (L, nu) pair in one array pass and solves each
-    bracketed pair by one brentq call (see _capped_family_worst).  The scan
-    stops after the first block whose largest feasible L passes.
-    lambda_star is the smallest probed L beyond which both conditional
-    margins stay nonnegative; nothing is asserted about it beyond
+    Builds a family of Gamma_k spectra lam = (L, s*nu), the tail nu one of
+    CAPPED_TAILS Gamma_{k-1} samples scaled so that S_k(lam) = 0.9*N0,
+    then scans the top eigenvalue L over a geometric grid, one block of L
+    values at a time.  On the family S_k is a polynomial in s, so each
+    block brackets the scale of every (L, nu) pair in one array pass and
+    solves each bracketed pair by one brentq call (see
+    _capped_family_worst).  The scan stops after the first block whose
+    largest feasible L passes, that is whose margin is at least
+    -SWEEP_TOL.  lambda_star is the smallest probed L beyond which both
+    conditional margins pass; nothing is asserted about it beyond
     finiteness.
 
     For k = 2 the cap itself bounds the top eigenvalue (alpha*lam_1 < S_2
-    <= n0 on Gamma_2), so "lam_1 sufficiently large" can leave the
+    <= N0 on Gamma_2), so "lam_1 sufficiently large" can leave the
     feasible set entirely; in that case the conditional holds vacuously
-    above the cap and lambda_star = n0/alpha is reported with
+    above the cap and lambda_star = N0/alpha is reported with
     vacuous = True.
     """
     n, k, alpha = op.n, op.k, op.alpha
     if k < 2:
         raise ValueError("threshold search needs k >= 2")
-    target = 0.9 * n0
+    target = 0.9 * CAPPED_N0
     tails = sample_gamma_k_array(n - 1, k - 1, CAPPED_TAILS, 1.0, rng)
     tail_sigma = np.pad(sigma_all(tails), ((0, 0), (0, 1)))
     if k == 2:
@@ -448,29 +461,27 @@ def capped_threshold_search(
         ]
     probes = []
     for grid in grids:
-        worst = _capped_family_worst(op, n0, eps0, grid, tails, tail_sigma)
+        worst = _capped_family_worst(op, CAPPED_N0, grid, tails, tail_sigma)
         probes += [(float(l), float(w)) for l, w in zip(grid, worst) if w < math.inf]
-        if probes and probes[-1][1] >= -tol:
+        if probes and probes[-1][1] >= -SWEEP_TOL:
             break
     lambda_star = math.inf
     vacuous = False
     for lam1, worst in reversed(probes):
-        if worst >= -tol:
+        if worst >= -SWEEP_TOL:
             lambda_star = lam1
         else:
             break
     if not math.isfinite(lambda_star) and k == 2:
         # every feasible member fails: the condition set above the cap is
         # empty, so the bounds hold vacuously there
-        lambda_star = n0 / alpha
+        lambda_star = CAPPED_N0 / alpha
         vacuous = True
     return {
         "lambda_star": lambda_star,
         "finite": math.isfinite(lambda_star),
         "vacuous": vacuous,
         "probes": probes,
-        "n0": n0,
-        "eps0": eps0,
     }
 
 
@@ -498,32 +509,9 @@ def _op_grid(ns, alphas, k_min=1, k_max_off=0):
                 yield SumHessianOp(n, k, alpha)
 
 
-def _finish(name, tracker, tol, extras=None):
-    worst = tracker.worst if tracker.count else math.inf
-    return InequalityReport(
-        name=name,
-        samples=tracker.count,
-        worst_margin=worst,
-        tolerance=tol,
-        passed=not tracker.count or (math.isfinite(worst) and worst >= -tol),
-        witnesses=tracker.witnesses(),
-        extras=extras or {},
-    )
-
-
-def _base_witness(op, lams):
-    return lambda j: {
-        "n": op.n,
-        "k": op.k,
-        "alpha": op.alpha,
-        "lam": [float(v) for v in lams[j]],
-    }
-
-
-def _report_quotient_concavity(ns, alphas, samples, rng, tol, split_deltas=None):
+def _report_quotient_concavity(ns, alphas, samples, rng, split_deltas=None):
     name = "quotient_concavity" if split_deltas is None else "quotient_concavity_split"
     tracker = _WorstTracker()
-    extras = {}
     for op in _op_grid(ns, alphas, k_min=2):
         ells = list(range(1, op.k))
         per = max(1, samples // len(ells))
@@ -532,23 +520,12 @@ def _report_quotient_concavity(ns, alphas, samples, rng, tol, split_deltas=None)
             ws = rng.uniform(-1.0, 1.0, size=lams.shape)
             for delta in split_deltas or [None]:
                 margins, scales = _quotient_concavity_batch(op, l, lams, ws, split_delta=delta)
-                norm = margins / scales
-
-                def witness(j, l=l, lams=lams, ws=ws, delta=delta, op=op):
-                    w = _base_witness(op, lams)(j)
-                    w["l"] = l
-                    w["w"] = [float(v) for v in ws[j]]
-                    if delta is not None:
-                        w["delta"] = delta
-                    return w
-
-                tracker.add_batch(norm, witness)
-    if split_deltas is not None:
-        extras["deltas"] = list(split_deltas)
-    return _finish(name, tracker, tol, extras)
+                tracker.add_batch(margins / scales, op, lams, l=l, w=ws, delta=delta)
+    extras = {} if split_deltas is None else {"deltas": list(split_deltas)}
+    return tracker.report(name, extras)
 
 
-def _report_cone_upgrade(ns, alphas, samples, rng, tol):
+def _report_cone_upgrade(ns, alphas, samples, rng):
     """Inside the admissible cone at order k, positivity of S_{k+1}
     upgrades membership to order k+1; equivalently sigma_k > 0."""
     tracker = _WorstTracker()
@@ -562,13 +539,13 @@ def _report_cone_upgrade(ns, alphas, samples, rng, tol):
         up = SumHessianOp(op.n, op.k + 1, op.alpha)
         mtilde = gamma_tilde_margins(up, lams)
         scale = 1.0 + np.abs(mtilde).max(axis=-1)
-        promoted_fail += int((mtilde.min(axis=-1) < -tol * scale).sum())
+        promoted_fail += int((mtilde.min(axis=-1) < -SWEEP_TOL * scale).sum())
         sig_k = sigma_all(lams)[..., op.k]
-        tracker.add_batch(sig_k / (1.0 + np.abs(sig_k)), _base_witness(op, lams))
-    return _finish("cone_upgrade", tracker, tol, {"promotion_failures": promoted_fail})
+        tracker.add_batch(sig_k / (1.0 + np.abs(sig_k)), op, lams)
+    return tracker.report("cone_upgrade", {"promotion_failures": promoted_fail})
 
 
-def _report_partial_products(ns, alphas, samples, rng, tol):
+def _report_partial_products(ns, alphas, samples, rng):
     """Asserts the partial-product bound where it genuinely holds:
     s = 1..k-2 on admissible-cone samples and the full s = 1..k-1 on
     Garding-cone samples.  The s = k-1 term on merely admissible spectra
@@ -582,15 +559,15 @@ def _report_partial_products(ns, alphas, samples, rng, tol):
         lams = sample_cone_array(op, samples, 5.0, rng)
         if op.k >= 3:
             worst, scale, _ = _partial_product_batch(op, lams, s_hi=op.k - 2)
-            tracker.add_batch(worst / scale, _base_witness(op, lams))
+            tracker.add_batch(worst / scale, op, lams)
         bworst, bscale, theta = _partial_product_batch(op, lams, s_lo=op.k - 1)
         bnorm = bworst / bscale
         boundary_worst = min(boundary_worst, float(bnorm.min()))
-        boundary_violations += int((bnorm < -tol).sum())
+        boundary_violations += int((bnorm < -SWEEP_TOL).sum())
         thetas[f"n={op.n},k={op.k},alpha={op.alpha}"] = float(theta.min())
         glams = sample_gamma_k_array(op.n, op.k, samples, 5.0, rng)
         worst, scale, _ = _partial_product_batch(op, glams)
-        tracker.add_batch(worst / scale, _base_witness(op, glams))
+        tracker.add_batch(worst / scale, op, glams)
     extras = {
         "empirical_theta_min": thetas,
         "admissible_boundary_term": {
@@ -599,10 +576,10 @@ def _report_partial_products(ns, alphas, samples, rng, tol):
             "note": "s = k-1 on admissible (non-Garding) spectra; diagnostic only",
         },
     }
-    return _finish("partial_products", tracker, tol, extras)
+    return tracker.report("partial_products", extras)
 
 
-def _report_capped_bounds(ns, alphas, samples, rng, tol, eps0=0.1):
+def _report_capped_bounds(ns, alphas, samples, rng):
     """Unconditional capped-spectrum margins (cap, floor, bounded share
     with the explicit C0) asserted on self-capped Gamma_k samples; the
     two conditional margins go through the threshold search instead."""
@@ -611,43 +588,39 @@ def _report_capped_bounds(ns, alphas, samples, rng, tol, eps0=0.1):
     for op in _op_grid(ns, alphas, k_min=2):
         lams = sample_gamma_k_array(op.n, op.k, samples, 5.0, rng)
         n0 = np.asarray(s_value(lams, op.k, op.alpha), dtype=float)
-        d = _capped_bounds_batch(op, lams, n0, eps0)
+        d = _capped_bounds_batch(op, lams, n0)
         worst = np.minimum(
             d["cap"] / d["cap_scale"],
             np.minimum(d["floor"] / d["floor_scale"], d["share"] / d["share_scale"]),
         )
-        tracker.add_batch(worst, _base_witness(op, np.sort(lams, axis=-1)[..., ::-1]))
-        search = capped_threshold_search(op, n0=10.0, eps0=eps0, rng=rng, tol=tol)
+        tracker.add_batch(worst, op, np.sort(lams, axis=-1)[..., ::-1])
+        search = capped_threshold_search(op, rng)
         thresholds[f"n={op.n},k={op.k},alpha={op.alpha}"] = {
             "lambda_star": search["lambda_star"],
             "finite": search["finite"],
         }
-    extras = {"eps0": eps0, "conditional_thresholds": thresholds}
-    return _finish("capped_bounds", tracker, tol, extras)
+    extras = {"eps0": CAPPED_EPS0, "conditional_thresholds": thresholds}
+    return tracker.report("capped_bounds", extras)
 
 
-def _report_s_newton(ns, alphas, samples, rng, tol):
+def _report_s_newton(ns, alphas, samples, rng):
     tracker = _WorstTracker()
     for op in _op_grid(ns, alphas):
         lams = sample_cone_array(op, samples, 5.0, rng)
-        tracker.add_batch(_s_newton_batch(op, lams), _base_witness(op, lams))
-    return _finish("s_newton", tracker, tol)
+        tracker.add_batch(_s_newton_batch(op, lams), op, lams)
+    return tracker.report("s_newton")
 
 
-def _report_newton_maclaurin(ns, alphas, samples, rng, tol):
+def _report_newton_maclaurin(ns, alphas, samples, rng):
     tracker = _WorstTracker()
-    seen = set()
-    for op in _op_grid(ns, alphas, k_min=2):
-        if (op.n, op.k) in seen:  # alpha does not enter these margins
-            continue
-        seen.add((op.n, op.k))
+    for op in _op_grid(ns, alphas[:1], k_min=2):  # alpha does not enter these margins
         lams = sample_gamma_k_array(op.n, op.k, samples, 5.0, rng)
         m1, m2 = _newton_maclaurin_batch(lams, op.k)
-        tracker.add_batch(np.minimum(m1, m2), _base_witness(op, lams))
-    return _finish("newton_maclaurin", tracker, tol)
+        tracker.add_batch(np.minimum(m1, m2), op, lams)
+    return tracker.report("newton_maclaurin")
 
 
-def _report_concavity(ns, alphas, samples, rng, tol):
+def _report_concavity(ns, alphas, samples, rng):
     tracker = _WorstTracker()
     skipped = 0
     for op in _op_grid(ns, alphas):
@@ -666,22 +639,14 @@ def _report_concavity(ns, alphas, samples, rng, tol):
             ga = _concavity_values(op, a, l)
             gb = _concavity_values(op, b, l)
             margins = (gm - 0.5 * (ga + gb)) / (1.0 + np.abs(gm) + np.abs(ga) + np.abs(gb))
-
-            def witness(j, l=l, a=a, b=b, op=op):
-                w = _base_witness(op, a)(j)
-                w["lam_b"] = [float(v) for v in b[j]]
-                if l is not None:
-                    w["l"] = l
-                return w
-
-            tracker.add_batch(margins, witness)
-    return _finish("concavity", tracker, tol, {"midpoint_skips": skipped})
+            tracker.add_batch(margins, op, a, lam_b=b, l=l)
+    return tracker.report("concavity", {"midpoint_skips": skipped})
 
 
 REPORT_BUILDERS = {
     "quotient_concavity": _report_quotient_concavity,
-    "quotient_concavity_split": lambda ns, alphas, samples, rng, tol: _report_quotient_concavity(
-        ns, alphas, samples, rng, tol, split_deltas=(0.5, 0.1, 0.01)
+    "quotient_concavity_split": functools.partial(
+        _report_quotient_concavity, split_deltas=(0.5, 0.1, 0.01)
     ),
     "cone_upgrade": _report_cone_upgrade,
     "partial_products": _report_partial_products,
@@ -697,19 +662,22 @@ def run_inequality_suite(
     alphas=(0.1, 1.0, 10.0),
     samples: int = 1000,
     seed: int = 2024,
-    tol: float = SWEEP_TOL,
     names=None,
 ) -> list[InequalityReport]:
     """Run the full randomized sweep and return one report per inequality.
 
-    Deterministic for a fixed seed: every report consumes its own child
-    random stream, so selecting a subset with `names` does not change the
-    numbers of the reports kept.
+    Every report holds its worst margin, which passes at -SWEEP_TOL, and
+    up to WITNESSES witnesses, each the operator (n, k, alpha), the
+    spectrum lam, the report's own fields and the margin (see
+    _WorstTracker).  The capped threshold search runs at CAPPED_N0 and
+    CAPPED_EPS0.  Deterministic for a fixed seed: every report consumes
+    its own child random stream, so selecting a subset with `names` does
+    not change the numbers of the reports kept.
     """
     wanted = list(REPORT_BUILDERS) if names is None else list(names)
     streams = np.random.default_rng(seed).spawn(len(REPORT_BUILDERS))
     return [
-        builder(ns, alphas, samples, streams[i], tol)
+        builder(ns, alphas, samples, streams[i])
         for i, (name, builder) in enumerate(REPORT_BUILDERS.items())
         if name in wanted
     ]

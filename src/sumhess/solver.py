@@ -63,9 +63,8 @@ class ProblemSpec:
                 f"operator dimension {self.op.n} must match grid dimension {self.grid.dim}"
             )
 
-    def boundary_field(self, interior=None) -> GridField:
-        interior = np.zeros(self.grid.shape) if interior is None else interior
-        return GridField.from_interior(self.grid, interior, boundary=self.boundary)
+    def boundary_field(self) -> GridField:
+        return GridField.from_interior(self.grid, np.zeros(self.grid.shape), boundary=self.boundary)
 
 
 @dataclass

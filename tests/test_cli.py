@@ -370,12 +370,15 @@ class TestSolveCommand:
         ["solve", "--cells", "5", "--box="],
         ["estimate", "--betas="],
         ["solve", "--cells", "5", "--config="],
+        ["identities", "--samples", "10", "--negate-oracle", "bogus"],
+        ["identities", "--samples", "10", "--config", "{bogus_oracle_cfg}"],
     ],
     ids=["box", "config-value", "betas", "betas-empty", "samples", "levels-0", "levels-1",
          "scale-ratio", "seed", "box-inf", "betas-nan", "alpha-inf", "rtol-negative", "rtol-nan",
          "max-iter", "config-range", "rhs-nested", "rhs-long", "rhs-z-on-2d", "rhs-x3-on-2d",
          "box-huge", "box-tiny", "rigidity-box-huge", "scale-ratio-huge", "scale-ratio-squared",
-         "rhs-inf", "cells-huge", "box-flag-empty", "betas-flag-empty", "config-flag-empty"],
+         "rhs-inf", "cells-huge", "box-flag-empty", "betas-flag-empty", "config-flag-empty",
+         "negate-oracle-unknown", "config-negate-oracle-unknown"],
 )
 def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
@@ -384,7 +387,10 @@ def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     no_betas_cfg.write_text("betas=\n")
     nan_rtol_cfg = tmp_path / "nan_rtol.cfg"
     nan_rtol_cfg.write_text("rtol=nan\n")
-    names = dict(bad_cfg=bad_cfg, no_betas_cfg=no_betas_cfg, nan_rtol_cfg=nan_rtol_cfg)
+    bogus_oracle_cfg = tmp_path / "bogus_oracle.cfg"
+    bogus_oracle_cfg.write_text("negate_oracle=bogus\n")
+    names = dict(bad_cfg=bad_cfg, no_betas_cfg=no_betas_cfg, nan_rtol_cfg=nan_rtol_cfg,
+                 bogus_oracle_cfg=bogus_oracle_cfg)
     argv = [a.format(**names) for a in argv]
     argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_CONFIG

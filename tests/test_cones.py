@@ -141,6 +141,8 @@ class TestSampler:
         pts = sample_gamma_k_array(4, 3, 100, 5.0, rng)
         for lam in pts:
             assert in_gamma_k(lam, 3).member
+        with pytest.raises(ValueError, match="out of range"):
+            sample_gamma_k_array(4, 0, 10, 5.0, rng)
 
 
 class TestEllipticity:

@@ -1,5 +1,7 @@
 """Weighted-quantity and refinement-stability tests."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,7 @@ class TestRefinementStudy:
 
     def test_report_round_trips_to_dict(self):
         (rep,) = refinement_study(self.quadratic_problem(), [2.0], levels=2)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert d["quantity"] == "power"
         assert isinstance(d["per_refinement"], list)
-        assert EstimateReport(**d).to_dict() == d
+        assert asdict(EstimateReport(**d)) == d

@@ -1,6 +1,7 @@
 """Tests for the inequality oracles and their sweep drivers."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from sumhess.inequalities import (
     _concavity_values,
     _family_coefficients,
     _family_gap,
-    _finish,
     _newton_maclaurin_batch,
     _partial_product_batch,
     _quotient_concavity_batch,
@@ -235,7 +235,7 @@ class TestNewtonMaclaurin:
 class TestCappedBounds:
     def test_cap_margin_point(self):
         op = SumHessianOp(3, 2, 1.0)
-        b = _capped_bounds_batch(op, np.array([[2.0, 0.5, 0.1]]), 4.0, 0.1)
+        b = _capped_bounds_batch(op, np.array([[2.0, 0.5, 0.1]]), 4.0)
         assert b["cap"][0] == pytest.approx(2.0)
         assert b["k0"][0] == pytest.approx(12.0)
         assert b["c0"][0] == pytest.approx(2.0 + 12.0 * 3.0)
@@ -246,25 +246,25 @@ class TestCappedBounds:
             op = SumHessianOp(n, k, alpha)
             lams = sample_gamma_k_array(n, k, 1000, 5.0, rng)
             n0 = np.asarray(s_value(lams, k, alpha))
-            b = _capped_bounds_batch(op, lams, n0, 0.1)
+            b = _capped_bounds_batch(op, lams, n0)
             assert (b["cap"] >= -1e-9 * (1 + np.abs(b["cap"]))).all()
             assert (b["floor"] > 0).all()
             assert (b["share"] >= -1e-9 * (1 + n0 * b["c0"])).all()
 
     def test_threshold_search_reports_finite(self):
         rng = np.random.default_rng(47)
-        res = capped_threshold_search(SumHessianOp(4, 3, 1.0), 10.0, 0.1, rng)
+        res = capped_threshold_search(SumHessianOp(4, 3, 1.0), rng)
         assert res["finite"]
         assert not res["vacuous"]
         assert len(res["probes"]) >= 4
 
     def test_threshold_search_vacuous_branch_is_finite(self):
         rng = np.random.default_rng(48)
-        res = capped_threshold_search(SumHessianOp(2, 2, 0.1), 10.0, 0.1, rng)
+        res = capped_threshold_search(SumHessianOp(2, 2, 0.1), rng)
         assert res["finite"]
 
 
-def _family_worst_per_pair(op, n0, eps0, lam1, tails):
+def _family_worst_per_pair(op, n0, lam1, tails):
     """Reference for _capped_family_worst at one top eigenvalue: each tail
     gets its own doubling scan and brentq solve on the s_value gap, its
     own Gamma_k test and its own single-row bounds evaluation."""
@@ -285,7 +285,7 @@ def _family_worst_per_pair(op, n0, eps0, lam1, tails):
         spec = np.sort(np.concatenate([[lam1], s * nu]))[::-1]
         if spec[0] != lam1 or not in_gamma_k(spec, k).member:
             continue
-        d = _capped_bounds_batch(op, spec[None, :], n0, eps0)
+        d = _capped_bounds_batch(op, spec[None, :], n0)
         worst = min(
             worst,
             float(d["weighted"][0] / d["weighted_scale"][0]),
@@ -328,9 +328,9 @@ class TestCappedFamilyBatch:
             np.geomspace(0.5, 1e6, 18),
         ])
         got = _capped_family_worst(
-            op, n0, 0.1, lam1s, tails, np.pad(sigma_all(tails), ((0, 0), (0, 1)))
+            op, n0, lam1s, tails, np.pad(sigma_all(tails), ((0, 0), (0, 1)))
         )
-        want = np.array([_family_worst_per_pair(op, n0, 0.1, float(l), tails) for l in lam1s])
+        want = np.array([_family_worst_per_pair(op, n0, float(l), tails) for l in lam1s])
         assert np.array_equal(got == math.inf, want == math.inf)
         assert np.isfinite(want).any()
         finite = np.isfinite(want)
@@ -339,13 +339,13 @@ class TestCappedFamilyBatch:
     @pytest.mark.parametrize("n,k,alpha", FAMILY_OPS)
     def test_threshold_search_matches_per_pair_reference(self, n, k, alpha, monkeypatch):
         op = SumHessianOp(n, k, alpha)
-        got = capped_threshold_search(op, 10.0, 0.1, np.random.default_rng(62))
+        got = capped_threshold_search(op, np.random.default_rng(62))
 
-        def per_pair(op, n0, eps0, lam1s, tails, tail_sigma):
-            return np.array([_family_worst_per_pair(op, n0, eps0, float(l), tails) for l in lam1s])
+        def per_pair(op, n0, lam1s, tails, tail_sigma):
+            return np.array([_family_worst_per_pair(op, n0, float(l), tails) for l in lam1s])
 
         monkeypatch.setattr(inequalities, "_capped_family_worst", per_pair)
-        want = capped_threshold_search(op, 10.0, 0.1, np.random.default_rng(62))
+        want = capped_threshold_search(op, np.random.default_rng(62))
         assert got["lambda_star"] == want["lambda_star"]
         assert got["vacuous"] == want["vacuous"]
         assert [p[0] for p in got["probes"]] == [p[0] for p in want["probes"]]
@@ -388,7 +388,7 @@ class TestBrentPort:
                     np.geomspace(0.02 * target / alpha, 0.98 * target / alpha, 12),
                     rng.uniform(0.5, 1e3, size=12),
                 ])
-                _capped_family_worst(op, n0, 0.1, lam1s, tails, tail_sigma)
+                _capped_family_worst(op, n0, lam1s, tails, tail_sigma)
         monkeypatch.undo()
         assert len(calls) >= 200, len(calls)
         for f, a, b, kw in calls:
@@ -431,11 +431,16 @@ class TestBrentPort:
         assert solver(lambda x: x - 0.5, 0.5, 1.0) == 0.5  # a root at an end is returned
 
 
+# each probe sample j carries the witness field j
+_PROBE_OP = SumHessianOp(1, 1, 1.0)
+_PROBE_LAMS = np.ones((3, 1))
+
+
 class TestWorstTracker:
     def test_nan_margin_ranks_worst_and_fails(self):
         tracker = _WorstTracker()
-        tracker.add_batch(np.array([0.0, math.nan, 0.5]), lambda j: {"j": j})
-        report = _finish("probe", tracker, 1e-9)
+        tracker.add_batch(np.array([0.0, math.nan, 0.5]), _PROBE_OP, _PROBE_LAMS, j=np.arange(3))
+        report = tracker.report("probe")
         assert math.isnan(report.worst_margin)
         assert not report.passed
         assert report.witnesses[0]["j"] == 1
@@ -443,15 +448,15 @@ class TestWorstTracker:
 
     def test_infinite_margin_fails_across_batches(self):
         tracker = _WorstTracker()
-        tracker.add_batch(np.array([0.3, 0.1]), lambda j: {"j": j})
-        tracker.add_batch(np.array([math.inf, 0.2]), lambda j: {"j": j + 2})
-        report = _finish("probe", tracker, 1e-9)
+        tracker.add_batch(np.array([0.3, 0.1]), _PROBE_OP, _PROBE_LAMS, j=np.arange(2))
+        tracker.add_batch(np.array([math.inf, 0.2]), _PROBE_OP, _PROBE_LAMS, j=np.arange(2) + 2)
+        report = tracker.report("probe")
         assert report.worst_margin == math.inf
         assert not report.passed
         assert [w["j"] for w in report.witnesses] == [2, 1, 3, 0]
 
     def test_empty_sweep_passes(self):
-        report = _finish("probe", _WorstTracker(), 1e-9)
+        report = _WorstTracker().report("probe")
         assert report.passed and report.samples == 0
 
 
@@ -519,7 +524,52 @@ class TestSuite:
         a = run_inequality_suite(ns=(2, 3), samples=60, seed=11)
         b = run_inequality_suite(ns=(2, 3), samples=60, seed=11)
         for ra, rb in zip(a, b):
-            assert ra.to_dict() == rb.to_dict()
+            assert asdict(ra) == asdict(rb)
+
+    def test_witnesses_carry_their_report_fields_and_margin(self):
+        # every witness holds exactly its report's fields, and, where the
+        # margin comes from one kernel, those fields alone reproduce it
+        def quotient(op, w):
+            m, s = _quotient_concavity_batch(
+                op, w["l"], np.array([w["lam"]]), np.array([w["w"]]), w.get("delta")
+            )
+            return m[0] / s[0]
+
+        def cone_upgrade(op, w):
+            sig_k = sigma_all(np.array([w["lam"]]))[0, op.k]
+            return sig_k / (1.0 + abs(sig_k))
+
+        def concavity(op, w):
+            a, b = np.array([w["lam"]]), np.array([w["lam_b"]])
+            gm, ga, gb = (_concavity_values(op, x, w.get("l"))[0] for x in (0.5 * (a + b), a, b))
+            return (gm - 0.5 * (ga + gb)) / (1.0 + abs(gm) + abs(ga) + abs(gb))
+
+        recompute = {
+            "quotient_concavity": quotient,
+            "quotient_concavity_split": quotient,
+            "cone_upgrade": cone_upgrade,
+            "s_newton": lambda op, w: _s_newton_batch(op, np.array([w["lam"]]))[0],
+            "newton_maclaurin": lambda op, w: min(
+                m[0] for m in _newton_maclaurin_batch(np.array([w["lam"]]), op.k)
+            ),
+            "concavity": concavity,
+        }
+        base = {"n", "k", "alpha", "lam", "margin"}
+        extra_keys = {"quotient_concavity": {"l", "w"}, "quotient_concavity_split": {"l", "w", "delta"}}
+        reports = run_inequality_suite(ns=(2, 3), samples=60, seed=17)
+        assert len(reports) == 8
+        for rep in reports:
+            assert rep.witnesses, rep.name
+            for w in rep.witnesses:
+                keys = base | extra_keys.get(rep.name, set())
+                if rep.name == "concavity":
+                    keys = base | {"lam_b"} | ({"l"} & set(w))
+                assert set(w) == keys, (rep.name, sorted(w))
+                assert len(w["lam"]) == w["n"]
+                if rep.name in recompute:
+                    op = SumHessianOp(w["n"], w["k"], w["alpha"])
+                    got = recompute[rep.name](op, w)
+                    assert got == pytest.approx(w["margin"], rel=1e-12, abs=0), (rep.name, w)
 
     def test_thresholds_finite(self):
         reports = run_inequality_suite(ns=(2, 3), samples=60, seed=13, names=["capped_bounds"])
