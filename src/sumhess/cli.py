@@ -256,6 +256,14 @@ def _dump_json(path: str, payload: dict) -> None:
     _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _say(line: str) -> None:
+    """Print one stdout line, and keep the run going once the reader is gone."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:  # `| head` closed the pipe: the Python docs' "Note on SIGPIPE"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -288,10 +296,10 @@ def cmd_identities(config: RunConfig) -> int:
         payload["config"] = dataclasses.asdict(config)
         _dump_json(os.path.join(config.out, f"{rep.name}.json"), payload)
         flag = "PASS" if rep.passed else "FAIL"
-        print(f"{flag} {rep.name}: worst margin {rep.worst_margin:.3e} over {rep.samples} samples")
+        _say(f"{flag} {rep.name}: worst margin {rep.worst_margin:.3e} over {rep.samples} samples")
         all_ok &= rep.passed
     ident_ok = _identity_sweep_passes(config.samples, config.seed)
-    print(f"{'PASS' if ident_ok else 'FAIL'} deletion identities")
+    _say(f"{'PASS' if ident_ok else 'FAIL'} deletion identities")
     all_ok &= ident_ok
     return EXIT_OK if all_ok else EXIT_PROPERTY
 
@@ -321,7 +329,7 @@ def cmd_solve(config: RunConfig) -> int:
     csv_path = os.path.join(config.out, "solution.csv")
     report.final_field.to_csv(csv_path + ".tmp", name="u")
     os.replace(csv_path + ".tmp", csv_path)
-    print(f"solve: {report.status} after {report.iterations} iterations")
+    _say(f"solve: {report.status} after {report.iterations} iterations")
     return _STATUS_EXIT.get(report.status, EXIT_PROPERTY)
 
 
@@ -331,7 +339,7 @@ def cmd_estimate(config: RunConfig) -> int:
     try:
         reports = refinement_study(spec, config.betas, levels=config.levels, config=solve_config)
     except SolveFailure as exc:
-        print(f"FAIL estimate beta={config.betas[0]}: {exc}")
+        _say(f"FAIL estimate beta={config.betas[0]}: {exc}")
         return _STATUS_EXIT.get(exc.status, EXIT_PROPERTY)
     near_linear = [rep.beta_or_delta for rep in reports if rep.quantity == "near_linear"]
     if near_linear:
@@ -340,7 +348,7 @@ def cmd_estimate(config: RunConfig) -> int:
         try:
             probe = rhs_gradient_convexity_probe(spec, np.random.default_rng(config.seed))
         except DomainError as exc:
-            print(f"FAIL estimate beta={near_linear[0]}: gradient convexity probe: {exc}")
+            _say(f"FAIL estimate beta={near_linear[0]}: gradient convexity probe: {exc}")
             return EXIT_STALLED
     all_stable = True
     for beta, rep in zip(config.betas, reports):
@@ -350,7 +358,7 @@ def cmd_estimate(config: RunConfig) -> int:
             payload["gradient_convexity_worst_margin"] = probe
         _dump_json(os.path.join(config.out, f"estimate_beta_{beta}.json"), payload)
         sups = [e["sup"] for e in rep.per_refinement]
-        print(f"{'PASS' if rep.stable else 'FAIL'} estimate beta={beta}: sups={sups}")
+        _say(f"{'PASS' if rep.stable else 'FAIL'} estimate beta={beta}: sups={sups}")
         all_stable &= rep.stable
     return EXIT_OK if all_stable else EXIT_PROPERTY
 
@@ -405,7 +413,7 @@ def cmd_rigidity(config: RunConfig) -> int:
     _dump_json(os.path.join(config.out, "rigidity_report.json"), payload)
     for name, block in payload.items():
         if isinstance(block, dict) and "passed" in block:
-            print(f"{'PASS' if block['passed'] else 'FAIL'} {name}")
+            _say(f"{'PASS' if block['passed'] else 'FAIL'} {name}")
     return EXIT_OK if (sweep_ok and quad_ok and scaling_ok) else EXIT_PROPERTY
 
 

@@ -59,11 +59,8 @@ def gamma_k_margins(lam, k: int) -> np.ndarray:
 
 def gamma_tilde_margins(op: SumHessianOp, lam) -> np.ndarray:
     """S_1..S_k of lam, shape (..., k)."""
-    arr = _as_array(lam)
-    sig = sigma_all(arr)
-    out = sig[..., 1 : op.k + 1].copy()
-    out += op.alpha * sig[..., 0 : op.k]
-    return out
+    sig = sigma_all(lam)
+    return sig[..., 1 : op.k + 1] + op.alpha * sig[..., : op.k]
 
 
 def in_gamma_k(lam, k: int) -> ConeVerdict:

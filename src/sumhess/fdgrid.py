@@ -8,15 +8,11 @@ neighbors without special cases; corner and edge boundary nodes are
 populated too because the mixed-derivative cross stencil touches them.
 
 Second derivatives: 3-point central differences on the diagonal,
-4-point cross differences for the mixed entries.  Eigen-decomposition
-of the per-node Hessian uses LAPACK (np.linalg.eigh) for 3x3 and a
-closed-form rotation for 2x2, which on a batch the size of a 145^2
-grid takes about a third of LAPACK's time.
+4-point cross differences for the mixed entries.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,13 +139,12 @@ class GridField:
     def to_csv(self, path, name: str = "u") -> None:
         """Write every lattice node as one row: coordinates then value."""
         pts = self.grid.points(padded=True).reshape(-1, self.grid.dim)
-        vals = self.values.reshape(-1)
+        rows = np.column_stack([pts, self.values.reshape(-1)]).tolist()
         headers = ["x", "y", "z"][: self.grid.dim] + [name]
+        # the csv module's excel dialect: float reprs need no quoting
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(headers)
-            for p, v in zip(pts, vals):
-                writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
+            fh.write(",".join(headers) + "\r\n")
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -187,42 +182,15 @@ def hessian_field_array(u: GridField) -> np.ndarray:
     return out
 
 
-def _eigh2_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = M[..., 0, 0]
-    b = M[..., 0, 1]
-    c = M[..., 1, 1]
-    phi = 0.5 * np.arctan2(2.0 * b, a - c)
-    cs, sn = np.cos(phi), np.sin(phi)
-    lam1 = a * cs * cs + 2.0 * b * sn * cs + c * sn * sn
-    lam2 = a * sn * sn - 2.0 * b * sn * cs + c * cs * cs
-    lams = np.stack([lam1, lam2], axis=-1)
-    Q = np.empty(M.shape)
-    Q[..., 0, 0] = cs
-    Q[..., 1, 0] = sn
-    Q[..., 0, 1] = -sn
-    Q[..., 1, 1] = cs
-    return lams, Q
-
-
 def eigh_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a batch of symmetric 2x2 or 3x3 matrices.
+    """Eigen-decomposition of a batch of symmetric matrices (LAPACK).
 
     Returns (lams, Q) with eigenvalues sorted descending along the last
     axis and Q's columns the matching orthonormal eigenvectors, so that
     Q @ diag(lams) @ Q.T reconstructs M.
     """
-    dim = M.shape[-1]
-    if dim == 3:
-        lams, Q = np.linalg.eigh(M)  # LAPACK, eigenvalues ascending
-        return lams[..., ::-1], Q[..., ::-1]
-    if dim != 2:
-        raise ValueError(f"only 2x2 and 3x3 matrices are supported, got {dim}x{dim}")
-    lams, Q = _eigh2_batch(M)
-    l1, l2 = lams[..., 0], lams[..., 1]
-    # the pairs a stable argsort(-lams) reorders, NaN sorting last
-    swap = (-l2 < -l1) | (np.isnan(l1) & ~np.isnan(l2))
-    return (np.where(swap[..., None], lams[..., ::-1], lams),
-            np.where(swap[..., None, None], Q[..., ::-1], Q))
+    lams, Q = np.linalg.eigh(M)  # LAPACK, eigenvalues ascending
+    return lams[..., ::-1], Q[..., ::-1]
 
 
 def laplacian_field(u: GridField) -> GridField:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfun import SumHessianOp, s_value
+from .symfun import SumHessianOp, s_value, sigma_all_matrix
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,5 @@ def entire_solution_residual(points) -> tuple[np.ndarray, np.ndarray]:
     """(|sigma_2 + sigma_1 - 1|, sigma_1) of the analytic Hessian at
     points of shape (..., 3); the second value certifies 1-convexity
     pointwise."""
-    H = entire_solution_hessian(points)
-    p, qx, qy, r = H[..., 0, 0], H[..., 0, 2], H[..., 1, 2], H[..., 2, 2]
-    sigma1 = 2.0 * p + r
-    sigma2 = p * p + 2.0 * p * r - qx * qx - qy * qy
-    return np.abs(sigma2 + sigma1 - 1.0), sigma1
+    sig = sigma_all_matrix(entire_solution_hessian(points))
+    return np.abs(sig[..., 2] + sig[..., 1] - 1.0), sig[..., 1]

@@ -1,19 +1,19 @@
 """Damped Newton solver for the discrete Dirichlet problem
 S_k(lam(D^2 u)) = f(x, u, Du) on a box, with cone-preserving line search.
 
-The residual is assembled node-wise from the second-difference Hessian.
-The Jacobian v -> sum_ab F^{ab} (D^2 v)_ab - f_u v - f_p . Dv, with
-F = Q diag(S_k^{pp}) Q^T, is applied matrix-free through fdgrid's
-stencils, so Newton differentiates exactly the discrete residual (f_u,
-f_p enter through forward differences).  Ellipticity of the
-linearization is exactly positivity of S_k^{pp}, which holds inside the
-admissible cone; the line search therefore never accepts an iterate
-whose worst cone margin drops below a fraction of its current value.
-There the Jacobian is spectrally equivalent to the Laplacian weighted
-by the mean S_k^{pp} (Faber, Manteuffel and Parter, 1990), so BiCGSTAB
-solves each step inexactly, preconditioned by that weight and the inverse of
-fdgrid's Dirichlet Laplacian, applied as products with dense DST-I
-matrices, which also gives the lifts.
+The residual is assembled node-wise from the principal minors of the
+second-difference Hessian H.  The Jacobian v -> sum_ab F^{ab} (D^2 v)_ab
+- f_u v - f_p . Dv, with F = dS_k/dH built from the Newton tensors of H,
+is applied matrix-free through fdgrid's stencils, so Newton
+differentiates exactly the discrete residual (f_u, f_p enter through
+forward differences).  The linearization is elliptic exactly when F is
+positive definite, which holds inside the admissible cone; the line
+search therefore never accepts an iterate whose worst cone margin drops
+below a fraction of its current value.  There the Jacobian is spectrally
+equivalent to the Laplacian weighted by tr F / n (Faber, Manteuffel and
+Parter, 1990), so BiCGSTAB solves each step inexactly, preconditioned by
+that weight and the inverse of fdgrid's Dirichlet Laplacian, applied as
+products with dense DST-I matrices, which also gives the lifts.
 continuation_solve first solves the target problem directly and follows
 a homotopy in the right side only when that attempt fails.
 """
@@ -27,10 +27,9 @@ from typing import Callable, Iterable
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .cones import gamma_tilde_margins
 from .errors import ConeBreachError, DomainError
-from .fdgrid import Grid, GridField, eigh_batch, gradient_field_array, hessian_field_array, laplacian_field
-from .symfun import SumHessianOp, s_gradient, s_value
+from .fdgrid import Grid, GridField, gradient_field_array, hessian_field_array, laplacian_field
+from .symfun import SumHessianOp, s_tensor, s_value, sigma_all_matrix
 
 FD_STEP = 1e-6
 ARMIJO = 1e-4  # sufficient-decrease factor of the line search
@@ -101,7 +100,7 @@ class SolveReport:
 
 
 class _NodeState:
-    """Everything the Newton step needs at one iterate."""
+    """Everything the Newton step needs at one iterate, eigenvalue-free."""
 
     def __init__(self, spec: ProblemSpec, u: GridField):
         grid = spec.grid
@@ -116,8 +115,8 @@ class _NodeState:
         # an overflowing S_k is reported by solve as a stall, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             self.H = hessian_field_array(u).reshape(-1, n, n)
-            self.lams, self.Q = eigh_batch(self.H)
-            s_all = gamma_tilde_margins(spec.op, self.lams)  # S_1..S_k
+            sig = self.sigma = sigma_all_matrix(self.H)
+            s_all = sig[:, 1 : spec.op.k + 1] + spec.op.alpha * sig[:, : spec.op.k]  # S_1..S_k
             self.margins = s_all.min(axis=-1)
             self.residual = s_all[:, -1] - self.f
 
@@ -179,7 +178,7 @@ def _laplacian_inverse(grid: Grid) -> Callable:
 def assemble_newton(spec: ProblemSpec, state: _NodeState):
     """Jacobian of the discrete problem at the iterate of `state`, as a
     matrix-free operator, and its preconditioner v -> L^{-1}(v / d), with
-    L the Dirichlet Laplacian and d the node-wise mean of S_k^{pp}.
+    L the Dirichlet Laplacian and d = tr F / n, F = dS_k/dH node-wise.
 
     Requires a strictly admissible iterate: every node's spectrum must
     sit inside the cone with positive margin, otherwise the linearization
@@ -189,8 +188,7 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
         raise ConeBreachError(
             f"iterate leaves the admissible cone (worst margin {state.worst_margin:.3e})"
         )
-    sp_grad = s_gradient(state.lams, spec.op.k, spec.op.alpha)
-    F = (state.Q * sp_grad[:, None, :]) @ state.Q.transpose(0, 2, 1)
+    F = s_tensor(state.H, state.sigma, spec.op.k, spec.op.alpha)
     fu, fp = _fd_partials(spec, state)
     n = spec.grid.dim
 
@@ -200,7 +198,7 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
         Dv = gradient_field_array(vf).reshape(-1, n)
         return np.einsum("nab,nab->n", F, Hv) - fu * v - np.einsum("na,na->n", fp, Dv)
 
-    d = sp_grad.mean(axis=1)
+    d = np.trace(F, axis1=1, axis2=2) / n
     laplacian_inverse = _laplacian_inverse(spec.grid)
     shape = (spec.grid.n_interior,) * 2
     return (spla.LinearOperator(shape, jacobian_times, dtype=float),

@@ -6,8 +6,8 @@ The operator of interest acts on an eigenvalue vector lam in R^n as
 
 where sigma_j is the j-th elementary symmetric polynomial.  Everything
 here is a pure function; all evaluators accept a trailing axis of
-eigenvalues, so they broadcast over batches of spectra (used heavily by
-the grid solver).
+eigenvalues, so they broadcast over batches of spectra; sigma_all_matrix
+and s_tensor take the grid solver's node Hessians instead.
 
 Boundary conventions, forced by the classical deletion identities:
 sigma_j = 0 for j < 0 and for j > (number of entries); sigma_0 = 1.
@@ -109,6 +109,38 @@ def s_hessian(lam, k: int, alpha: float) -> np.ndarray:
         out[..., p, q] = vals
         out[..., q, p] = vals
     return out
+
+
+def _adjugate3(H: np.ndarray) -> np.ndarray:
+    """adj H of a batch of 3x3 matrices, entry by entry: (adj H)_ji is the
+    cofactor of H_ij, a 2x2 determinant of cyclically following entries."""
+    adj = np.empty(H.shape)
+    for i, j in np.ndindex(3, 3):
+        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        adj[..., j, i] = H[..., i1, j1] * H[..., i2, j2] - H[..., i1, j2] * H[..., i2, j1]
+    return adj
+
+
+def sigma_all_matrix(H: np.ndarray) -> np.ndarray:
+    """[sigma_0, ..., sigma_n] of the spectra of symmetric 2x2 or 3x3 H, shape
+    (..., n+1), from the sums of principal minors: tr H, tr adj H, det H."""
+    sig = [np.ones(H.shape[:-2]), np.trace(H, axis1=-2, axis2=-1)]
+    if H.shape[-1] == 2:
+        return np.stack(sig + [H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 0, 1]], axis=-1)
+    adj = _adjugate3(H)
+    det = (H[..., 0, :] * adj[..., :, 0]).sum(axis=-1)  # Laplace expansion along row 0
+    return np.stack(sig + [np.trace(adj, axis1=-2, axis2=-1), det], axis=-1)
+
+
+def s_tensor(H: np.ndarray, sig: np.ndarray, k: int, alpha: float) -> np.ndarray:
+    """dS_k/dH = T_{k-1}(H) + alpha*T_{k-2}(H), sig = sigma_all_matrix(H), from
+    the Newton tensors T_0 = I, T_1 = sigma_1 I - H, T_2 = adj H (n = 3;
+    Reilly, 1973): s_gradient of the spectrum on H's eigenvectors."""
+    eye = np.eye(H.shape[-1])
+    tensors = [0.0, eye, sig[..., 1, None, None] * eye - H]  # T_{-1}, T_0, T_1
+    if k == 3:
+        tensors.append(_adjugate3(H))
+    return np.broadcast_to(tensors[k] + alpha * tensors[k - 1], H.shape)
 
 
 def identity_residuals(op: SumHessianOp, lam) -> np.ndarray:

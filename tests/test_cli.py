@@ -231,6 +231,21 @@ class TestIdentitiesCommand:
         second = {f: (tmp_path / f).read_bytes() for f in os.listdir(out)}
         assert first == second
 
+    def test_closed_stdout_keeps_the_run_and_its_exit_code(self, tmp_path):
+        # `sumhess identities | head -1`: the reader goes after the first
+        # line, yet the run writes every report and exits with its own code
+        env = dict(os.environ, PYTHONPATH=str(Path(sumhess.__file__).parents[1]), PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sumhess.cli", *FAST_IDENTITIES, "--out", str(tmp_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"PASS ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == EXIT_OK, err
+        assert err == ""
+        assert len([p for p in os.listdir(tmp_path) if p.endswith(".json")]) == 8
+
     def test_sign_flipped_oracle_fails(self, tmp_path):
         rc = main(FAST_IDENTITIES + ["--out", str(tmp_path), "--negate-oracle", "s_newton"])
         assert rc == EXIT_PROPERTY

@@ -1,14 +1,23 @@
 """Solver tests: initializer, assembly, Newton loop, continuation."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
 
-from sumhess import solver
+from sumhess import cli, fdgrid, solver
+from sumhess.cones import gamma_tilde_margins
 from sumhess.errors import ConeBreachError, DomainError
-from sumhess.fdgrid import Grid, GridField, gradient_field_array, hessian_field_array, laplacian_field
+from sumhess.fdgrid import (
+    Grid,
+    GridField,
+    eigh_batch,
+    gradient_field_array,
+    hessian_field_array,
+    laplacian_field,
+)
 from sumhess.solver import (
     LINEAR_RTOL,
     ProblemSpec,
@@ -27,7 +36,7 @@ from sumhess.solver import (
     prolong,
     solve,
 )
-from sumhess.symfun import SumHessianOp, s_gradient, s_value
+from sumhess.symfun import SumHessianOp, s_gradient, s_tensor, s_value, sigma_all, sigma_all_matrix
 
 
 def grid2(cells):
@@ -163,6 +172,61 @@ class TestFirstAdmissible:
             first_admissible(self.spec, iter(self.bad))
 
 
+def _eigen_s_tensor(H, k, alpha):
+    """The oracle F = Q diag(dS_k/dlambda) Q^T from the eigenvalue path."""
+    lams, Q = eigh_batch(H)
+    return np.einsum("nij,nj,nkj->nik", Q, s_gradient(lams, k, alpha), Q)
+
+
+class TestEigenFreeNodeState:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_entries_match_the_eigenvalue_path(self, n):
+        # sigma_1..sigma_n, S_1..S_k, F = dS_k/dH and d = tr F / n from the
+        # entries against eigh_batch + sigma_all + s_gradient
+        def rel_err(got, ref):
+            return np.abs(got - ref).max() / np.abs(ref).max()
+
+        H = np.random.default_rng(72 + n).normal(size=(2000, n, n)) * 3.0
+        H = 0.5 * (H + np.swapaxes(H, -1, -2))
+        lams, _ = eigh_batch(H)
+        sig, sig_ref = sigma_all_matrix(H), sigma_all(lams)
+        for m in range(1, n + 1):
+            assert rel_err(sig[:, m], sig_ref[:, m]) <= 1e-13, m
+        g = Grid((-1.0,) * n, (1.0,) * n, (5,) * n)
+        u = GridField(g, np.random.default_rng(74).normal(size=g.padded_shape))
+        for k in range(1, n + 1):
+            for alpha in (0.01, 1.0, 100.0):
+                spec = ProblemSpec(SumHessianOp(n, k, alpha), g, rhs=const_rhs(3.0))
+                state = _NodeState(spec, u)
+                s_ref = gamma_tilde_margins(spec.op, eigh_batch(state.H)[0])
+                assert rel_err(state.margins, s_ref.min(axis=-1)) <= 1e-13, (k, alpha)
+                assert rel_err(state.residual + 3.0, s_ref[:, -1]) <= 1e-13, (k, alpha)
+                F, F_ref = s_tensor(H, sig, k, alpha), _eigen_s_tensor(H, k, alpha)
+                assert rel_err(F, F_ref) <= 1e-13, (k, alpha)
+                d_ref = s_gradient(lams, k, alpha).mean(axis=1)
+                assert rel_err(np.trace(F, axis1=1, axis2=2) / n, d_ref) <= 1e-13, (k, alpha)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_solve_runs_no_eigendecomposition(self, n, tmp_path, monkeypatch):
+        # the Newton loop takes S_1..S_k and F from the Hessian entries;
+        # an eigendecomposition on its hot path would raise here
+        argv = ["solve", "--n", str(n), "--k", "2", "--rhs", "3", "--cells", "5", "--out"]
+
+        def iterations(out):
+            assert cli.main([*argv, str(out)]) == cli.EXIT_OK
+            return json.loads((out / "solve_report.json").read_text())["iterations"]
+
+        expected = iterations(tmp_path / "plain")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition on the solver path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for module in (fdgrid, solver, cli):  # and wherever it is imported by name
+            monkeypatch.setattr(module, "eigh_batch", refuse, raising=False)
+        assert iterations(tmp_path / "refused") == expected
+
+
 class TestAssembly:
     @staticmethod
     def _check_k1_laplacian(dim):
@@ -200,7 +264,7 @@ class TestAssembly:
         spec = ProblemSpec(SumHessianOp(dim, 2, 1.0), g, rhs=rhs)
         state = _NodeState(spec, initial_guess(spec))
         J, _ = assemble_newton(spec, state)
-        F = np.einsum("nij,nj,nkj->nik", state.Q, s_gradient(state.lams, 2, 1.0), state.Q)
+        F = _eigen_s_tensor(state.H, 2, 1.0)
         fu, fp = solver._fd_partials(spec, state)
         v = np.random.default_rng(71).normal(size=g.n_interior)
         vf = GridField.from_interior(g, v)
@@ -404,8 +468,6 @@ class TestSolve:
         assert len({id(u) for u in fields}) == len(fields)
 
     def test_report_serializes(self):
-        import json
-
         op = SumHessianOp(2, 2, 1.0)
         spec = ProblemSpec(op, grid2(7), rhs=const_rhs(3.0))
         rep = solve(spec)
