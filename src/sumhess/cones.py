@@ -7,10 +7,11 @@ admissible set of the sum operator is
                  = {lam : S_m(lam) > 0, m = 1..k},
 
 where the second form is the working characterization used everywhere
-in this package.  The cones are open, and grid spectra can sit very
-close to their boundary during Newton iterations, so strict positivity
-is tested with a relative slack: a margin passes when it exceeds
--tol * (1 + max |margin|).
+in this package.  The cones are open: the samplers and the solver test
+strict positivity.  Only members, in_gamma_k and in_gamma_tilde_k (and
+through members the capped-family sweep, whose spectra come from root
+solves) allow a relative slack: a margin passes when it exceeds
+-DEFAULT_TOL * (1 + max |margin|).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from .symfun import SumHessianOp, _as_array, sigma_all
 
 DEFAULT_TOL = 1e-12
-MAX_DRAWS = 1_000_000  # rejection draws before the positive-orthant fallback
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,6 @@ def in_gamma_tilde_k(op: SumHessianOp, lam) -> ConeVerdict:
     return _verdict(gamma_tilde_margins(op, lam))
 
 
-def _fallback_positive(n: int, count: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Positive-orthant samples, mildly perturbed.  The orthant lies in
-    every admissible cone, so this always makes progress."""
-    base = rng.uniform(0.05 * radius, radius, size=(count, n))
-    jitter = rng.uniform(-0.02 * radius, 0.02 * radius, size=(count, n))
-    return np.maximum(base + jitter, 0.01 * radius)
-
-
 def _sample_cone_array(
     n: int,
     count: int,
@@ -88,40 +80,28 @@ def _sample_cone_array(
     rng: np.random.Generator,
     margins_fn,
 ) -> np.ndarray:
+    """Rejection sampling in batches of 4096 draws; every cone here holds
+    the positive orthant, so at least 2^-n of the draws are kept."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     accepted: list[np.ndarray] = []
     total_kept = 0
-    drawn = 0
-    batch = 4096
     while total_kept < count:
-        if drawn < MAX_DRAWS:
-            pts = rng.uniform(-radius, radius, size=(batch, n))
-            drawn += batch
-        else:
-            pts = _fallback_positive(n, count - total_kept, radius, rng)
-        keep = (margins_fn(pts) > 0).all(axis=-1)
-        kept = pts[keep]
-        if kept.size:
-            accepted.append(kept)
-            total_kept += len(kept)
+        pts = rng.uniform(-radius, radius, size=(4096, n))
+        accepted.append(pts[(margins_fn(pts) > 0).all(axis=-1)])
+        total_kept += len(accepted[-1])
     return np.concatenate(accepted)[:count]
 
 
 def sample_cone_array(
     op: SumHessianOp, count: int, radius: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """`count` spectra in the admissible cone, shape (count, n).
-
-    Rejection sampling on the box [-radius, radius]^n; if MAX_DRAWS draws
-    fall short of `count`, the rest come from the (always admissible)
-    positive orthant.  Deterministic for a seeded generator.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return _sample_cone_array(
-        op.n, count, radius, rng, lambda pts: gamma_tilde_margins(op, pts)
-    )
+    """`count` spectra in the admissible cone, shape (count, n), by
+    rejection sampling on the box [-radius, radius]^n.  Deterministic for
+    a seeded generator."""
+    return _sample_cone_array(op.n, count, radius, rng, lambda pts: gamma_tilde_margins(op, pts))
 
 
 def sample_gamma_k_array(
@@ -129,4 +109,3 @@ def sample_gamma_k_array(
 ) -> np.ndarray:
     """Like sample_cone_array but for the Garding cone Gamma_k."""
     return _sample_cone_array(n, count, radius, rng, lambda pts: gamma_k_margins(pts, k))
-

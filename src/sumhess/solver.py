@@ -231,24 +231,23 @@ def _linear_solve(J, M, rhs, eta: float = LINEAR_RTOL) -> np.ndarray:
     raise _LinearSolveError(f"linear solve residual {lin_res:.3e} exceeds {eta:.3g}")
 
 
-def _harmonic_lifts(grid: Grid, *traces) -> list[GridField]:
-    """Discrete harmonic functions with the given Dirichlet traces
-    (fdgrid's Laplacian, inverted exactly by sine-matrix products)."""
-    laplacian_inverse = _laplacian_inverse(grid)
-    lifts = []
-    for trace in traces:
-        base = GridField.from_interior(grid, np.zeros(grid.shape), boundary=trace)
-        lift = laplacian_inverse(-laplacian_field(base).interior_flat)
-        lifts.append(base.with_interior(lift.reshape(grid.shape)))
-    return lifts
+def _harmonic_lift(grid: Grid, trace, laplacian_inverse: Callable) -> GridField:
+    """The discrete harmonic function with Dirichlet trace `trace`, by
+    `laplacian_inverse`, the exact inverse of fdgrid's Laplacian."""
+    base = GridField.from_interior(grid, np.zeros(grid.shape), boundary=trace)
+    return base.with_interior(laplacian_inverse(-laplacian_field(base).interior_flat))
 
 
 def isotropic_level(op: SumHessianOp, target: float, tol: float = 1e-12) -> float:
-    """The c > 0 with S_k(c, ..., c) = target, by bisection to a relative
-    bracket width tol (the map is increasing in c for positive c), so the
-    tiny roots of a large alpha are as accurate as roots above 1."""
+    """The c with S_k(c, ..., c) = target.  For k = 1 it is the closed form
+    (target - alpha) / n, negative when alpha > target.  For k >= 2 it is
+    the positive root, by bisection to a relative bracket width tol (the
+    map is increasing in c for positive c), so the tiny roots of a large
+    alpha are as accurate as roots above 1."""
     if target <= 0:
         raise ValueError("target must be positive")
+    if op.k == 1:
+        return (target - op.alpha) / op.n
 
     def val(c):
         with np.errstate(over="ignore"):  # S_k = inf for a huge alpha still brackets the root
@@ -296,8 +295,11 @@ def first_admissible(spec: ProblemSpec, candidates: Iterable[GridField]) -> Grid
 
 
 def initial_guess(spec: ProblemSpec) -> GridField:
-    """Admissible starting field: a centered isotropic quadratic of level
-    c plus the discrete harmonic lift that matches the Dirichlet data.
+    """Admissible starting field: c times a bowl plus the discrete
+    harmonic lift that matches the Dirichlet data.  The bowl, a centered
+    quadratic |x - x0|^2 / 2 minus its own lift, is 0 on the boundary and
+    its discrete Laplacian is exactly n, so it is n times the discrete
+    torsion function L^{-1} 1, one sine-matrix product.
 
     c starts at the root of S_k(cI) = 2 sup f.  The lift bends the
     Hessian away from cI (on boxes its mixed derivative is log-singular
@@ -309,13 +311,10 @@ def initial_guess(spec: ProblemSpec) -> GridField:
     """
     grid = spec.grid
     c_root = isotropic_level(spec.op, 2.0 * _sup_rhs(spec))
-    x0 = 0.5 * (np.asarray(grid.lo) + np.asarray(grid.hi))
-
-    def quad(pts):
-        return 0.5 * ((pts - x0) ** 2).sum(axis=-1)
-
-    lift_g, lift_q = _harmonic_lifts(grid, spec.boundary, quad)
-    bowl = GridField.from_function(grid, quad).values - lift_q.values
+    laplacian_inverse = _laplacian_inverse(grid)
+    lift_g = _harmonic_lift(grid, spec.boundary, laplacian_inverse)
+    bowl_interior = laplacian_inverse(np.full(grid.n_interior, float(grid.dim)))
+    bowl = GridField.from_interior(grid, bowl_interior).values
     factors = (1.0, 1.5, 2.0, 4.0, 0.7, 0.5, 0.35, 0.25, 0.15, 0.1, 0.05, 0.02, 0.01, 0.005)
 
     def candidates():
@@ -367,9 +366,12 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     reports domain_error, cone_breach or stalled after the condition that
     rejected the last trial; all keep the best iterate.  A start field
     where the rhs is not positive reports domain_error, one where S_k
-    overflows reports stalled.  Each Newton step is solved inexactly, to a
-    relative max-norm residual eta_k = min(0.1, max(LINEAR_RTOL, ||F_k||^2))
-    (Dembo, Eisenstat and Steihaug, 1982), which keeps quadratic convergence.
+    overflows reports stalled.  The iteration converges once
+    max |S_k - f| <= rtol * max |f|, however small f is (a bound that
+    underflows to 0 asks for a zero residual).  Each Newton step is solved
+    inexactly, to a relative max-norm residual
+    eta_k = min(0.1, max(LINEAR_RTOL, ||F_k||^2)) (Dembo, Eisenstat and
+    Steihaug, 1982), which keeps quadratic convergence.
     """
     config = config or SolveConfig()
     res_hist: list[float] = []
@@ -396,7 +398,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
             "cone_breach", 0, [state.res_norm], [state.worst_margin], u,
             message="starting field is not admissible",
         )
-    f_scale = 1.0 + float(np.abs(state.f).max())
+    f_scale = float(np.abs(state.f).max())
     best = (state.res_norm, u)
 
     for it in range(config.max_iter + 1):

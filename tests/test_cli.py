@@ -642,3 +642,10 @@ class TestRigidityCommand:
         assert payload["quadratic_classification"]["passed"]
         assert payload["scaling_invariance"]["passed"]
 
+    def test_k1_with_large_alpha_passes(self, tmp_path):
+        # alpha = 2 exceeds the target 1, so the isotropic level is negative
+        rc = main(["rigidity", "--k", "1", "--alpha", "2", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        payload = json.loads((tmp_path / "rigidity_report.json").read_text())
+        assert payload["quadratic_classification"]["isotropic_level"] == pytest.approx(-0.5)
+

@@ -136,6 +136,26 @@ class TestSampler:
         b = sample_cone_array(op, 50, 5.0, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
+    def test_late_rows_reach_the_boundary_region(self):
+        # rejection samples all the way: the last rows are uniform on the
+        # cone, so some have a coordinate near 0 (about 167 of 1000 here)
+        pts = sample_gamma_k_array(6, 6, 20_000, 5.0, np.random.default_rng(3))
+        assert len(pts) == 20_000
+        assert (pts[-1000:].min(axis=-1) < 0.03 * 5.0).sum() >= 100
+
+    @pytest.mark.parametrize(
+        "count, radius, message",
+        [(0, 1.0, "count must be >= 1"), (5, 0.0, "radius must be positive"),
+         (5, -1.0, "radius must be positive")],
+        ids=["count-0", "radius-0", "radius-negative"],
+    )
+    def test_both_samplers_check_arguments(self, count, radius, message):
+        rng = np.random.default_rng(29)
+        with pytest.raises(ValueError, match=message):
+            sample_cone_array(SumHessianOp(3, 2, 1.0), count, radius, rng)
+        with pytest.raises(ValueError, match=message):
+            sample_gamma_k_array(3, 2, count, radius, rng)
+
     def test_gamma_k_sampler(self):
         rng = np.random.default_rng(27)
         pts = sample_gamma_k_array(4, 3, 100, 5.0, rng)

@@ -23,7 +23,7 @@ from sumhess.solver import (
     ProblemSpec,
     SolveConfig,
     SolveReport,
-    _harmonic_lifts,
+    _harmonic_lift,
     _laplacian_inverse,
     _linear_solve,
     _LinearSolveError,
@@ -70,6 +70,11 @@ class TestIsotropicLevel:
         assert 0.0 < c < 1e-11
         assert abs(float(s_value(np.full(n, c), k, alpha)) / 6.0 - 1.0) <= 1e-11
 
+    def test_k1_closed_form_may_be_negative(self):
+        # S_1(cI) = n c + alpha is above the target for every c > 0, yet
+        # c = (1 - 2) / 2 solves S_1 = 1 and S_1 = 1 > 0 is admissible
+        assert isotropic_level(SumHessianOp(2, 1, 2.0), 1.0) == -0.5
+
     def test_underflowing_root_terminates(self):
         # the root, about 1e-608, is below the smallest subnormal: the
         # bracket shrinks to [0, 5e-324] and the bisection stops there
@@ -103,6 +108,28 @@ class TestInitialGuess:
             initial_guess(spec)
 
 
+class TestBowl:
+    @pytest.mark.parametrize(
+        "op, grid",
+        [
+            (SumHessianOp(2, 1, 1.0), grid2(17)),
+            (SumHessianOp(3, 1, 1.0), Grid((-1.0,) * 3, (1.0,) * 3, (9, 9, 9))),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_torsion_bowl_matches_quadratic_minus_its_lift(self, op, grid):
+        # oracle: the centered quadratic minus its harmonic lift.  For k = 1
+        # the first candidate, c * bowl with a zero trace, has S_1 = 2 f
+        # at every node, so initial_guess returns it
+        spec = ProblemSpec(op, grid, rhs=const_rhs(3.0))
+        c = isotropic_level(op, 6.0)
+        x0 = 0.5 * (np.asarray(grid.lo) + np.asarray(grid.hi))
+        quad = lambda x: 0.5 * ((x - x0) ** 2).sum(axis=-1)
+        oracle = (GridField.from_function(grid, quad).values
+                  - _harmonic_lift(grid, quad, _laplacian_inverse(grid)).values)
+        assert np.abs(initial_guess(spec).values / c - oracle).max() <= 1e-13
+
+
 class TestHarmonicLifts:
     @pytest.mark.parametrize(
         "grid, trace",
@@ -115,9 +142,11 @@ class TestHarmonicLifts:
     def test_affine_traces_reproduced(self, grid, trace):
         # affine functions are discrete-harmonic, so each lift is exact
         exact = GridField.from_function(grid, trace)
-        lifts = _harmonic_lifts(grid, trace, lambda x: 2.0 * trace(x) - 0.5)
-        assert np.abs(lifts[0].interior - exact.interior).max() <= 1e-13
-        assert np.abs(lifts[1].interior - (2.0 * exact.interior - 0.5)).max() <= 1e-13
+        laplacian_inverse = _laplacian_inverse(grid)
+        lift = _harmonic_lift(grid, trace, laplacian_inverse)
+        assert np.abs(lift.interior - exact.interior).max() <= 1e-13
+        lift = _harmonic_lift(grid, lambda x: 2.0 * trace(x) - 0.5, laplacian_inverse)
+        assert np.abs(lift.interior - (2.0 * exact.interior - 0.5)).max() <= 1e-13
 
     @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
     def test_sine_transform_inverts_the_fdgrid_laplacian(self, dim):
@@ -415,7 +444,7 @@ class TestSolve:
         rep = solve(spec, cfg)
         state = _NodeState(spec, rep.final_field)
         assert rep.converged
-        assert state.res_norm <= cfg.rtol * (1.0 + np.abs(state.f).max())
+        assert state.res_norm <= cfg.rtol * np.abs(state.f).max()
         assert state.worst_margin > 0
 
     def test_three_dim_manufactured(self):
@@ -466,6 +495,15 @@ class TestSolve:
         assert fields[0] is u0
         # fields holds every evaluated field alive, so ids are unique
         assert len({id(u) for u in fields}) == len(fields)
+
+    def test_stop_test_is_relative_to_a_tiny_rhs(self):
+        # the start field has S_k = 2 f, a residual of f itself, which an
+        # absolute floor in the stop test would accept at iteration 0
+        spec = ProblemSpec(SumHessianOp(2, 2, 1.0), grid2(9), rhs=const_rhs(1e-12))
+        cfg = SolveConfig()
+        rep = solve(spec, cfg)
+        assert rep.converged and rep.iterations >= 1
+        assert rep.residual_history[-1] <= cfg.rtol * 1e-12
 
     def test_report_serializes(self):
         op = SumHessianOp(2, 2, 1.0)
