@@ -341,6 +341,9 @@ def cmd_estimate(config: RunConfig) -> int:
     except SolveFailure as exc:
         _say(f"FAIL estimate beta={config.betas[0]}: {exc}")
         return _STATUS_EXIT.get(exc.status, EXIT_PROPERTY)
+    except DomainError as exc:  # a solved level outside the weights' domain
+        _say(f"FAIL estimate beta={config.betas[0]}: {exc}")
+        return EXIT_STALLED
     near_linear = [rep.beta_or_delta for rep in reports if rep.quantity == "near_linear"]
     if near_linear:
         # the near-linear weight presumes f^{1/k} convex in the gradient;

@@ -129,7 +129,9 @@ def refinement_study(
 
     The prolonged coarse solution is not used as a start: it lacks the
     fine grid's corner boundary layer and breaches the cone there, and
-    the blends that repair it saved at most one Newton iteration."""
+    the blends that repair it saved at most one Newton iteration.  A
+    level whose solution is positive somewhere (for k = 1, alpha > f
+    makes u superharmonic) raises DomainError, naming the level."""
     reports = [EstimateReport(quantity_tag(e), float(e)) for e in exponents]
     grid = spec.grid
     for level in range(levels):
@@ -138,7 +140,10 @@ def refinement_study(
             raise SolveFailure(level, result.status, result.message)
         u = result.final_field
         for report in reports:
-            q = pogorelov_quantity(u, report.beta_or_delta)
+            try:
+                q = pogorelov_quantity(u, report.beta_or_delta)
+            except DomainError as exc:
+                raise DomainError(f"refinement level {level}: {exc}") from None
             sup_core, arg_core = _core_supremum(q)
             full_idx = np.unravel_index(int(np.argmax(q.interior)), grid.shape)
             report.per_refinement.append(

@@ -103,9 +103,10 @@ class _WorstTracker:
 # quotient concavity (second-derivative form)
 # ---------------------------------------------------------------------------
 
-def _quotient_concavity_batch(op, l, lams, ws, split_delta=None):
+def _quotient_concavity_batch(op, l, lams, ws, split_deltas):
     """Margins (and term scales) of the quotient-concavity quadratic-form
-    inequality, batched over rows of lams/ws.
+    inequality, batched over rows of lams/ws, one pair per entry of
+    split_deltas (None: the plain form), from one pass over S_k and S_l.
 
     With theta = 1/(k-l), dotS_m = sum_p S_m^{pp} w_p and
     ddS_m = sum_{pq} S_m^{pp,qq} w_p w_q:
@@ -129,25 +130,25 @@ def _quotient_concavity_batch(op, l, lams, ws, split_delta=None):
     dotl = (s_gradient(lams, l, alpha) * ws).sum(axis=-1)
     x = dotk / sk
     y = dotl / sl
-    if split_delta is None:
-        lhs = -ddk / sk + ddl / sl
-        rhs = (x - y) * ((theta - 1.0) * x - (theta + 1.0) * y)
-        scale = (
-            np.abs(ddk / sk)
-            + np.abs(ddl / sl)
-            + (abs(theta - 1.0) + theta + 1.0) * (x * x + y * y + np.abs(x * y))
-        )
-    else:
-        d = split_delta
-        lhs = -ddk + (1.0 - theta + theta / d) * dotk * dotk / sk
-        rhs = sk * (theta + 1.0 - d * theta) * y * y - (sk / sl) * ddl
-        scale = (
-            np.abs(ddk)
-            + abs(1.0 - theta + theta / d) * dotk * dotk / sk
-            + sk * (theta + 1.0 - d * theta) * y * y
-            + np.abs(sk / sl * ddl)
-        )
-    return lhs - rhs, 1.0 + scale
+    for d in split_deltas:
+        if d is None:
+            lhs = -ddk / sk + ddl / sl
+            rhs = (x - y) * ((theta - 1.0) * x - (theta + 1.0) * y)
+            scale = (
+                np.abs(ddk / sk)
+                + np.abs(ddl / sl)
+                + (abs(theta - 1.0) + theta + 1.0) * (x * x + y * y + np.abs(x * y))
+            )
+        else:
+            lhs = -ddk + (1.0 - theta + theta / d) * dotk * dotk / sk
+            rhs = sk * (theta + 1.0 - d * theta) * y * y - (sk / sl) * ddl
+            scale = (
+                np.abs(ddk)
+                + abs(1.0 - theta + theta / d) * dotk * dotk / sk
+                + sk * (theta + 1.0 - d * theta) * y * y
+                + np.abs(sk / sl * ddl)
+            )
+        yield lhs - rhs, 1.0 + scale
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +512,7 @@ def _op_grid(ns, alphas, k_min=1, k_max_off=0):
 
 def _report_quotient_concavity(ns, alphas, samples, rng, split_deltas=None):
     name = "quotient_concavity" if split_deltas is None else "quotient_concavity_split"
+    deltas = split_deltas or [None]
     tracker = _WorstTracker()
     for op in _op_grid(ns, alphas, k_min=2):
         ells = list(range(1, op.k))
@@ -518,8 +520,8 @@ def _report_quotient_concavity(ns, alphas, samples, rng, split_deltas=None):
         for l in ells:
             lams = sample_cone_array(op, per, 5.0, rng)
             ws = rng.uniform(-1.0, 1.0, size=lams.shape)
-            for delta in split_deltas or [None]:
-                margins, scales = _quotient_concavity_batch(op, l, lams, ws, split_delta=delta)
+            pairs = _quotient_concavity_batch(op, l, lams, ws, deltas)
+            for delta, (margins, scales) in zip(deltas, pairs):
                 tracker.add_batch(margins / scales, op, lams, l=l, w=ws, delta=delta)
     extras = {} if split_deltas is None else {"deltas": list(split_deltas)}
     return tracker.report(name, extras)

@@ -21,7 +21,7 @@ a homotopy in the right side only when that attempt fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -36,9 +36,10 @@ ARMIJO = 1e-4  # sufficient-decrease factor of the line search
 MIN_STEP = 2.0**-20  # line-search underflow
 CONE_FRACTION = 0.1  # share of every node's cone margin a step must keep
 LINEAR_RTOL = 1e-10  # floor of the forcing term eta, each linear solve's relative tolerance
-LINEAR_ROUNDS = 3  # BiCGSTAB restarts on the true residual per linear solve
+LINEAR_ROUNDS = 3  # BiCGSTAB rounds per linear solve: a first try and two restarts
 LINEAR_MAXITER = 500  # BiCGSTAB iterations per round
 CONTINUATION_STEPS = 8
+LEVEL_RTOL = 1e-12  # relative bracket width of isotropic_level's bisection
 
 
 @dataclass
@@ -89,14 +90,7 @@ class SolveReport:
         return self.status == "converged"
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "iterations": self.iterations,
-            "residual_history": self.residual_history,
-            "cone_margin_history": self.cone_margin_history,
-            "message": self.message,
-            "extras": self.extras,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "final_field"}
 
 
 class _NodeState:
@@ -207,16 +201,16 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
 
 class _LinearSolveError(RuntimeError):
     """BiCGSTAB did not bring the true linear residual within the forcing
-    term eta in LINEAR_ROUNDS restarts (Jacobian singular, close to it, or
+    term eta in LINEAR_ROUNDS rounds (Jacobian singular, close to it, or
     not finite); the Newton loop reports a stall instead of crashing."""
 
 
 def _linear_solve(J, M, rhs, eta: float = LINEAR_RTOL) -> np.ndarray:
-    """Solve J x = rhs by BiCGSTAB preconditioned with M, restarting on the
-    true residual until its max-norm, relative to max|rhs|, is at most the
-    forcing term eta (a restart stops once its 2-norm is that small).  The
-    system is scaled to max|rhs| = 1, so BiCGSTAB's inner products stay
-    finite however large the Newton residual is."""
+    """Solve J x = rhs by BiCGSTAB preconditioned with M, in up to
+    LINEAR_ROUNDS rounds restarted on the true residual, until its max-norm,
+    relative to max|rhs|, is at most the forcing term eta (a round stops
+    once its 2-norm is that small).  The system is scaled to max|rhs| = 1,
+    so BiCGSTAB's inner products stay finite however large the residual is."""
     scale = float(np.abs(rhs).max()) or 1.0
     b = rhs / scale
     x, res = 0.0, b
@@ -238,12 +232,12 @@ def _harmonic_lift(grid: Grid, trace, laplacian_inverse: Callable) -> GridField:
     return base.with_interior(laplacian_inverse(-laplacian_field(base).interior_flat))
 
 
-def isotropic_level(op: SumHessianOp, target: float, tol: float = 1e-12) -> float:
+def isotropic_level(op: SumHessianOp, target: float) -> float:
     """The c with S_k(c, ..., c) = target.  For k = 1 it is the closed form
     (target - alpha) / n, negative when alpha > target.  For k >= 2 it is
-    the positive root, by bisection to a relative bracket width tol (the
-    map is increasing in c for positive c), so the tiny roots of a large
-    alpha are as accurate as roots above 1."""
+    the positive root, by bisection to a relative bracket width LEVEL_RTOL
+    (the map is increasing in c for positive c), so the tiny roots of a
+    large alpha are as accurate as roots above 1."""
     if target <= 0:
         raise ValueError("target must be positive")
     if op.k == 1:
@@ -257,7 +251,7 @@ def isotropic_level(op: SumHessianOp, target: float, tol: float = 1e-12) -> floa
     while val(hi) < 0:
         hi *= 2.0
     lo = 0.0
-    while hi - lo > tol * hi:
+    while hi - lo > LEVEL_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent subnormals: the bracket cannot shrink
             break
@@ -364,8 +358,9 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     node's cone margin keeps at least CONE_FRACTION of its current value
     and (c) the residual satisfies an Armijo decrease.  Step underflow
     reports domain_error, cone_breach or stalled after the condition that
-    rejected the last trial; all keep the best iterate.  A start field
-    where the rhs is not positive reports domain_error, one where S_k
+    rejected the last trial.  Every report keeps the last accepted iterate,
+    the best: the Armijo test accepts no larger residual and no NaN.  A start
+    field where the rhs is not positive reports domain_error, one where S_k
     overflows reports stalled.  The iteration converges once
     max |S_k - f| <= rtol * max |f|, however small f is (a bound that
     underflows to 0 asks for a zero residual).  Each Newton step is solved
@@ -376,54 +371,44 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     config = config or SolveConfig()
     res_hist: list[float] = []
     margin_hist: list[float] = []
+
+    def finish(status: str, iterations: int, message: str = "", **extras) -> SolveReport:
+        return SolveReport(status, iterations, res_hist, margin_hist, u, message, extras)
+
     try:
         u = u0 if u0 is not None else initial_guess(spec)
     except ConeBreachError as exc:
-        empty = spec.boundary_field()
-        return SolveReport("cone_breach", 0, [], [], empty, message=str(exc))
+        u = spec.boundary_field()
+        return finish("cone_breach", 0, str(exc))
 
     state = _NodeState(spec, u)
+    res_hist.append(state.res_norm)
+    margin_hist.append(state.worst_margin)
     if not (state.f > 0).all():
-        return SolveReport(
-            "domain_error", 0, [state.res_norm], [state.worst_margin], u,
-            message="rhs must be positive on the sampled domain at the starting field",
-        )
+        return finish("domain_error", 0, "rhs must be positive on the sampled domain at the starting field")
     if not np.isfinite(state.residual).all():
-        return SolveReport(
-            "stalled", 0, [state.res_norm], [state.worst_margin], u,
-            message="S_k is not finite at the starting field",
-        )
+        return finish("stalled", 0, "S_k is not finite at the starting field")
     if state.worst_margin <= 0:
-        return SolveReport(
-            "cone_breach", 0, [state.res_norm], [state.worst_margin], u,
-            message="starting field is not admissible",
-        )
+        return finish("cone_breach", 0, "starting field is not admissible")
     f_scale = float(np.abs(state.f).max())
-    best = (state.res_norm, u)
 
     for it in range(config.max_iter + 1):
-        res_hist.append(state.res_norm)
-        margin_hist.append(state.worst_margin)
         if state.res_norm <= config.rtol * f_scale:
-            return SolveReport("converged", it, res_hist, margin_hist, u,
-                               extras={"f_scale": f_scale})
+            return finish("converged", it, f_scale=f_scale)
         if it == config.max_iter:
-            return SolveReport("stalled", it, res_hist, margin_hist, best[1],
-                               message="maximum iterations reached")
+            return finish("stalled", it, "maximum iterations reached")
         eta = min(0.1, max(LINEAR_RTOL, state.res_norm * state.res_norm))  # r * r overflows to inf, r**2 raises
         try:
             # an overflowing product fails the linear residual contract
             with np.errstate(over="ignore", invalid="ignore"):
                 delta = _linear_solve(*assemble_newton(spec, state), -state.residual, eta)
         except ConeBreachError as exc:
-            return SolveReport("cone_breach", it, res_hist, margin_hist, best[1], message=str(exc))
+            return finish("cone_breach", it, str(exc))
         except _LinearSolveError as exc:
-            return SolveReport("stalled", it, res_hist, margin_hist, best[1], message=str(exc))
+            return finish("stalled", it, str(exc))
 
         step = 1.0
-        accepted = None
-        blocked = "stalled"
-        while step >= MIN_STEP:
+        while True:
             trial = u.with_interior(u.interior_flat + step * delta)
             tstate = _NodeState(spec, trial)
             if not (tstate.f > 0).all():
@@ -431,19 +416,16 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
             elif not (tstate.margins >= CONE_FRACTION * state.margins).all():
                 blocked = "cone_breach"
             elif tstate.res_norm <= (1.0 - ARMIJO * step) * state.res_norm:
-                accepted = (trial, tstate)
                 break
             else:
                 blocked = "stalled"
             step *= 0.5
-        if accepted is None:
-            return SolveReport(
-                blocked, it + 1, res_hist, margin_hist, best[1],
-                message=f"line search underflow at iteration {it} (step < {MIN_STEP:.1e})",
-            )
-        u, state = accepted
-        if state.res_norm < best[0]:
-            best = (state.res_norm, u)
+            if step < MIN_STEP:
+                return finish(blocked, it + 1,
+                              f"line search underflow at iteration {it} (step < {MIN_STEP:.1e})")
+        u, state = trial, tstate
+        res_hist.append(state.res_norm)
+        margin_hist.append(state.worst_margin)
 
 
 def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> SolveReport:
@@ -452,13 +434,13 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
 
     The direct attempt is solve(spec) from initial_guess.  The homotopy
     blends f_t = (1-t)*S_k(cI) + t*f with c chosen as in initial_guess, in
-    CONTINUATION_STEPS equal t-steps, warm-starting each stage from the
-    previous solution; stage failures halve the t-step (down to 2^-8 of
-    the original) before giving up with the failing t recorded, and a
-    success doubles it again unless the stage before was rejected.
-    continuation_ts lists the t of every converged stage ([1.0] after a
-    direct solve), rejected_stages the t and status of every failed one,
-    the direct attempt first.
+    CONTINUATION_STEPS equal t-steps, warm-starting each stage after t = 0
+    from the previous solution; stage failures halve the t-step (down to
+    2^-8 of the original, and not at t = 0) before giving up with the
+    failing t recorded, and a success doubles it again unless the stage
+    before was rejected.  continuation_ts lists the t of every converged
+    stage ([1.0] after a direct solve), rejected_stages the t and status
+    of every failed one, the direct attempt first.
     """
     config = config or SolveConfig()
     report = solve(spec, config)
@@ -475,34 +457,27 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
         return replace(spec, rhs=rhs)
 
     ts: list[float] = []
+    u = None  # no stage has converged yet: the next one is t = 0, from initial_guess
     t = 0.0
     dt = 1.0 / CONTINUATION_STEPS
-    report = solve(path(0.0), config)
-    if not report.converged:
-        rejected.append({"t": 0.0, "status": report.status})
-        report.extras.update(continuation_ts=ts, failed_t=0.0, rejected_stages=rejected)
-        return report
-    ts.append(0.0)
-    u = report.final_field
     min_dt = 1.0 / (CONTINUATION_STEPS * 256)
     just_rejected = False
-    while t < 1.0 - 1e-12:
-        t_next = min(1.0, t + dt)
+    while t < 1.0:  # exact: t_next clips to 1.0
+        t_next = t if u is None else min(1.0, t + dt)
         # path(t) changes only the right side, so u already carries the trace
         stage = solve(path(t_next), config, u0=u)
         if stage.converged:
             t = t_next
             u = stage.final_field
-            report = stage
             ts.append(t)
             if not just_rejected:
                 dt = min(2.0 * dt, 1.0 / CONTINUATION_STEPS)
         else:
             rejected.append({"t": t_next, "status": stage.status})
             dt *= 0.5
-            if dt < min_dt:
+            if u is None or dt < min_dt:
                 stage.extras.update(continuation_ts=ts, failed_t=t_next, rejected_stages=rejected)
                 return stage
         just_rejected = not stage.converged
-    report.extras.update(continuation_ts=ts, rejected_stages=rejected)
-    return report
+    stage.extras.update(continuation_ts=ts, rejected_stages=rejected)
+    return stage

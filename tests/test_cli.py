@@ -619,6 +619,19 @@ class TestEstimateCommand:
         assert captured.err == ""
         assert captured.out.startswith("FAIL estimate beta=1.1: gradient convexity probe")
 
+    def test_positive_solution_is_a_domain_error_not_config_error(self, tmp_path, capsys):
+        # k = 1: S_1 = Laplacian + alpha = 0.5 < alpha makes u superharmonic,
+        # so the solved u is positive, outside the weight (-u)^beta's domain
+        rc = main(
+            ["estimate", "--k", "1", "--rhs", "0.5", "--cells", "7", "--levels", "2",
+             "--betas", "1", "--out", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert rc == EXIT_STALLED
+        assert captured.err == ""
+        assert captured.out.startswith("FAIL estimate beta=1.0: refinement level 0: field must be <= 0")
+        assert captured.out.count("\n") == 1
+
     def test_level_falls_back_to_continuation(self, tmp_path):
         # f = 3 + 30u is negative at the initial guess, so each level's
         # direct solve ends in a domain error and the homotopy solves it,

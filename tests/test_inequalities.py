@@ -36,12 +36,12 @@ from sumhess.symfun import SumHessianOp, s_hessian, s_value, sigma_all
 
 
 def _quotient_concavity(op, l, lam, w, delta=None):
-    margins, _ = _quotient_concavity_batch(op, l, np.array([lam]), np.array([w]), delta)
+    [(margins, _)] = _quotient_concavity_batch(op, l, np.array([lam]), np.array([w]), [delta])
     return float(margins[0])
 
 
 def _normalized_quotient_concavity(op, l, lams, ws, delta=None):
-    margins, scales = _quotient_concavity_batch(op, l, lams, ws, delta)
+    [(margins, scales)] = _quotient_concavity_batch(op, l, lams, ws, [delta])
     return margins / scales
 
 
@@ -530,8 +530,8 @@ class TestSuite:
         # every witness holds exactly its report's fields, and, where the
         # margin comes from one kernel, those fields alone reproduce it
         def quotient(op, w):
-            m, s = _quotient_concavity_batch(
-                op, w["l"], np.array([w["lam"]]), np.array([w["w"]]), w.get("delta")
+            [(m, s)] = _quotient_concavity_batch(
+                op, w["l"], np.array([w["lam"]]), np.array([w["w"]]), [w.get("delta")]
             )
             return m[0] / s[0]
 

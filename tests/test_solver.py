@@ -505,6 +505,26 @@ class TestSolve:
         assert rep.converged and rep.iterations >= 1
         assert rep.residual_history[-1] <= cfg.rtol * 1e-12
 
+    @pytest.mark.parametrize(
+        "coef, cells, max_iter, message",
+        [
+            (13.0, 31, 10, "maximum iterations reached"),
+            (13.0, 15, 60, "line search underflow"),  # stalled
+            (40.0, 15, 60, "line search underflow"),  # cone_breach
+        ],
+    )
+    def test_failed_solve_returns_its_last_accepted_iterate(self, coef, cells, max_iter, message):
+        # each accepted step lowers the residual, so the last accepted
+        # iterate is the best one, and its residual closes the history
+        spec = ProblemSpec(
+            SumHessianOp(2, 2, 1.0), grid2(cells), rhs=lambda x, u, p: 0.5 + coef * (p**2).sum(axis=-1)
+        )
+        rep = solve(spec, SolveConfig(max_iter=max_iter))
+        assert not rep.converged and message in rep.message
+        hist = rep.residual_history
+        assert len(hist) >= 2 and all(b < a for a, b in zip(hist, hist[1:]))
+        assert _NodeState(spec, rep.final_field).res_norm == hist[-1]
+
     def test_report_serializes(self):
         op = SumHessianOp(2, 2, 1.0)
         spec = ProblemSpec(op, grid2(7), rhs=const_rhs(3.0))
