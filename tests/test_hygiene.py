@@ -99,8 +99,8 @@ def test_benchmark_tracer_installs():
 
 
 def test_cli_runs_without_scipy_fft_or_optimize(tmp_path):
-    # the runtime needs only scipy.sparse.linalg; a fresh process runs every
-    # subcommand at a tiny size and then lists what got imported
+    # the runtime needs numpy only (scipy is a test oracle); a fresh process
+    # runs every subcommand at a tiny size and then finds no scipy module
     code = (
         "import sys\n"
         "from sumhess import cli\n"
@@ -109,7 +109,7 @@ def test_cli_runs_without_scipy_fft_or_optimize(tmp_path):
         "         ['estimate', '--cells', '5', '--levels', '2', '--betas', '1'], ['rigidity'])\n"
         "codes = [cli.main(argv + ['--out', out]) for argv in argvs]\n"
         "assert codes == [0, 0, 0, 0], codes\n"
-        "loaded = [m for m in ('scipy.fft', 'scipy.optimize') if m in sys.modules]\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(sumhess.__file__).parents[1]))

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.fft import dstn, idstn
 
 from sumhess import cli, fdgrid, solver
@@ -19,6 +20,7 @@ from sumhess.fdgrid import (
     laplacian_field,
 )
 from sumhess.solver import (
+    LINEAR_MAXITER,
     LINEAR_RTOL,
     ProblemSpec,
     SolveConfig,
@@ -267,7 +269,7 @@ class TestAssembly:
         center = np.full(dim, 3)
         unit = np.zeros(g.n_interior)
         unit[np.ravel_multi_index(center, g.cells)] = 1.0
-        row = J @ unit
+        row = J(unit)
         h2 = g.h[0] ** 2
         assert row[np.ravel_multi_index(center, g.cells)] == pytest.approx(-2.0 * dim / h2)
         for e in np.eye(dim, dtype=int):
@@ -300,7 +302,7 @@ class TestAssembly:
         Hv = hessian_field_array(vf).reshape(-1, dim, dim)
         Dv = gradient_field_array(vf).reshape(-1, dim)
         expected = (F * Hv).sum(axis=(1, 2)) - fu * v - (fp * Dv).sum(axis=1)
-        assert np.abs(J @ v - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.abs(J(v) - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_residual_constant_at_isotropic_start(self):
         # pure quadratic field (no lift): residual = S_k(cI) - f everywhere
@@ -338,7 +340,7 @@ class TestAssembly:
         for t in (1e-6, 1e-7):
             shifted = _NodeState(spec, u0.with_interior(u0.interior_flat + t * v))
             fd = (shifted.residual - state.residual) / t
-            errs.append(np.abs(fd - J @ v).max() / (1.0 + np.abs(J @ v).max()))
+            errs.append(np.abs(fd - J(v)).max() / (1.0 + np.abs(J(v)).max()))
         assert errs[0] <= 1e-3
         # error is O(t): shrinking t by 10 shrinks the error
         assert errs[1] <= 0.5 * errs[0]
@@ -355,15 +357,15 @@ class TestLinearSolve:
         J, M = assemble_newton(spec, state)
         rhs = -state.residual
         x = _linear_solve(J, M, rhs)
-        assert np.abs(J @ x - rhs).max() <= LINEAR_RTOL * np.abs(rhs).max()
+        assert np.abs(J(x) - rhs).max() <= LINEAR_RTOL * np.abs(rhs).max()
         for eta in (0.1, 1e-4):
             x = _linear_solve(J, M, rhs, eta)
-            assert np.abs(J @ x - rhs).max() <= eta * np.abs(rhs).max()
+            assert np.abs(J(x) - rhs).max() <= eta * np.abs(rhs).max()
 
     def test_nan_product_raises(self):
         n = 16
-        J = solver.spla.LinearOperator((n, n), lambda v: np.full(n, np.nan), dtype=float)
-        M = solver.spla.LinearOperator((n, n), lambda r: r, dtype=float)
+        J = lambda v: np.full(n, np.nan)
+        M = lambda r: r
         with pytest.raises(_LinearSolveError):
             _linear_solve(J, M, np.ones(n))
         with pytest.raises(_LinearSolveError, match="exceeds 0.1$"):
@@ -389,6 +391,69 @@ class TestLinearSolve:
         assert len(etas) == rep.iterations == len(hist) - 1
         assert etas == [min(0.1, max(LINEAR_RTOL, r**2)) for r in hist[:-1]]
         assert hist[-1] <= cfg.rtol * rep.extras["f_scale"]
+
+
+def _same_bicgstab(J, M, b, eta):
+    # the port and scipy must return the same vector, bit for bit
+    n = len(b)
+    want = spla.bicgstab(
+        spla.LinearOperator((n, n), J, dtype=float), b, rtol=eta, atol=eta,
+        maxiter=LINEAR_MAXITER, M=spla.LinearOperator((n, n), M, dtype=float),
+    )[0]
+    assert solver._bicgstab(J, M, b, eta).tobytes() == want.tobytes()
+
+
+class TestBicgstabPort:
+    @pytest.mark.parametrize("dim, cells", [(2, 33), (3, 9)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("eta", [0.1, 1e-4, LINEAR_RTOL])
+    def test_matches_scipy_on_nonsymmetric_jacobian(self, dim, cells, eta):
+        g = Grid((-1.0,) * dim, (1.0,) * dim, (cells,) * dim)
+        spec = ProblemSpec(
+            SumHessianOp(dim, 2, 1.0), g, rhs=lambda x, u, p: 3.0 + 0.1 * (p**2).sum(axis=-1)
+        )
+        state = _NodeState(spec, initial_guess(spec))
+        J, M = assemble_newton(spec, state)
+        b = -state.residual / np.abs(state.residual).max()  # as _linear_solve scales it
+        _same_bicgstab(J, M, b, eta)
+
+    def test_matches_scipy_on_every_call_of_a_solve(self, monkeypatch):
+        # record the systems the Newton loop itself hands to the port,
+        # restarts included
+        calls = []
+        port = solver._bicgstab
+
+        def recorder(J, M, b, eta):
+            calls.append((J, M, b.copy(), eta))
+            return port(J, M, b, eta)
+
+        monkeypatch.setattr(solver, "_bicgstab", recorder)
+        spec = ProblemSpec(
+            SumHessianOp(2, 2, 1.0), grid2(31), rhs=lambda x, u, p: 0.5 + 13.0 * (p**2).sum(axis=-1)
+        )
+        rep = solve(spec, SolveConfig(max_iter=10))
+        monkeypatch.undo()
+        assert len(calls) > rep.iterations == 10  # some steps took a restart
+        for call in calls:
+            _same_bicgstab(*call)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["zero", "negative-zero"])
+    def test_matches_scipy_on_zero_right_side(self, sign):
+        _same_bicgstab(lambda v: 2.0 * v, lambda r: r, sign * np.zeros(16), 1e-4)
+
+    def test_matches_scipy_on_nan_operator(self):
+        n = 16
+        _same_bicgstab(lambda v: np.full(n, np.nan), lambda r: r, np.ones(n), LINEAR_RTOL)
+
+    def test_matches_scipy_on_breakdown_and_aliasing(self):
+        # a quarter turn maps b to a vector orthogonal to it: rv = 0 at once
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        _same_bicgstab(lambda v: rot @ v, lambda r: r, np.array([1.0, 0.0]), LINEAR_RTOL)
+        # a tiny right side and a tinier tolerance: |rho| falls below eps^2
+        rng = np.random.default_rng(5)
+        A = 4.0 * np.eye(16) + 0.5 * rng.normal(size=(16, 16))
+        _same_bicgstab(lambda v: A @ v, lambda r: r, 1e-9 * rng.normal(size=16), 1e-30)
+        # the identity operator returns its input: aliasing must not change the result
+        _same_bicgstab(lambda v: v, lambda r: r, np.linspace(-1.0, 2.0, 16), LINEAR_RTOL)
 
 
 class TestSolve:
@@ -524,6 +589,17 @@ class TestSolve:
         hist = rep.residual_history
         assert len(hist) >= 2 and all(b < a for a, b in zip(hist, hist[1:]))
         assert _NodeState(spec, rep.final_field).res_norm == hist[-1]
+
+    def test_subnormal_residual_stalls_instead_of_repeating_the_iterate(self):
+        # for a subnormal r the Armijo bound (1 - ARMIJO * step) * r rounds
+        # back to r, so only the strict decrease test rejects a step that
+        # leaves the residual where it is
+        spec = ProblemSpec(SumHessianOp(2, 2, 1.0), grid2(9), rhs=const_rhs(1e-320))
+        rep = solve(spec)
+        assert rep.status == "stalled" and "line search underflow" in rep.message
+        hist = rep.residual_history
+        assert rep.iterations == len(hist) == 2 and hist[1] < hist[0]
+        assert (1.0 - solver.ARMIJO) * hist[1] == hist[1]
 
     def test_report_serializes(self):
         op = SumHessianOp(2, 2, 1.0)
