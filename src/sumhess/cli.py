@@ -380,11 +380,7 @@ def cmd_rigidity(config: RunConfig) -> int:
 
     ratio = config.scale_ratio
     grid_v = config.grid()
-    grid_u = Grid(
-        tuple(ratio * l for l in grid_v.lo),
-        tuple(ratio * h for h in grid_v.hi),
-        grid_v.cells,
-    )
+    grid_u = dataclasses.replace(config, box_lo=ratio * config.box_lo, box_hi=ratio * config.box_hi).grid()
     v = ScaledField(cand, ratio)
     fv = GridField.from_function(grid_v, v)
     fu = GridField.from_function(grid_u, cand)
@@ -440,9 +436,7 @@ _FLAGS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sumhess", description="Sum Hessian operator experiments"
-    )
+    parser = argparse.ArgumentParser(prog="sumhess", description="Sum Hessian operator experiments")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, flags in _FLAGS.items():
         # a subparser given help=None would still be listed in the top-level help

@@ -54,12 +54,12 @@ def gamma_k_margins(lam, k: int) -> np.ndarray:
     arr = _as_array(lam)
     if not 1 <= k <= arr.shape[-1]:
         raise ValueError(f"order k={k} out of range for n={arr.shape[-1]}")
-    return sigma_all(arr)[..., 1 : k + 1]
+    return sigma_all(arr, k)[..., 1:]
 
 
 def gamma_tilde_margins(op: SumHessianOp, lam) -> np.ndarray:
     """S_1..S_k of lam, shape (..., k)."""
-    sig = sigma_all(lam)
+    sig = sigma_all(lam, op.k)
     return sig[..., 1 : op.k + 1] + op.alpha * sig[..., : op.k]
 
 

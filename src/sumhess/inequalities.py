@@ -208,7 +208,7 @@ def _partial_product_batch(op, lams, s_lo=1, s_hi=None):
     k, alpha = op.k, op.alpha
     s_hi = k - 1 if s_hi is None else s_hi
     lams = np.sort(np.asarray(lams, float), axis=-1)[..., ::-1]
-    sig = sigma_all(lams)
+    sig = sigma_all(lams, s_hi)
     prods = np.cumprod(lams, axis=-1)  # lam_1...lam_s at index s-1
     worst = np.full(lams.shape[:-1], np.inf)
     scale = np.ones(lams.shape[:-1])
@@ -248,7 +248,7 @@ def _newton_maclaurin_batch(lams, k):
     """Normalized margins, on Gamma_k with k >= 2, of
         sigma_{k-1} >= sigma_1^{1/(k-1)} sigma_k^{(k-2)/(k-1)}  and
         sigma_k sigma_{k-1} >= sigma_{k-2} sigma_{k+1}."""
-    sig = sigma_all(lams)
+    sig = sigma_all(lams, k + 1)
     s1, skm2, skm1, sk = sig[..., 1], sig[..., k - 2], sig[..., k - 1], sig[..., k]
     skp1 = sig[..., k + 1] if k + 1 < sig.shape[-1] else np.zeros_like(sk)
     rhs1 = s1 ** (1.0 / (k - 1)) * sk ** ((k - 2.0) / (k - 1.0))
@@ -542,7 +542,7 @@ def _report_cone_upgrade(ns, alphas, samples, rng):
         mtilde = gamma_tilde_margins(up, lams)
         scale = 1.0 + np.abs(mtilde).max(axis=-1)
         promoted_fail += int((mtilde.min(axis=-1) < -SWEEP_TOL * scale).sum())
-        sig_k = sigma_all(lams)[..., op.k]
+        sig_k = sigma_all(lams, op.k)[..., op.k]
         tracker.add_batch(sig_k / (1.0 + np.abs(sig_k)), op, lams)
     return tracker.report("cone_upgrade", {"promotion_failures": promoted_fail})
 

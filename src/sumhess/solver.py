@@ -337,35 +337,43 @@ def first_admissible(spec: ProblemSpec, candidates: Iterable[GridField]) -> Grid
 
 
 def initial_guess(spec: ProblemSpec) -> GridField:
-    """Admissible starting field: c times a bowl plus the discrete
-    harmonic lift that matches the Dirichlet data.  The bowl, a centered
-    quadratic |x - x0|^2 / 2 minus its own lift, is 0 on the boundary and
-    its discrete Laplacian is exactly n, so it is n times the discrete
-    torsion function L^{-1} 1, one sine-matrix product.
+    """Admissible starting field: the discrete harmonic lift of the
+    Dirichlet data plus c times a shape that is 0 on the boundary.  The
+    first shape is a bowl, a centered quadratic |x - x0|^2 / 2 minus its
+    own lift: its discrete Laplacian is exactly n, so it is n times the
+    discrete torsion function L^{-1} 1, one sine-matrix product.
 
     c starts at the root of S_k(cI) = 2 sup f.  The lift bends the
     Hessian away from cI (on boxes its mixed derivative is log-singular
     at corners), so multiples of c are scanned, upward first to keep the
-    2x headroom when possible, then downward: because the admissible
-    cone is not scale invariant, shrinking the field always ends up
-    inside it (the alpha term dominates), at the price of a longer
-    Newton path.  The first fully admissible candidate wins.
+    2x headroom when possible, then downward: for a zero trace, shrinking
+    the field ends up inside the cone (the alpha term dominates) wherever
+    the bowl's Hessian lies in Gamma_{k-1}.  Near the edges it does not
+    for n = k = 3, so the scan goes on, only then, with the bowl's depth
+    times the barrier (prod_a (1 - xi_a^2))^(1/n), xi the nodes mapped
+    onto [-1, 1]^n: a geometric mean of concave nonnegative functions, so
+    concave on the whole box, edges included (Boyd and Vandenberghe, 2004,
+    sec. 3.2.4).  The first fully admissible candidate wins.
     """
     grid = spec.grid
     c_root = isotropic_level(spec.op, 2.0 * _sup_rhs(spec))
     laplacian_inverse = _laplacian_inverse(grid)
     lift_g = _harmonic_lift(grid, spec.boundary, laplacian_inverse)
-    bowl_interior = laplacian_inverse(np.full(grid.n_interior, float(grid.dim)))
-    bowl = GridField.from_interior(grid, bowl_interior).values
-    factors = (1.0, 1.5, 2.0, 4.0, 0.7, 0.5, 0.35, 0.25, 0.15, 0.1, 0.05, 0.02, 0.01, 0.005)
+    bowl = GridField.from_interior(grid, laplacian_inverse(np.full(grid.n_interior, float(grid.dim)))).values
+
+    def shapes():
+        yield bowl, (1.0, 1.5, 2.0, 4.0, 0.7, 0.5, 0.35, 0.25, 0.15, 0.1, 0.05, 0.02, 0.01, 0.005)
+        xi = np.meshgrid(*(np.linspace(-1.0, 1.0, c + 2) for c in grid.cells), indexing="ij")
+        barrier = np.prod([1.0 - x * x for x in xi], axis=0) ** (1.0 / grid.dim)
+        yield bowl.min() * barrier, (10.0, 5.0, 3.0, 2.0, 1.0, 0.5, 0.3, 0.2, 0.1)
 
     def candidates():
-        for factor in factors:
-            # a huge box with a huge right side overflows: skip such candidates
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = factor * c_root * bowl + lift_g.values
-            if np.isfinite(values).all():
-                yield GridField(grid, values)
+        for shape, factors in shapes():
+            for factor in factors:
+                with np.errstate(over="ignore", invalid="ignore"):  # skip what overflows (huge box and f)
+                    values = factor * c_root * shape + lift_g.values
+                if np.isfinite(values).all():
+                    yield GridField(grid, values)
 
     return first_admissible(spec, candidates())
 

@@ -53,21 +53,23 @@ def _as_array(lam) -> np.ndarray:
     return arr
 
 
-def sigma_all(lam) -> np.ndarray:
-    """All elementary symmetric values [sigma_0, ..., sigma_n] of lam.
-
-    Accepts an array of shape (..., n); returns (..., n+1).
-    Uses the one-pass coefficient accumulation of prod_i (1 + t*lam_i).
-    """
+def sigma_all(lam, order: int | None = None) -> np.ndarray:
+    """[sigma_0, ..., sigma_order] of lam, shape (..., order+1), order n when
+    None and clipped to 0..n: the recurrence of prod_i (1 + t*lam_i) stops at
+    t^order, so callers skip the orders they do not read.  Each sigma_j is
+    one contiguous row of an (order+1, ...) buffer, so every update and the
+    callers' reductions over the last axis of the returned view run on whole
+    batch rows."""
     arr = _as_array(lam)
     n = arr.shape[-1]
-    out = np.zeros(arr.shape[:-1] + (n + 1,), dtype=float)
-    out[..., 0] = 1.0
+    order = n if order is None else max(0, min(order, n))
+    buf = np.zeros((order + 1,) + arr.shape[:-1])
+    buf[0] = 1.0
     for i in range(n):
         li = arr[..., i]
-        for j in range(min(i + 1, n), 0, -1):
-            out[..., j] += li * out[..., j - 1]
-    return out
+        for j in range(min(i + 1, order), 0, -1):
+            buf[j] += li * buf[j - 1]
+    return np.moveaxis(buf, 0, -1)
 
 
 def _deleted(arr: np.ndarray, drops: Sequence[Sequence[int]]) -> np.ndarray:
@@ -83,7 +85,7 @@ def s_value(lam, m: int, alpha: float) -> np.ndarray | float:
     alpha=0 gives plain sigma_m."""
     arr = _as_array(lam)
     n = arr.shape[-1]
-    sig = sigma_all(arr)
+    sig = sigma_all(arr, m)
     zero = np.zeros(arr.shape[:-1])
     val = sig[..., m] if 0 <= m <= n else zero
     if alpha != 0.0:

@@ -285,14 +285,25 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["gradient_dependent_rhs"] is False
 
-    def test_cone_breach_exit_code(self, tmp_path):
-        # n = k = 3 with zero trace has no admissible start once the grid
-        # resolves the corners (documented limitation)
+    def test_cone_breach_exit_code(self, tmp_path, capsys):
+        # no start on this box has a representable scale: every candidate
+        # of initial_guess, bowl and barrier alike, overflows
         rc = main(
-            ["solve", "--n", "3", "--k", "3", "--rhs", "2", "--cells", "7",
-             "--out", str(tmp_path)]
+            ["solve", "--n", "3", "--k", "3", "--rhs", "1e300", "--cells", "5",
+             "--box=-1e150,1e150", "--out", str(tmp_path)]
         )
         assert rc == EXIT_CONE_BREACH
+        assert "cone_breach after 0 iterations" in capsys.readouterr().out
+
+    def test_n_equals_k_equals_3_has_an_admissible_start(self, tmp_path):
+        # the bowl candidates all fail here (its mixed derivative is
+        # log-singular at the corners); the concave barrier start does not
+        rc = main(
+            ["solve", "--n", "3", "--k", "3", "--rhs", "3", "--cells", "17",
+             "--out", str(tmp_path)]
+        )
+        assert rc == EXIT_OK
+        assert json.loads((tmp_path / "solve_report.json").read_text())["status"] == "converged"
 
     def test_domain_error_during_solve_is_not_config_error(self, tmp_path, capsys):
         # f = 3 + 30u passes the u = 0 probe but is negative at the

@@ -16,6 +16,21 @@ from sumhess.cones import (
 from sumhess.symfun import SumHessianOp, s_gradient, s_value
 
 
+def stacked_sample(n, count, radius, rng, margins):
+    """The rejection loop on the full, batch-outer sigma stack: every
+    order, np.stack(axis=-1), then (m > 0).all(axis=-1) per draw."""
+    accepted, kept = [], 0
+    while kept < count:
+        pts = rng.uniform(-radius, radius, size=(4096, n))
+        sig = [np.ones(len(pts))] + [np.zeros(len(pts)) for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, 0, -1):
+                sig[j] = sig[j] + pts[:, i] * sig[j - 1]
+        accepted.append(pts[(margins(np.stack(sig, axis=-1)) > 0).all(axis=-1)])
+        kept += len(accepted[-1])
+    return np.concatenate(accepted)[:count]
+
+
 class TestGammaK:
     def test_member_with_one_negative_entry(self):
         v = in_gamma_k([1.0, 1.0, -0.4], 2)
@@ -123,7 +138,7 @@ class TestSampler:
         for lam in sample_cone_array(op, 10, 3.0, rng):
             assert in_gamma_tilde_k(op, lam).member
 
-    def test_tiny_radius_uses_positive_orthant(self):
+    def test_tiny_radius_keeps_box_bounded_members(self):
         rng = np.random.default_rng(26)
         op = SumHessianOp(3, 3, 1.0)
         (lam,) = sample_cone_array(op, 1, 0.1, rng)
@@ -155,6 +170,25 @@ class TestSampler:
             sample_cone_array(SumHessianOp(3, 2, 1.0), count, radius, rng)
         with pytest.raises(ValueError, match=message):
             sample_gamma_k_array(3, 2, count, radius, rng)
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_samplers_match_the_stacked_rejection_loop(self, seed):
+        # same rows and same generator state afterwards, for every
+        # (n, k, alpha) of the default sweep and for Gamma_k
+        for n in (2, 3, 4, 5, 6):
+            for k in range(1, n + 1):
+                cases = [(sample_gamma_k_array, (n, k), lambda sig, k=k: sig[:, 1 : k + 1])]
+                for alpha in (0.1, 1.0, 10.0):
+                    cases.append((
+                        sample_cone_array, (SumHessianOp(n, k, alpha),),
+                        lambda sig, k=k, a=alpha: sig[:, 1 : k + 1] + a * sig[:, :k],
+                    ))
+                for sampler, head, margins in cases:
+                    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = sampler(*head, 300, 5.0, rng_a)
+                    want = stacked_sample(n, 300, 5.0, rng_b, margins)
+                    assert np.array_equal(got, want), (sampler.__name__, n, k)
+                    assert rng_a.random() == rng_b.random(), (sampler.__name__, n, k)
 
     def test_gamma_k_sampler(self):
         rng = np.random.default_rng(27)

@@ -103,6 +103,25 @@ class TestInitialGuess:
         assert u0.values[0, 3] == pytest.approx(bc.values[0, 3], abs=1e-14)
         assert _NodeState(spec, u0).worst_margin > 0
 
+    @pytest.mark.parametrize(
+        "trace",
+        [0.0, lambda x: 0.3 * x[..., 0] * x[..., 1], lambda x: 0.5 * (x[..., 0] ** 2 - x[..., 1] ** 2)],
+        ids=["zero", "x0x1", "saddle"],
+    )
+    def test_barrier_start_for_n_equals_k_equals_3(self, trace):
+        # every bowl candidate breaches the cone at 9^3 for n = k = 3; the
+        # next candidate, the lift minus a multiple of the concave barrier
+        # (prod_a (1 - xi_a^2))^(1/3), is admissible and the solve converges
+        op = SumHessianOp(3, 3, 1.0)
+        grid = Grid((-1.0,) * 3, (1.0,) * 3, (9, 9, 9))
+        spec = ProblemSpec(op, grid, rhs=const_rhs(3.0), boundary=trace)
+        lift = _harmonic_lift(grid, trace, _laplacian_inverse(grid))
+        u0 = initial_guess(spec)
+        assert _NodeState(spec, u0).worst_margin > 0
+        assert np.array_equal(u0.values[0], lift.values[0])  # the trace, exactly
+        assert (u0.interior_flat < lift.interior_flat).all()
+        assert solve(spec, u0=u0).converged
+
     def test_rejects_nonpositive_rhs(self):
         op = SumHessianOp(2, 2, 1.0)
         spec = ProblemSpec(op, grid2(15), rhs=const_rhs(-1.0))

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from sumhess.symfun import (
+    MAX_DIM,
     SumHessianOp,
+    _deleted,
     identity_residuals,
     s_gradient,
     s_hessian,
@@ -27,6 +29,17 @@ def brute_sigma(lam, j):
     if j < 0 or j > len(lam):
         return 0.0
     return sum(math.prod(c) for c in itertools.combinations(lam, j))
+
+
+def stacked_sigma(lam):
+    """The full recurrence with one array per order, stacked with the batch
+    axis outer: the kernel's layout before it kept one buffer."""
+    lam = np.asarray(lam, float)
+    sig = [np.ones(lam.shape[:-1])] + [np.zeros(lam.shape[:-1]) for _ in range(lam.shape[-1])]
+    for i in range(lam.shape[-1]):
+        for j in range(i + 1, 0, -1):
+            sig[j] = sig[j] + lam[..., i] * sig[j - 1]
+    return np.stack(sig, axis=-1)
 
 
 class TestSigmaAll:
@@ -63,6 +76,29 @@ class TestSigmaAll:
         out = sigma_all(lams)
         assert out.shape == (4, 5, 4)
         assert np.allclose(out, [1, 3, 3, 1])
+
+    def test_truncated_orders_are_bitwise_prefixes(self):
+        # the recurrence stopped at t^order leaves every lower order as the
+        # full pass computes it, and the full pass is the stacked one bit
+        # for bit, on single spectra, batches and the deletion gathers
+        rng = np.random.default_rng(9)
+        for n in range(1, MAX_DIM + 1):
+            lams = rng.uniform(-5, 5, size=(6, n))
+            inputs = [lams[0], lams]
+            if n > 1:
+                inputs.append(_deleted(lams, [(p,) for p in range(n)]))  # (6, n, n - 1)
+            for x in inputs:
+                full = sigma_all(x)
+                assert np.array_equal(full, stacked_sigma(x)), (n, x.shape)
+                for order in range(x.shape[-1] + 1):
+                    got = sigma_all(x, order)
+                    assert got.shape == x.shape[:-1] + (order + 1,)
+                    assert np.array_equal(got, full[..., : order + 1]), (n, x.shape, order)
+
+    def test_order_is_clipped_to_the_entries(self):
+        lam = [2.0, -1.0, 0.5]
+        assert np.array_equal(sigma_all(lam, 7), sigma_all(lam))
+        assert np.array_equal(sigma_all(lam, -1), [1.0])
 
 
 class TestSumHessianOp:
