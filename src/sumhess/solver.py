@@ -20,6 +20,7 @@ a homotopy in the right side only when that attempt fails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable
@@ -110,7 +111,7 @@ class _NodeState:
             self.H = hessian_field_array(u).reshape(-1, n, n)
             sig = self.sigma = sigma_all_matrix(self.H)
             s_all = sig[:, 1 : spec.op.k + 1] + spec.op.alpha * sig[:, : spec.op.k]  # S_1..S_k
-            self.margins = s_all.min(axis=-1)
+            self.margins = functools.reduce(np.minimum, s_all.T)
             self.residual = s_all[:, -1] - self.f
 
     @property
@@ -338,42 +339,33 @@ def first_admissible(spec: ProblemSpec, candidates: Iterable[GridField]) -> Grid
 
 def initial_guess(spec: ProblemSpec) -> GridField:
     """Admissible starting field: the discrete harmonic lift of the
-    Dirichlet data plus c times a shape that is 0 on the boundary.  The
-    first shape is a bowl, a centered quadratic |x - x0|^2 / 2 minus its
-    own lift: its discrete Laplacian is exactly n, so it is n times the
-    discrete torsion function L^{-1} 1, one sine-matrix product.
-
-    c starts at the root of S_k(cI) = 2 sup f.  The lift bends the
-    Hessian away from cI (on boxes its mixed derivative is log-singular
-    at corners), so multiples of c are scanned, upward first to keep the
-    2x headroom when possible, then downward: for a zero trace, shrinking
-    the field ends up inside the cone (the alpha term dominates) wherever
-    the bowl's Hessian lies in Gamma_{k-1}.  Near the edges it does not
-    for n = k = 3, so the scan goes on, only then, with the bowl's depth
-    times the barrier (prod_a (1 - xi_a^2))^(1/n), xi the nodes mapped
-    onto [-1, 1]^n: a geometric mean of concave nonnegative functions, so
-    concave on the whole box, edges included (Boyd and Vandenberghe, 2004,
-    sec. 3.2.4).  The first fully admissible candidate wins.
+    Dirichlet data plus c |c_root| depth g, for the first factor c, from
+    0.3 up, whose field is inside the cone.  c_root solves S_k(c_root I) =
+    2 sup f (|c_root| keeps the start convex for k = 1 and alpha > 2 sup f,
+    where c_root < 0), and depth = min n L^{-1} 1 < 0, one sine-matrix
+    product, so the scale follows the box.  g = (prod_a (1 - xi_a^2))^(1/n),
+    xi the nodes mapped onto [-1, 1]^n, is 0 on the boundary and, as a
+    geometric mean of concave nonnegative functions, concave on the whole
+    box (Boyd and Vandenberghe, 2004, sec. 3.2.4): with a zero trace the
+    start is a strict convex subsolution (Caffarelli, Nirenberg and
+    Spruck, 1985).  A nonzero trace bends the Hessian through the lift, so
+    larger factors follow; overflowing candidates are skipped.
     """
     grid = spec.grid
     c_root = isotropic_level(spec.op, 2.0 * _sup_rhs(spec))
     laplacian_inverse = _laplacian_inverse(grid)
-    lift_g = _harmonic_lift(grid, spec.boundary, laplacian_inverse)
-    bowl = GridField.from_interior(grid, laplacian_inverse(np.full(grid.n_interior, float(grid.dim)))).values
-
-    def shapes():
-        yield bowl, (1.0, 1.5, 2.0, 4.0, 0.7, 0.5, 0.35, 0.25, 0.15, 0.1, 0.05, 0.02, 0.01, 0.005)
-        xi = np.meshgrid(*(np.linspace(-1.0, 1.0, c + 2) for c in grid.cells), indexing="ij")
-        barrier = np.prod([1.0 - x * x for x in xi], axis=0) ** (1.0 / grid.dim)
-        yield bowl.min() * barrier, (10.0, 5.0, 3.0, 2.0, 1.0, 0.5, 0.3, 0.2, 0.1)
+    lift = _harmonic_lift(grid, spec.boundary, laplacian_inverse).values
+    depth = float(laplacian_inverse(np.full(grid.n_interior, float(grid.dim))).min())
+    xis = (np.linspace(-1.0, 1.0, c + 2) for c in grid.cells)
+    g = functools.reduce(np.multiply.outer, [1.0 - xi * xi for xi in xis])
+    g **= 1.0 / grid.dim
 
     def candidates():
-        for shape, factors in shapes():
-            for factor in factors:
-                with np.errstate(over="ignore", invalid="ignore"):  # skip what overflows (huge box and f)
-                    values = factor * c_root * shape + lift_g.values
-                if np.isfinite(values).all():
-                    yield GridField(grid, values)
+        for factor in (0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
+            with np.errstate(over="ignore", invalid="ignore"):  # skip what overflows (huge box and f)
+                values = factor * (abs(c_root) * depth) * g + lift
+            if np.isfinite(values).all():
+                yield GridField(grid, values)
 
     return first_admissible(spec, candidates())
 
@@ -414,15 +406,15 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     node's cone margin keeps at least CONE_FRACTION of its current value
     and (c) the residual satisfies an Armijo decrease and strictly
     decreases (for a subnormal residual the Armijo bound rounds back to
-    it).  Step underflow reports domain_error, cone_breach or stalled
-    after the condition that rejected the last trial.  Every report keeps
-    the last accepted iterate, the best: the line search accepts no equal
-    or larger residual and no NaN.  A start
-    field where the rhs is not positive reports domain_error, one where S_k
-    overflows reports stalled.  The iteration converges once
-    max |S_k - f| <= rtol * max |f|, however small f is (a bound that
-    underflows to 0 asks for a zero residual).  Each Newton step is solved
-    inexactly, to a relative max-norm residual
+    it); a trial whose values overflow is rejected like a stall.  Step
+    underflow reports domain_error, cone_breach or stalled after the
+    condition that rejected the last trial.  Every report keeps the last
+    accepted iterate, the best: the line search accepts no equal or larger
+    residual and no NaN.  A start field where the rhs is not positive
+    reports domain_error, one where S_k overflows reports stalled.  The
+    iteration converges once max |S_k - f| <= rtol * max |f|, however
+    small f is (a bound that underflows to 0 asks for a zero residual).
+    Each Newton step is solved inexactly, to a relative max-norm residual
     eta_k = min(0.1, max(LINEAR_RTOL, ||F_k||^2)) (Dembo, Eisenstat and
     Steihaug, 1982), which keeps quadratic convergence.
     """
@@ -467,16 +459,21 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
 
         step = 1.0
         while True:
-            trial = u.with_interior(u.interior_flat + step * delta)
-            tstate = _NodeState(spec, trial)
-            if not (tstate.f > 0).all():
-                blocked = "domain_error"
-            elif not (tstate.margins >= CONE_FRACTION * state.margins).all():
-                blocked = "cone_breach"
-            elif tstate.res_norm <= (1.0 - ARMIJO * step) * state.res_norm and tstate.res_norm < state.res_norm:
-                break
-            else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = u.interior_flat + step * delta
+            if not np.isfinite(values).all():  # an overflowing update is a rejected trial
                 blocked = "stalled"
+            else:
+                trial = u.with_interior(values)
+                tstate = _NodeState(spec, trial)
+                if not (tstate.f > 0).all():
+                    blocked = "domain_error"
+                elif not (tstate.margins >= CONE_FRACTION * state.margins).all():
+                    blocked = "cone_breach"
+                elif tstate.res_norm <= (1.0 - ARMIJO * step) * state.res_norm and tstate.res_norm < state.res_norm:
+                    break
+                else:
+                    blocked = "stalled"
             step *= 0.5
             if step < MIN_STEP:
                 return finish(blocked, it + 1,

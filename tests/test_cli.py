@@ -287,7 +287,7 @@ class TestSolveCommand:
 
     def test_cone_breach_exit_code(self, tmp_path, capsys):
         # no start on this box has a representable scale: every candidate
-        # of initial_guess, bowl and barrier alike, overflows
+        # of initial_guess overflows
         rc = main(
             ["solve", "--n", "3", "--k", "3", "--rhs", "1e300", "--cells", "5",
              "--box=-1e150,1e150", "--out", str(tmp_path)]
@@ -296,8 +296,8 @@ class TestSolveCommand:
         assert "cone_breach after 0 iterations" in capsys.readouterr().out
 
     def test_n_equals_k_equals_3_has_an_admissible_start(self, tmp_path):
-        # the bowl candidates all fail here (its mixed derivative is
-        # log-singular at the corners); the concave barrier start does not
+        # the barrier start is convex up to the edges of the box, so n = k = 3
+        # has an admissible start here and the solve converges
         rc = main(
             ["solve", "--n", "3", "--k", "3", "--rhs", "3", "--cells", "17",
              "--out", str(tmp_path)]
@@ -436,8 +436,8 @@ def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     ids=["solve", "estimate", "solve-3d"],
 )
 def test_overflowing_initial_guess_is_cone_breach(argv, tmp_path, capsys):
-    # every candidate c * bowl of initial_guess overflows, so none is
-    # admissible: a cone breach, without a warning or a traceback
+    # every candidate c |c_root| depth g of initial_guess overflows, so
+    # none is admissible: a cone breach, without a warning or a traceback
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONE_BREACH
     assert capsys.readouterr().err == ""
 

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used,
 every top-level function and class and every method of such a class is
-reached, and the benchmark's tracer still finds every name it hooks."""
+reached, the benchmark's tracer still finds every name it hooks, and the
+package stays within its line budget."""
 
 import ast
 import os
@@ -15,6 +16,7 @@ import sumhess
 
 MODULES = sorted(p for p in Path(sumhess.__file__).parent.glob("*.py") if p.name != "__init__.py")
 REPO = Path(__file__).resolve().parents[1]
+SRC_LINE_BUDGET = 2539  # 15% under the 2,987 lines the package had before its trimming began
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -33,6 +35,12 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_src_line_budget():
+    # counted as `cat src/sumhess/*.py | wc -l`, __init__.py included
+    lines = sum(p.read_bytes().count(b"\n") for p in Path(sumhess.__file__).parent.glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET
 
 
 def _references_outside(tree: ast.Module, skip: range) -> set[str]:

@@ -50,6 +50,7 @@ def const_rhs(value):
 
 
 U_STAR = staticmethod(lambda x: 0.5 * ((x**2).sum(axis=-1) - 1.0))
+TRACES = [0.0, lambda x: 0.3 * x[..., 0] * x[..., 1], lambda x: 0.5 * (x[..., 0] ** 2 - x[..., 1] ** 2)]
 
 
 class TestIsotropicLevel:
@@ -103,15 +104,11 @@ class TestInitialGuess:
         assert u0.values[0, 3] == pytest.approx(bc.values[0, 3], abs=1e-14)
         assert _NodeState(spec, u0).worst_margin > 0
 
-    @pytest.mark.parametrize(
-        "trace",
-        [0.0, lambda x: 0.3 * x[..., 0] * x[..., 1], lambda x: 0.5 * (x[..., 0] ** 2 - x[..., 1] ** 2)],
-        ids=["zero", "x0x1", "saddle"],
-    )
+    @pytest.mark.parametrize("trace", TRACES, ids=["zero", "x0x1", "saddle"])
     def test_barrier_start_for_n_equals_k_equals_3(self, trace):
-        # every bowl candidate breaches the cone at 9^3 for n = k = 3; the
-        # next candidate, the lift minus a multiple of the concave barrier
-        # (prod_a (1 - xi_a^2))^(1/3), is admissible and the solve converges
+        # the lift minus a multiple of the concave barrier
+        # (prod_a (1 - xi_a^2))^(1/3) is admissible at 9^3 for n = k = 3,
+        # and the solve converges
         op = SumHessianOp(3, 3, 1.0)
         grid = Grid((-1.0,) * 3, (1.0,) * 3, (9, 9, 9))
         spec = ProblemSpec(op, grid, rhs=const_rhs(3.0), boundary=trace)
@@ -122,6 +119,25 @@ class TestInitialGuess:
         assert (u0.interior_flat < lift.interior_flat).all()
         assert solve(spec, u0=u0).converged
 
+    @pytest.mark.parametrize("trace", TRACES, ids=["zero", "x0x1", "saddle"])
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize(
+        "n, k, f, cells",
+        [(2, 1, 3.0, 9), (2, 2, 3.0, 9), (3, 1, 3.0, 9), (3, 2, 3.0, 9), (3, 3, 3.0, 9), (2, 1, 0.5, 33)],
+        ids=["n2k1", "n2k2", "n3k1", "n3k2", "n3k3", "n2k1-f0.5-33"],
+    )
+    def test_every_start_is_admissible(self, n, k, f, cells, alpha, trace):
+        # for k = 1 and alpha > 2 f the isotropic root c_root is negative;
+        # its absolute value keeps the barrier start convex, so S_1 >= alpha
+        spec = ProblemSpec(SumHessianOp(n, k, alpha), Grid((-1.0,) * n, (1.0,) * n, (cells,) * n),
+                           rhs=const_rhs(f), boundary=trace)
+        u0 = initial_guess(spec)
+        assert _NodeState(spec, u0).worst_margin > 0
+        trace_values = spec.boundary_field().values
+        on_boundary = np.ones(u0.values.shape, bool)
+        on_boundary[(slice(1, -1),) * n] = False
+        assert np.array_equal(u0.values[on_boundary], trace_values[on_boundary])
+
     def test_rejects_nonpositive_rhs(self):
         op = SumHessianOp(2, 2, 1.0)
         spec = ProblemSpec(op, grid2(15), rhs=const_rhs(-1.0))
@@ -130,25 +146,17 @@ class TestInitialGuess:
 
 
 class TestBowl:
-    @pytest.mark.parametrize(
-        "op, grid",
-        [
-            (SumHessianOp(2, 1, 1.0), grid2(17)),
-            (SumHessianOp(3, 1, 1.0), Grid((-1.0,) * 3, (1.0,) * 3, (9, 9, 9))),
-        ],
-        ids=["2d", "3d"],
-    )
-    def test_torsion_bowl_matches_quadratic_minus_its_lift(self, op, grid):
-        # oracle: the centered quadratic minus its harmonic lift.  For k = 1
-        # the first candidate, c * bowl with a zero trace, has S_1 = 2 f
-        # at every node, so initial_guess returns it
-        spec = ProblemSpec(op, grid, rhs=const_rhs(3.0))
-        c = isotropic_level(op, 6.0)
+    @pytest.mark.parametrize("grid", [grid2(17), Grid((-1.0,) * 3, (1.0,) * 3, (9, 9, 9))], ids=["2d", "3d"])
+    def test_torsion_bowl_matches_quadratic_minus_its_lift(self, grid):
+        # oracle: the centered quadratic minus its harmonic lift, whose
+        # discrete Laplacian is exactly n; initial_guess scales its start
+        # by the depth of this bowl, n L^{-1} 1
         x0 = 0.5 * (np.asarray(grid.lo) + np.asarray(grid.hi))
         quad = lambda x: 0.5 * ((x - x0) ** 2).sum(axis=-1)
         oracle = (GridField.from_function(grid, quad).values
                   - _harmonic_lift(grid, quad, _laplacian_inverse(grid)).values)
-        assert np.abs(initial_guess(spec).values / c - oracle).max() <= 1e-13
+        bowl = _laplacian_inverse(grid)(np.full(grid.n_interior, float(grid.dim)))
+        assert np.abs(GridField.from_interior(grid, bowl).values - oracle).max() <= 1e-13
 
 
 class TestHarmonicLifts:
@@ -255,6 +263,24 @@ class TestEigenFreeNodeState:
                 assert rel_err(F, F_ref) <= 1e-13, (k, alpha)
                 d_ref = s_gradient(lams, k, alpha).mean(axis=1)
                 assert rel_err(np.trace(F, axis1=1, axis2=2) / n, d_ref) <= 1e-13, (k, alpha)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_margins_are_the_row_minimum_bit_for_bit(self, n):
+        # the margins reduce S_1..S_k column by column with np.minimum; the
+        # reference is the row minimum, NaN from an overflowing Hessian included
+        g = Grid((-1.0,) * n, (1.0,) * n, (5,) * n)
+        rng = np.random.default_rng(75)
+        saw_nan = False
+        for scale in (1.0, 1e300):
+            u = GridField(g, scale * rng.normal(size=g.padded_shape))
+            for k in range(1, n + 1):
+                op = SumHessianOp(n, k, 0.5)
+                state = _NodeState(ProblemSpec(op, g, rhs=const_rhs(3.0)), u)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ref = (state.sigma[:, 1 : k + 1] + op.alpha * state.sigma[:, :k]).min(axis=-1)
+                assert np.array_equal(state.margins, ref, equal_nan=True), (scale, k)
+                saw_nan |= bool(np.isnan(ref).any())
+        assert saw_nan
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_solve_runs_no_eigendecomposition(self, n, tmp_path, monkeypatch):
@@ -561,6 +587,19 @@ class TestSolve:
         assert rep.iterations == 0
         assert "S_k is not finite" in rep.message
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_update_is_a_rejected_trial(self):
+        # from this admissible start (worst margin 4e-300) the Newton update
+        # overflows when the linear solve scales it back by max|rhs|, so
+        # every trial is non-finite: each is rejected, and the step
+        # underflows to a stall, not a ValueError
+        g = Grid((-1e100,) * 2, (1e100,) * 2, (5, 5))
+        spec = ProblemSpec(SumHessianOp(2, 2, 1.0), g, rhs=const_rhs(1e300))
+        u0 = GridField.from_function(g, lambda x: 1e-100 * ((x / 1e100) ** 2).sum(axis=-1) - 2e-100)
+        rep = solve(spec, u0=u0)
+        assert rep.status == "stalled" and "line search underflow" in rep.message
+        assert rep.iterations == 1 and rep.final_field is u0
+
     def test_one_node_state_per_evaluated_field(self, monkeypatch):
         # the start field and each line-search trial are evaluated once;
         # the Jacobian reuses the state of the accepted trial
@@ -581,8 +620,8 @@ class TestSolve:
         assert len({id(u) for u in fields}) == len(fields)
 
     def test_stop_test_is_relative_to_a_tiny_rhs(self):
-        # the start field has S_k = 2 f, a residual of f itself, which an
-        # absolute floor in the stop test would accept at iteration 0
+        # the start field's residual is about f itself (1.1e-12 here), which
+        # an absolute floor in the stop test would accept at iteration 0
         spec = ProblemSpec(SumHessianOp(2, 2, 1.0), grid2(9), rhs=const_rhs(1e-12))
         cfg = SolveConfig()
         rep = solve(spec, cfg)
@@ -594,7 +633,7 @@ class TestSolve:
         [
             (13.0, 31, 10, "maximum iterations reached"),
             (13.0, 15, 60, "line search underflow"),  # stalled
-            (40.0, 15, 60, "line search underflow"),  # cone_breach
+            (300.0, 9, 60, "line search underflow"),  # cone_breach
         ],
     )
     def test_failed_solve_returns_its_last_accepted_iterate(self, coef, cells, max_iter, message):
