@@ -122,8 +122,8 @@ def _quotient_concavity_batch(op, l, lams, ws, split_deltas):
     """
     k, alpha = op.k, op.alpha
     theta = 1.0 / (k - l)
-    sk = np.asarray(s_value(lams, k, alpha), dtype=float)
-    sl = np.asarray(s_value(lams, l, alpha), dtype=float)
+    S = gamma_tilde_margins(op, lams)
+    sk, sl = S[..., k - 1], S[..., l - 1]
     ddk = np.einsum("...pq,...p,...q->...", s_hessian(lams, k, alpha), ws, ws)
     ddl = np.einsum("...pq,...p,...q->...", s_hessian(lams, l, alpha), ws, ws)
     dotk = (s_gradient(lams, k, alpha) * ws).sum(axis=-1)
@@ -196,34 +196,32 @@ def directional_second_derivative(k: int, alpha: float, A, B) -> float:
 # partial-product bound and the empirical top-share constant
 # ---------------------------------------------------------------------------
 
-def _partial_product_batch(op, lams, s_lo=1, s_hi=None):
-    """Per-sample min over s = s_lo..s_hi of
+def _partial_product_batch(op, lams):
+    """Margins, for s = 1..k-1, of
         S_s - (lam_1...lam_s + alpha*lam_1...lam_{s-1})
-    on descending-sorted spectra, with matching term scales, plus the
-    empirical constant min_{j<=k-1} lam_j S_k^{jj} / S_k (needs k >= 2).
+    on descending-sorted spectra and their term scales, both (..., k-1),
+    plus the empirical constant min_{j<=k-1} lam_j S_k^{jj} / S_k (needs
+    k >= 2), from one sort and one pass over S_1..S_k.
 
     Every term is positive on the Garding cone Gamma_k; on the larger
     admissible cone only s <= k-2 is guaranteed, and s = k-1 can go
     negative (lam = (2, -0.2, -0.3), k = 2, alpha = 1: S_1 = 2.5 < 3)."""
     k, alpha = op.k, op.alpha
-    s_hi = k - 1 if s_hi is None else s_hi
     lams = np.sort(np.asarray(lams, float), axis=-1)[..., ::-1]
-    sig = sigma_all(lams, s_hi)
-    prods = np.cumprod(lams, axis=-1)  # lam_1...lam_s at index s-1
-    worst = np.full(lams.shape[:-1], np.inf)
-    scale = np.ones(lams.shape[:-1])
-    for s in range(s_lo, s_hi + 1):
-        ss = sig[..., s] + alpha * sig[..., s - 1]
-        prod_s = prods[..., s - 1]
-        prod_sm1 = prods[..., s - 2] if s >= 2 else np.ones_like(prod_s)
-        margin = ss - (prod_s + alpha * prod_sm1)
-        take = margin < worst
-        worst = np.where(take, margin, worst)
-        scale = np.where(take, 1.0 + np.abs(ss) + np.abs(prod_s) + alpha * np.abs(prod_sm1), scale)
-    grad = s_gradient(lams, k, alpha)
-    sk = np.asarray(s_value(lams, k, alpha), dtype=float)
-    theta = (lams[..., : k - 1] * grad[..., : k - 1]).min(axis=-1) / sk
-    return worst, scale, theta
+    S = gamma_tilde_margins(op, lams)
+    theta = (lams[..., : k - 1] * s_gradient(lams, k, alpha)[..., : k - 1]).min(axis=-1) / S[..., -1]
+    prods = np.cumprod(lams[..., : k - 1], axis=-1)  # lam_1...lam_s at index s-1
+    prev = np.concatenate([np.ones_like(prods[..., :1]), prods[..., :-1]], axis=-1)
+    ss = S[..., : k - 1]
+    margins = ss - (prods + alpha * prev)
+    scales = 1.0 + np.abs(ss) + np.abs(prods) + alpha * np.abs(prev)
+    return margins, scales, theta
+
+
+def _first_worst(margins, scales):
+    """Per row, the first smallest margin divided by its own scale."""
+    j = np.argmin(margins, axis=-1)[..., None]
+    return np.take_along_axis(margins / scales, j, axis=-1)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +260,14 @@ def _newton_maclaurin_batch(lams, k):
 # ---------------------------------------------------------------------------
 
 def _capped_bounds_batch(op, lams, n0):
-    """Margins for Gamma_k spectra with S_k <= n0, k >= 2, each with its
-    term scale.  With K0 = n*(n0/alpha)^{1/(k-1)} and kap_i = lam_i + K0:
+    """Margins for descending Gamma_k spectra with S_k <= n0, k >= 2, each
+    with its term scale.  With K0 = n*(n0/alpha)^{1/(k-1)}, kap_i = lam_i + K0:
     cap (n0/alpha)^{1/(k-1)} - lam_{k-1}, floor lam_n + K0 and share
     min_i C0 S_k - lam_i S^{ii}, C0 = 2 + K0*binom(n,k)/alpha, hold
     unconditionally; weighted min_i 2 kap_1^{k+2} S^{11} - kap_i^{k+2} S^{ii}
     and top S_k - (1-CAPPED_EPS0) lam_1 S^{11} only for large lam_1."""
     n, k, alpha = op.n, op.k, op.alpha
-    lams = np.sort(np.asarray(lams, float), axis=-1)[..., ::-1]
-    sk = np.asarray(s_value(lams, k, alpha), dtype=float)
+    sk = gamma_tilde_margins(op, lams)[..., -1]
     grad = s_gradient(lams, k, alpha)
     n0 = np.broadcast_to(np.asarray(n0, float), sk.shape)
     k0 = n * (n0 / alpha) ** (1.0 / (k - 1))
@@ -490,13 +487,12 @@ def capped_threshold_search(op: SumHessianOp, rng: np.random.Generator) -> dict:
 # midpoint concavity of S_k^{1/k} and (S_k/S_l)^{1/(k-l)}
 # ---------------------------------------------------------------------------
 
-def _concavity_values(op, lams, l=None):
-    k, alpha = op.k, op.alpha
-    sk = np.asarray(s_value(lams, k, alpha), dtype=float)
+def _concavity_values(op, S, l=None):
+    """S_k^{1/k}, or (S_k/S_l)^{1/(k-l)} for an order l, from S = S_1..S_k."""
+    k = op.k
     if l is None:
-        return sk ** (1.0 / k)
-    sl = np.asarray(s_value(lams, l, alpha), dtype=float)
-    return (sk / sl) ** (1.0 / (k - l))
+        return S[..., k - 1] ** (1.0 / k)
+    return (S[..., k - 1] / S[..., l - 1]) ** (1.0 / (k - l))
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +530,11 @@ def _report_cone_upgrade(ns, alphas, samples, rng):
     promoted_fail = 0
     for op in _op_grid(ns, alphas, k_max_off=1):  # k < n
         lams = sample_cone_array(op, samples, 5.0, rng)
-        skp1 = np.asarray(s_value(lams, op.k + 1, op.alpha), dtype=float)
-        lams = lams[skp1 > 0]
+        mtilde = gamma_tilde_margins(SumHessianOp(op.n, op.k + 1, op.alpha), lams)
+        keep = mtilde[..., -1] > 0  # S_{k+1}
+        lams, mtilde = lams[keep], mtilde[keep]
         if not len(lams):
             continue
-        up = SumHessianOp(op.n, op.k + 1, op.alpha)
-        mtilde = gamma_tilde_margins(up, lams)
         scale = 1.0 + np.abs(mtilde).max(axis=-1)
         promoted_fail += int((mtilde.min(axis=-1) < -SWEEP_TOL * scale).sum())
         sig_k = sigma_all(lams, op.k)[..., op.k]
@@ -559,17 +554,16 @@ def _report_partial_products(ns, alphas, samples, rng):
     boundary_violations = 0
     for op in _op_grid(ns, alphas, k_min=2):
         lams = sample_cone_array(op, samples, 5.0, rng)
+        margins, scales, theta = _partial_product_batch(op, lams)
         if op.k >= 3:
-            worst, scale, _ = _partial_product_batch(op, lams, s_hi=op.k - 2)
-            tracker.add_batch(worst / scale, op, lams)
-        bworst, bscale, theta = _partial_product_batch(op, lams, s_lo=op.k - 1)
-        bnorm = bworst / bscale
+            tracker.add_batch(_first_worst(margins[..., :-1], scales[..., :-1]), op, lams)
+        bnorm = margins[..., -1] / scales[..., -1]
         boundary_worst = min(boundary_worst, float(bnorm.min()))
         boundary_violations += int((bnorm < -SWEEP_TOL).sum())
         thetas[f"n={op.n},k={op.k},alpha={op.alpha}"] = float(theta.min())
         glams = sample_gamma_k_array(op.n, op.k, samples, 5.0, rng)
-        worst, scale, _ = _partial_product_batch(op, glams)
-        tracker.add_batch(worst / scale, op, glams)
+        margins, scales, _ = _partial_product_batch(op, glams)
+        tracker.add_batch(_first_worst(margins, scales), op, glams)
     extras = {
         "empirical_theta_min": thetas,
         "admissible_boundary_term": {
@@ -589,13 +583,14 @@ def _report_capped_bounds(ns, alphas, samples, rng):
     thresholds = {}
     for op in _op_grid(ns, alphas, k_min=2):
         lams = sample_gamma_k_array(op.n, op.k, samples, 5.0, rng)
-        n0 = np.asarray(s_value(lams, op.k, op.alpha), dtype=float)
+        n0 = gamma_tilde_margins(op, lams)[..., -1]  # before sorting: sorted, the last bits differ
+        lams = np.sort(lams, axis=-1)[..., ::-1]
         d = _capped_bounds_batch(op, lams, n0)
         worst = np.minimum(
             d["cap"] / d["cap_scale"],
             np.minimum(d["floor"] / d["floor_scale"], d["share"] / d["share_scale"]),
         )
-        tracker.add_batch(worst, op, np.sort(lams, axis=-1)[..., ::-1])
+        tracker.add_batch(worst, op, lams)
         search = capped_threshold_search(op, rng)
         thresholds[f"n={op.n},k={op.k},alpha={op.alpha}"] = {
             "lambda_star": search["lambda_star"],
@@ -631,15 +626,15 @@ def _report_concavity(ns, alphas, samples, rng):
         for l in ells:
             a = sample_cone_array(op, per, 5.0, rng)
             b = sample_cone_array(op, per, 5.0, rng)
-            mid = 0.5 * (a + b)
-            ok = (gamma_tilde_margins(op, mid) > 0).all(axis=-1)
+            s_mid = gamma_tilde_margins(op, 0.5 * (a + b))
+            ok = (s_mid > 0).all(axis=-1)
             skipped += int((~ok).sum())
-            a, b, mid = a[ok], b[ok], mid[ok]
+            a, b = a[ok], b[ok]
             if not len(a):
                 continue
-            gm = _concavity_values(op, mid, l)
-            ga = _concavity_values(op, a, l)
-            gb = _concavity_values(op, b, l)
+            gm = _concavity_values(op, s_mid[ok], l)
+            ga = _concavity_values(op, gamma_tilde_margins(op, a), l)
+            gb = _concavity_values(op, gamma_tilde_margins(op, b), l)
             margins = (gm - 0.5 * (ga + gb)) / (1.0 + np.abs(gm) + np.abs(ga) + np.abs(gb))
             tracker.add_batch(margins, op, a, lam_b=b, l=l)
     return tracker.report("concavity", {"midpoint_skips": skipped})

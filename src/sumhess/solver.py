@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -188,6 +188,8 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
     n = spec.grid.dim
 
     def jacobian_times(v):
+        if not np.isfinite(v).all():  # an overflowed Krylov vector fails the residual contract
+            return np.full_like(v, np.nan)
         vf = GridField.from_interior(spec.grid, v)
         Hv = hessian_field_array(vf).reshape(-1, n, n)
         Dv = gradient_field_array(vf).reshape(-1, n)
@@ -201,7 +203,8 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
 class _LinearSolveError(RuntimeError):
     """BiCGSTAB did not bring the true linear residual within the forcing
     term eta in LINEAR_ROUNDS rounds (Jacobian singular, close to it, or
-    not finite); the Newton loop reports a stall instead of crashing."""
+    not finite), or the update overflows when scaled back; the Newton loop
+    reports a stall instead of crashing."""
 
 
 def _bicgstab(J: Callable, M: Callable, b: np.ndarray, eta: float) -> np.ndarray:
@@ -259,7 +262,8 @@ def _linear_solve(J, M, rhs, eta: float = LINEAR_RTOL) -> np.ndarray:
     relative to max|rhs|, is at most the forcing term eta (a round stops
     once its 2-norm is that small).  J and M are callables on vectors.  The
     system is scaled to max|rhs| = 1, so BiCGSTAB's inner products stay
-    finite however large the residual is."""
+    finite however large the residual is; a solution that overflows when
+    scaled back raises _LinearSolveError too."""
     scale = float(np.abs(rhs).max()) or 1.0
     b = rhs / scale
     x, res = 0.0, b
@@ -268,7 +272,10 @@ def _linear_solve(J, M, rhs, eta: float = LINEAR_RTOL) -> np.ndarray:
         res = b - J(x)
         lin_res = float(np.abs(res).max())
         if lin_res <= eta:
-            return scale * x
+            delta = scale * x
+            if np.isfinite(delta).all():
+                return delta
+            raise _LinearSolveError(f"Newton update overflows ({np.abs(x).max():.3e} times max|rhs| {scale:.3e})")
         if not np.isfinite(lin_res):
             break
     raise _LinearSolveError(f"linear solve residual {lin_res:.3e} exceeds {eta:.3g}")
@@ -321,22 +328,6 @@ def _sup_rhs(spec: ProblemSpec) -> float:
     return sup_f
 
 
-def first_admissible(spec: ProblemSpec, candidates: Iterable[GridField]) -> GridField:
-    """The first candidate field with a strictly positive worst cone
-    margin, drawn lazily so that none after it is built.  Raises
-    ConeBreachError with the best worst margin when none is admissible."""
-    best_margin = -math.inf
-    for cand in candidates:
-        margin = _NodeState(spec, cand).worst_margin
-        if margin > 0:
-            return cand
-        best_margin = max(best_margin, margin)
-    raise ConeBreachError(
-        f"no admissible initial guess found (best worst-margin {best_margin:.3e}); "
-        "try a coarser grid or continuation"
-    )
-
-
 def initial_guess(spec: ProblemSpec) -> GridField:
     """Admissible starting field: the discrete harmonic lift of the
     Dirichlet data plus c |c_root| depth g, for the first factor c, from
@@ -349,7 +340,9 @@ def initial_guess(spec: ProblemSpec) -> GridField:
     box (Boyd and Vandenberghe, 2004, sec. 3.2.4): with a zero trace the
     start is a strict convex subsolution (Caffarelli, Nirenberg and
     Spruck, 1985).  A nonzero trace bends the Hessian through the lift, so
-    larger factors follow; overflowing candidates are skipped.
+    larger factors follow; overflowing candidates are skipped, and none
+    is built after the first admissible one.  Raises ConeBreachError with
+    the best worst margin when no factor gives an admissible field.
     """
     grid = spec.grid
     c_root = isotropic_level(spec.op, 2.0 * _sup_rhs(spec))
@@ -359,15 +352,21 @@ def initial_guess(spec: ProblemSpec) -> GridField:
     xis = (np.linspace(-1.0, 1.0, c + 2) for c in grid.cells)
     g = functools.reduce(np.multiply.outer, [1.0 - xi * xi for xi in xis])
     g **= 1.0 / grid.dim
-
-    def candidates():
-        for factor in (0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
-            with np.errstate(over="ignore", invalid="ignore"):  # skip what overflows (huge box and f)
-                values = factor * (abs(c_root) * depth) * g + lift
-            if np.isfinite(values).all():
-                yield GridField(grid, values)
-
-    return first_admissible(spec, candidates())
+    best_margin = -math.inf
+    for factor in (0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
+        with np.errstate(over="ignore", invalid="ignore"):  # skip what overflows (huge box and f)
+            values = factor * (abs(c_root) * depth) * g + lift
+        if not np.isfinite(values).all():
+            continue
+        cand = GridField(grid, values)
+        margin = _NodeState(spec, cand).worst_margin
+        if margin > 0:
+            return cand
+        best_margin = max(best_margin, margin)
+    raise ConeBreachError(
+        f"no admissible initial guess found (best worst-margin {best_margin:.3e}); "
+        "try a coarser grid or continuation"
+    )
 
 
 def prolong(u: GridField, fine: Grid, boundary=None) -> GridField:
@@ -410,7 +409,9 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     underflow reports domain_error, cone_breach or stalled after the
     condition that rejected the last trial.  Every report keeps the last
     accepted iterate, the best: the line search accepts no equal or larger
-    residual and no NaN.  A start field where the rhs is not positive
+    residual and no NaN.  iterations counts the accepted steps, so once a
+    start is evaluated the histories hold iterations + 1 entries, the
+    start's first.  A start field where the rhs is not positive
     reports domain_error, one where S_k overflows reports stalled.  The
     iteration converges once max |S_k - f| <= rtol * max |f|, however
     small f is (a bound that underflows to 0 asks for a zero residual).
@@ -476,8 +477,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
                     blocked = "stalled"
             step *= 0.5
             if step < MIN_STEP:
-                return finish(blocked, it + 1,
-                              f"line search underflow at iteration {it} (step < {MIN_STEP:.1e})")
+                return finish(blocked, it, f"line search underflow at iteration {it} (step < {MIN_STEP:.1e})")
         u, state = trial, tstate
         res_hist.append(state.res_norm)
         margin_hist.append(state.worst_margin)

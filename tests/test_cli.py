@@ -295,6 +295,16 @@ class TestSolveCommand:
         assert rc == EXIT_CONE_BREACH
         assert "cone_breach after 0 iterations" in capsys.readouterr().out
 
+    def test_non_finite_krylov_vector_is_a_stall(self, tmp_path, capsys):
+        # on this tiny box the forward-difference partial f_p overflows, so
+        # BiCGSTAB meets a NaN vector: a stall, not a traceback and exit 1
+        rc = main(
+            ["solve", "--k", "1", "--alpha", "0.1", "--cells", "3", "--box=-1e-60,1e-60",
+             "--rhs", "1e-100*(0.1+13*g2*1e160*1e160)", "--out", str(tmp_path)]
+        )
+        assert rc == EXIT_STALLED
+        assert "stalled after 0 iterations" in capsys.readouterr().out
+
     def test_n_equals_k_equals_3_has_an_admissible_start(self, tmp_path):
         # the barrier start is convex up to the edges of the box, so n = k = 3
         # has an admissible start here and the solve converges

@@ -23,6 +23,7 @@ from sumhess.inequalities import (
     _concavity_values,
     _family_coefficients,
     _family_gap,
+    _first_worst,
     _newton_maclaurin_batch,
     _partial_product_batch,
     _quotient_concavity_batch,
@@ -132,8 +133,8 @@ class TestDirectionalSecondDerivative:
 
 
 def _partial_products(op, lam):
-    worst, _, theta = _partial_product_batch(op, np.array([lam]))
-    return float(worst[0]), float(theta[0])
+    margins, _, theta = _partial_product_batch(op, np.array([lam]))
+    return float(margins[0].min()), float(theta[0])
 
 
 class TestPartialProducts:
@@ -159,11 +160,31 @@ class TestPartialProducts:
         rng = np.random.default_rng(43)
         for n, k, alpha in [(3, 2, 1.0), (4, 3, 0.1), (5, 4, 10.0), (6, 2, 1.0)]:
             op = SumHessianOp(n, k, alpha)
-            first, _, theta = _partial_product_batch(
+            margins, _, theta = _partial_product_batch(
                 op, sample_gamma_k_array(n, k, 2000, 5.0, rng)
             )
-            assert (first > 0).all()
+            assert (margins > 0).all()
             assert (theta > 0).all()
+
+    def test_orders_match_the_partial_products_of_each_order(self):
+        # column s-1 is order s: S_s of the sorted spectrum minus
+        # lam_1...lam_s + alpha*lam_1...lam_{s-1}, with that order's own scale
+        op = SumHessianOp(5, 4, 0.1)
+        lams = sample_cone_array(op, 500, 5.0, np.random.default_rng(44))
+        margins, scales, _ = _partial_product_batch(op, lams)
+        desc = np.sort(lams, axis=-1)[:, ::-1]
+        assert margins.shape == scales.shape == (500, op.k - 1)
+        for s in range(1, op.k):
+            ss = s_value(desc, s, op.alpha)
+            prod_s, prod_sm1 = desc[:, :s].prod(axis=-1), desc[:, : s - 1].prod(axis=-1)
+            scale = 1.0 + np.abs(ss) + np.abs(prod_s) + op.alpha * np.abs(prod_sm1)
+            assert np.abs(margins[:, s - 1] - (ss - (prod_s + op.alpha * prod_sm1))).max() <= 1e-13 * scale.max()
+            assert np.abs(scales[:, s - 1] - scale).max() <= 1e-13 * scale.max()
+
+    def test_first_worst_divides_the_first_smallest_margin_by_its_own_scale(self):
+        margins = np.array([[1.0, 0.5, 0.5], [-1.0, 2.0, -3.0], [2.0, 2.0, 3.0]])
+        scales = np.array([[1.0, 2.0, 4.0], [1.0, 1.0, 2.0], [4.0, 1.0, 1.0]])
+        assert _first_worst(margins, scales).tolist() == [0.25, -1.5, 0.5]
 
 
 def _s_newton_margin(op, lam):
@@ -246,7 +267,7 @@ class TestCappedBounds:
             op = SumHessianOp(n, k, alpha)
             lams = sample_gamma_k_array(n, k, 1000, 5.0, rng)
             n0 = np.asarray(s_value(lams, k, alpha))
-            b = _capped_bounds_batch(op, lams, n0)
+            b = _capped_bounds_batch(op, np.sort(lams, axis=-1)[..., ::-1], n0)
             assert (b["cap"] >= -1e-9 * (1 + np.abs(b["cap"]))).all()
             assert (b["floor"] > 0).all()
             assert (b["share"] >= -1e-9 * (1 + n0 * b["c0"])).all()
@@ -466,7 +487,7 @@ def _concavity_margins(op, a, b, l=None):
     a, b = np.atleast_2d(a).astype(float), np.atleast_2d(b).astype(float)
     mid = 0.5 * (a + b)
     ok = members(gamma_tilde_margins(op, mid))
-    gm, ga, gb = (_concavity_values(op, x[ok], l) for x in (mid, a, b))
+    gm, ga, gb = (_concavity_values(op, gamma_tilde_margins(op, x[ok]), l) for x in (mid, a, b))
     return gm - 0.5 * (ga + gb), int((~ok).sum())
 
 
@@ -541,7 +562,10 @@ class TestSuite:
 
         def concavity(op, w):
             a, b = np.array([w["lam"]]), np.array([w["lam_b"]])
-            gm, ga, gb = (_concavity_values(op, x, w.get("l"))[0] for x in (0.5 * (a + b), a, b))
+            gm, ga, gb = (
+                _concavity_values(op, gamma_tilde_margins(op, x), w.get("l"))[0]
+                for x in (0.5 * (a + b), a, b)
+            )
             return (gm - 0.5 * (ga + gb)) / (1.0 + abs(gm) + abs(ga) + abs(gb))
 
         recompute = {

@@ -1,7 +1,6 @@
 """Solver tests: initializer, assembly, Newton loop, continuation."""
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from sumhess.solver import (
     _NodeState,
     assemble_newton,
     continuation_solve,
-    first_admissible,
     initial_guess,
     isotropic_level,
     prolong,
@@ -204,30 +202,44 @@ class TestHarmonicLifts:
 
 
 class TestFirstAdmissible:
-    def setup_method(self):
-        self.spec = ProblemSpec(SumHessianOp(2, 2, 1.0), grid2(9), rhs=const_rhs(3.0))
-        g = self.spec.grid
-        self.bad = [GridField.from_function(g, lambda x, s=s: -s * (x**2).sum(axis=-1)) for s in (0.5, 2.0)]
-        self.good = initial_guess(self.spec)
+    """initial_guess tries its factors in order and stops at the first
+    field whose worst margin is positive."""
 
-    def test_returns_first_admissible_unchanged_and_stops(self):
-        drawn = []
+    def _recorded(self, monkeypatch, spec):
+        fields, margins = [], []
+        real_state = solver._NodeState
 
-        def candidates():
-            for cand in (*self.bad, self.good, self.good.with_interior(2.0 * self.good.interior)):
-                drawn.append(cand)
-                yield cand
+        def recording_state(spec_, u):
+            state = real_state(spec_, u)
+            fields.append(u)
+            margins.append(state.worst_margin)
+            return state
 
-        assert first_admissible(self.spec, candidates()) is self.good
-        assert drawn == [*self.bad, self.good]
+        monkeypatch.setattr(solver, "_NodeState", recording_state)
+        return fields, margins
 
-    def test_none_admissible_reports_best_margin(self):
-        margins = [_NodeState(self.spec, u).worst_margin for u in self.bad]
-        assert max(margins) <= 0
+    def test_returns_first_admissible_unchanged_and_stops(self, monkeypatch):
+        # the saddle trace at alpha = 0.1 needs the fourth factor
+        spec = ProblemSpec(SumHessianOp(2, 2, 0.1), grid2(9), rhs=const_rhs(3.0), boundary=TRACES[2])
+        fields, margins = self._recorded(monkeypatch, spec)
+        u0 = initial_guess(spec)
+        assert len(fields) == 4 and u0 is fields[-1]
+        assert max(margins[:-1]) <= 0 < margins[-1]
+
+    def test_none_admissible_reports_best_margin(self, monkeypatch):
+        # n = k = 3, alpha = 10 with the saddle trace has no admissible factor at 17^3
+        grid = Grid((-1.0,) * 3, (1.0,) * 3, (17, 17, 17))
+        spec = ProblemSpec(SumHessianOp(3, 3, 10.0), grid, rhs=const_rhs(0.5), boundary=TRACES[2])
+        fields, margins = self._recorded(monkeypatch, spec)
+        with pytest.raises(ConeBreachError) as info:
+            initial_guess(spec)
+        assert len(margins) == 7 and max(margins) <= 0
         # the best margin is the first candidate's, not the last one's
-        assert margins[0] > margins[1]
-        with pytest.raises(ConeBreachError, match=re.escape(f"best worst-margin {margins[0]:.3e})")):
-            first_admissible(self.spec, iter(self.bad))
+        assert margins[0] == max(margins) > margins[-1]
+        assert str(info.value) == (
+            f"no admissible initial guess found (best worst-margin {margins[0]:.3e}); "
+            "try a coarser grid or continuation"
+        )
 
 
 def _eigen_s_tensor(H, k, alpha):
@@ -588,17 +600,48 @@ class TestSolve:
         assert "S_k is not finite" in rep.message
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_update_is_a_rejected_trial(self):
+    def test_overflowing_update_is_a_stall_at_iteration_0(self):
         # from this admissible start (worst margin 4e-300) the Newton update
-        # overflows when the linear solve scales it back by max|rhs|, so
-        # every trial is non-finite: each is rejected, and the step
-        # underflows to a stall, not a ValueError
+        # overflows when the linear solve scales it back by max|rhs|: the
+        # solve stops there and names the update, not the line search
         g = Grid((-1e100,) * 2, (1e100,) * 2, (5, 5))
         spec = ProblemSpec(SumHessianOp(2, 2, 1.0), g, rhs=const_rhs(1e300))
         u0 = GridField.from_function(g, lambda x: 1e-100 * ((x / 1e100) ** 2).sum(axis=-1) - 2e-100)
         rep = solve(spec, u0=u0)
+        assert rep.status == "stalled" and rep.message.startswith("Newton update overflows")
+        assert rep.iterations == 0 and len(rep.residual_history) == 1 and rep.final_field is u0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_update_is_a_rejected_trial(self, monkeypatch):
+        # a finite update whose full step overflows next to a start of
+        # size 1e306: that trial is rejected, not a ValueError, and the
+        # step underflows to a stall
+        g = Grid((-1e153,) * 2, (1e153,) * 2, (5, 5))
+        spec = ProblemSpec(SumHessianOp(2, 1, 1.0), g, rhs=const_rhs(10.0))
+        u0 = GridField.from_function(g, lambda x: 0.5 * ((x**2).sum(axis=-1) - 2e306))
+        update = np.full(g.n_interior, -np.finfo(float).max)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(u0.interior_flat + update).all()
+        monkeypatch.setattr(solver, "_linear_solve", lambda J, M, rhs, eta: update)
+        rep = solve(spec, u0=u0)
         assert rep.status == "stalled" and "line search underflow" in rep.message
-        assert rep.iterations == 1 and rep.final_field is u0
+        assert rep.iterations == 0 and rep.final_field is u0
+
+    def test_non_finite_krylov_vector_is_a_stall(self):
+        # on this tiny box |Du| is about 1e-160, so the forward-difference
+        # bump of the gradient is huge and f_p overflows to inf; BiCGSTAB
+        # then hands the Jacobian a NaN vector, whose product is NaN (not
+        # a ValueError from GridField) and fails the linear solve
+        L, fs = 1e-60, 1e-100
+        g = Grid((-L,) * 2, (L,) * 2, (3, 3))
+        spec = ProblemSpec(SumHessianOp(2, 1, 0.1), g,
+                           rhs=lambda x, u, p: fs * (0.1 + 13.0 * ((p * 1e160) ** 2).sum(axis=-1)))
+        with np.errstate(over="ignore"):
+            J, _ = assemble_newton(spec, _NodeState(spec, initial_guess(spec)))
+        assert np.isnan(J(np.full(g.n_interior, np.inf))).all()
+        rep = solve(spec)
+        assert rep.status == "stalled" and rep.message.startswith("linear solve residual nan")
+        assert rep.iterations == 0 and len(rep.residual_history) == 1
 
     def test_one_node_state_per_evaluated_field(self, monkeypatch):
         # the start field and each line-search trial are evaluated once;
@@ -656,7 +699,7 @@ class TestSolve:
         rep = solve(spec)
         assert rep.status == "stalled" and "line search underflow" in rep.message
         hist = rep.residual_history
-        assert rep.iterations == len(hist) == 2 and hist[1] < hist[0]
+        assert rep.iterations + 1 == len(hist) == 2 and hist[1] < hist[0]
         assert (1.0 - solver.ARMIJO) * hist[1] == hist[1]
 
     def test_report_serializes(self):
