@@ -7,11 +7,12 @@ classification, scaling invariance).
 
 Exit codes: 0 pass, 1 property failure, 2 solver stall or domain error
 during a solve or the estimate convexity probe, 3 cone breach, 64
-configuration error.  A flag (--max-iter 5) and a --config line
-(max_iter=5) take the same text and give the same value; flags override
-the file.  All outputs land under --out and are written atomically (temp
-file, then rename).  Runs are deterministic for a fixed (config, seed);
-every report embeds the resolved config.
+configuration error.  A subcommand takes flags only for the settings it
+reads; a --config file may set any.  A flag (--max-iter 5) and a --config
+line (max_iter=5) take the same text and give the same value; flags
+override the file.  All outputs land under --out and are written
+atomically (temp file, then rename).  Runs are deterministic for a fixed
+(config, seed); every report embeds the resolved config.
 """
 
 from __future__ import annotations
@@ -221,14 +222,14 @@ class RunConfig:
         return self
 
     def _run_bytes(self) -> int:
-        """Lower bound on the bytes the subcommand allocates: samples for
-        identities and rigidity, nodes of the (finest) grid for the rest.
+        """Lower bound on the bytes the subcommand allocates, from the
+        settings it reads: its samples and the nodes of its (finest) grid.
         Past 64 levels the finest grid exceeds any memory already."""
-        side = self.cells
-        if self.subcommand == "estimate":
-            side = (self.cells + 1) * 2 ** (min(self.levels, 64) - 1) - 1
-        samples = self.samples if self.subcommand in ("identities", "rigidity") else 0
-        nodes = side**self.n if self.subcommand != "identities" else 0
+        reads = _FLAGS[self.subcommand]
+        levels = min(self.levels, 64) if "levels" in reads else 1
+        side = (self.cells + 1) * 2 ** (levels - 1) - 1
+        samples = self.samples if "samples" in reads else 0
+        nodes = side**self.n if "cells" in reads else 0
         return max(samples * BYTES_PER_SAMPLE, nodes * BYTES_PER_NODE)
 
     def op(self) -> SumHessianOp:
@@ -420,19 +421,18 @@ def cmd_rigidity(config: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# the settings each subcommand takes as flags (--max-iter sets max_iter),
-# with their help texts; box is the pair box_lo,box_hi
-_SHARED = {"n": None, "k": None, "alpha": None, "seed": None, "samples": None,
-           "out": "output directory"}
-_GRID = {"cells": None, "box": "lo,hi (applied to every axis)"}
-_SOLVE = {**_GRID, "rhs": "expression over constants, x/y/z, u, g2=|Du|^2", "rtol": None,
-          "max_iter": None}
+# the settings each subcommand reads, and so the flags it takes, spelled out
+# in full (--max-iter sets max_iter); box is the pair box_lo,box_hi
+_SOLVE = ("n", "k", "alpha", "cells", "box", "rhs", "rtol", "max_iter", "out")
 _FLAGS = {
-    "identities": {**_SHARED, "negate_oracle": argparse.SUPPRESS},
-    "solve": {**_SHARED, **_SOLVE},
-    "estimate": {**_SHARED, **_SOLVE, "betas": "comma list of weight exponents", "levels": None},
-    "rigidity": {**_SHARED, **_GRID, "scale_ratio": None},
+    "identities": ("samples", "seed", "out", "negate_oracle"),
+    "solve": _SOLVE,
+    "estimate": (*_SOLVE, "seed", "betas", "levels"),
+    "rigidity": ("n", "k", "alpha", "seed", "samples", "cells", "box", "scale_ratio", "out"),
 }
+_HELP = {"out": "output directory", "box": "lo,hi (applied to every axis)",
+         "rhs": "expression over constants, x/y/z, u, g2=|Du|^2",
+         "betas": "comma list of weight exponents", "negate_oracle": argparse.SUPPRESS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -440,10 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, flags in _FLAGS.items():
         # a subparser given help=None would still be listed in the top-level help
-        p = sub.add_parser(name, **({"help": "inequality sweep"} if name == "identities" else {}))
+        listed = {"help": "inequality sweep"} if name == "identities" else {}
+        p = sub.add_parser(name, allow_abbrev=False, **listed)
         p.add_argument("--config", help="key=value config file; flags override it")
-        for key, text in flags.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
+        for key in flags:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))
     return parser
 
 

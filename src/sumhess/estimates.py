@@ -25,6 +25,7 @@ from .fdgrid import GridField, laplacian_field
 from .solver import ProblemSpec, SolveConfig, continuation_solve
 
 STABILITY_RTOL = 0.05
+PROBE_SAMPLES, PROBE_RADIUS = 200, 3.0  # the convexity probe's points and gradient-cube half-side
 
 
 class SolveFailure(RuntimeError):
@@ -72,12 +73,7 @@ def pogorelov_quantity(u: GridField, exponent: float) -> GridField:
     return GridField.from_interior(u.grid, weighted, boundary=0.0)
 
 
-def rhs_gradient_convexity_probe(
-    spec: ProblemSpec,
-    rng: np.random.Generator,
-    samples: int = 200,
-    radius: float = 3.0,
-) -> float:
+def rhs_gradient_convexity_probe(spec: ProblemSpec, rng: np.random.Generator) -> float:
     """Worst midpoint-convexity margin of f^{1/k} in the gradient slot.
 
     The near-linear weight exponent relies on f^{1/k}(x, u, .) being
@@ -88,11 +84,10 @@ def rhs_gradient_convexity_probe(
     """
     k = spec.op.k
     x = spec.grid.interior_points_flat()
-    idx = rng.integers(0, len(x), size=samples)
-    pts = x[idx]
-    u = np.zeros(samples)
-    p1 = rng.uniform(-radius, radius, size=(samples, spec.grid.dim))
-    p2 = rng.uniform(-radius, radius, size=(samples, spec.grid.dim))
+    pts = x[rng.integers(0, len(x), size=PROBE_SAMPLES)]
+    u = np.zeros(PROBE_SAMPLES)
+    p1 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(PROBE_SAMPLES, spec.grid.dim))
+    p2 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(PROBE_SAMPLES, spec.grid.dim))
 
     def root(p):
         vals = np.asarray(spec.rhs(pts, u, p), dtype=float)

@@ -124,13 +124,16 @@ class _NodeState:
 
 
 def _fd_partials(spec: ProblemSpec, state: _NodeState) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-difference partials f_u and f_p at the state's iterate."""
+    """Forward-difference partials f_u and f_p at the state's iterate, each
+    step FD_STEP times the entry plus its field's max-norm (1 if that underflows)."""
     x, uvals, grads, f = state.x, state.uvals, state.grads, state.f
-    du = FD_STEP * (1.0 + np.abs(uvals))
+    u_norm, p_norm = (m if FD_STEP * m >= np.finfo(float).tiny else 1.0
+                      for m in (np.abs(uvals).max(), np.abs(grads).max()))
+    du = FD_STEP * (np.abs(uvals) + u_norm)
     fu = (np.asarray(spec.rhs(x, uvals + du, grads), float) - f) / du
     fp = np.empty_like(grads)
     for a in range(grads.shape[1]):
-        dp = FD_STEP * (1.0 + np.abs(grads[:, a]))
+        dp = FD_STEP * (np.abs(grads[:, a]) + p_norm)
         bumped = grads.copy()
         bumped[:, a] += dp
         fp[:, a] = (np.asarray(spec.rhs(x, uvals, bumped), float) - f) / dp

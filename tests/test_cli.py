@@ -71,6 +71,16 @@ class TestRunConfig:
         assert report["config"]["cells"] == 11
         assert report["config"]["rhs"] == "2"
 
+    def test_config_file_may_hold_settings_the_subcommand_does_not_read(self, tmp_path):
+        # a config file is a report's config block read back, so it may set
+        # n for identities, which takes no --n; the value is still recorded
+        path = tmp_path / "run.cfg"
+        path.write_text("n=3\nk=3\nalpha=7\n")
+        rc = main([*FAST_IDENTITIES, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / "o" / "s_newton.json").read_text())
+        assert (report["config"]["n"], report["config"]["k"], report["config"]["alpha"]) == (3, 3, 7.0)
+
 
 # one valid value per setting that some subcommand takes as a flag
 _AGREEMENT_VALID = {
@@ -80,8 +90,8 @@ _AGREEMENT_VALID = {
 }
 _AGREEMENT_CASES = [
     (sub, key, text)
-    for sub, keys in cli._FLAGS.items()
-    for key in keys
+    for sub in cli._FLAGS
+    for key in sorted(set().union(*cli._FLAGS.values()))
     for text in (_AGREEMENT_VALID[key], "", ",", "1,,2", "x", "nan")
 ]
 
@@ -101,12 +111,17 @@ def _resolved(monkeypatch, argv):
 @pytest.mark.parametrize("sub,key,text", _AGREEMENT_CASES,
                          ids=[f"{s}-{k}-{t!r}" for s, k, t in _AGREEMENT_CASES])
 def test_flag_and_config_line_agree(sub, key, text, tmp_path, monkeypatch, capsys):
+    # a flag the subcommand takes gives what its config line gives; any
+    # other setting's flag exits 64, while its config line is still read
+    # and range-checked, and a valid value is accepted
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(f"{key}={text}\n")
     by_flag = _resolved(monkeypatch, [sub, f"--{key.replace('_', '-')}={text}"])
     by_config = _resolved(monkeypatch, [sub, "--config=run.cfg"])
-    assert by_flag == by_config
-    assert by_flag[0] in (EXIT_OK, EXIT_CONFIG)
+    assert by_flag == (by_config if key in cli._FLAGS[sub] else (EXIT_CONFIG, []))
+    assert by_config[0] in (EXIT_OK, EXIT_CONFIG)
+    if text == _AGREEMENT_VALID[key]:
+        assert by_config[0] == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -114,6 +129,39 @@ def test_every_setting_has_a_flag():
     flags = set().union(*cli._FLAGS.values())
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     assert fields - {"subcommand", "box_lo", "box_hi"} <= flags
+
+
+@pytest.mark.parametrize("sub", sorted(cli._COMMANDS))
+def test_every_flag_a_subcommand_takes_is_read(sub, tmp_path, monkeypatch):
+    # run the command at a tiny size on a config that logs the settings it
+    # reads; copying the config into a report (asdict, replace) reads them
+    # all and does not count.  beta 1.5 is near-linear, so estimate runs
+    # its convexity probe, which reads seed.
+    fields, reads, paused = {f.name for f in dataclasses.fields(RunConfig)}, set(), []
+
+    class LoggedConfig(RunConfig):
+        def __getattribute__(self, name):
+            if name in fields and not paused:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    def unlogged(fn):
+        def call(*args, **kwargs):
+            paused.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                paused.pop()
+        return call
+
+    monkeypatch.setattr(dataclasses, "asdict", unlogged(dataclasses.asdict))
+    monkeypatch.setattr(dataclasses, "replace", unlogged(dataclasses.replace))
+    monkeypatch.setattr(cli, "run_inequality_suite", _cached_inequality_suite)
+    config = LoggedConfig(subcommand=sub, cells=5, samples=20, levels=2, betas=(1.5,),
+                          out=str(tmp_path))
+    assert cli._COMMANDS[sub](config) in (EXIT_OK, EXIT_PROPERTY)
+    settings = {key: {"box_lo", "box_hi"} if key == "box" else {key} for key in cli._FLAGS[sub]}
+    assert [key for key, names in settings.items() if not names & reads] == []
 
 
 class TestRhsParser:
@@ -296,14 +344,17 @@ class TestSolveCommand:
         assert "cone_breach after 0 iterations" in capsys.readouterr().out
 
     def test_non_finite_krylov_vector_is_a_stall(self, tmp_path, capsys):
-        # on this tiny box the forward-difference partial f_p overflows, so
-        # BiCGSTAB meets a NaN vector: a stall, not a traceback and exit 1
+        # on this tiny box f_p = 2e380 Du overflows at every stage with
+        # t > 0, so BiCGSTAB meets a NaN vector: a stall, not a traceback
+        # and exit 1
         rc = main(
-            ["solve", "--k", "1", "--alpha", "0.1", "--cells", "3", "--box=-1e-60,1e-60",
-             "--rhs", "1e-100*(0.1+13*g2*1e160*1e160)", "--out", str(tmp_path)]
+            ["solve", "--cells", "3", "--box=-1e-60,1e-60", "--rhs", "3+g2*1e160*1e160*1e60",
+             "--out", str(tmp_path)]
         )
         assert rc == EXIT_STALLED
         assert "stalled after 0 iterations" in capsys.readouterr().out
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["message"].startswith("linear solve residual nan")
 
     def test_n_equals_k_equals_3_has_an_admissible_start(self, tmp_path):
         # the barrier start is convex up to the edges of the box, so n = k = 3
@@ -327,6 +378,32 @@ class TestSolveCommand:
         assert json.loads(text)["extras"]["rejected_stages"][0]["status"] == "domain_error"
         assert json.loads(text)["extras"]["rejected_stages"][0]["t"] == 1.0
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("e", [0, 3, 5, 10, 60])
+    def test_gradient_rhs_solves_alike_on_any_box_size(self, e, tmp_path):
+        # u_L(x) = L^2 v(x/L) keeps the Hessians and scales Du by L, so this
+        # is the unit-box problem f = 3 + 0.1|Dv|^2 for every L = 10^-e; the
+        # forward-difference steps scale with the field, not with 1
+        rc = main(["solve", "--rhs", f"3+0.1*g2*1e{2 * e}", "--cells", "33",
+                   f"--box=-1e-{e},1e-{e}", "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert (rc, report["status"], report["iterations"]) == (EXIT_OK, "converged", 5)
+        assert report["extras"]["continuation_ts"] == [1.0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["identities", "--n", "3"], ["identities", "--k", "2"], ["identities", "--alpha", "1"],
+         ["solve", "--seed", "1"], ["solve", "--samples", "5"], ["estimate", "--samples", "5"]],
+        ids=["identities-n", "identities-k", "identities-alpha", "solve-seed", "solve-samples",
+             "estimate-samples"],
+    )
+    def test_flag_the_subcommand_does_not_read_is_refused(self, argv, tmp_path, capsys):
+        # refused by argparse as unknown, not taken as an abbreviation
+        # (--n of --negate-oracle) and not range-checked
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[1]} {argv[2]}" in err
+        assert "Traceback" not in err
 
     def test_bad_flags_are_config_errors(self, tmp_path):
         assert main(["solve", "--cells"]) == EXIT_CONFIG
@@ -479,14 +556,18 @@ _TEXT_FLAGS = {
     "--betas": ["1,2", "1,1.1,2", "x", "nan", "inf", "1,,2", "", ","],
     "--negate-oracle": ["s_newton", "no_such_report"],
 }
-_COMMON = ("--n", "--k", "--alpha", "--seed", "--samples")
+# the flags each subcommand takes (the operator's for all but identities);
+# a --config file may hold any of them
+_COMMON = ("--n", "--k", "--alpha")
+_SOLVE_FLAGS = (*_COMMON, "--cells", "--box", "--rhs", "--rtol", "--max-iter")
 _SUBCOMMAND_FLAGS = {
-    "identities": (*_COMMON, "--negate-oracle"),
-    "solve": (*_COMMON, "--cells", "--box", "--rhs", "--rtol", "--max-iter"),
-    "estimate": (*_COMMON, "--cells", "--box", "--rhs", "--rtol", "--max-iter", "--betas", "--levels"),
-    "rigidity": (*_COMMON, "--cells", "--box", "--scale-ratio"),
+    "identities": ("--seed", "--samples", "--negate-oracle"),
+    "solve": _SOLVE_FLAGS,
+    "estimate": (*_SOLVE_FLAGS, "--seed", "--betas", "--levels"),
+    "rigidity": (*_COMMON, "--seed", "--samples", "--cells", "--box", "--scale-ratio"),
     "frobnicate": _COMMON,
 }
+_ALL_FLAGS = sorted(set().union(*_SUBCOMMAND_FLAGS.values()))
 # the flags that bound a run's size; each run passes them, and flags
 # override --config, so the file cannot lift the caps
 _SIZE_FLAGS = {"identities": ("--samples",), "rigidity": ("--samples", "--cells"),
@@ -518,7 +599,7 @@ def _argv_and_config(draw):
     flags = _SUBCOMMAND_FLAGS[sub]
     chosen = draw(st.lists(st.sampled_from(flags), unique=True, max_size=4))
     chosen += [f for f in _SIZE_FLAGS.get(sub, ()) if f not in chosen]
-    keys = draw(st.lists(st.sampled_from(flags), max_size=3)) if draw(st.booleans()) else None
+    keys = draw(st.lists(st.sampled_from(_ALL_FLAGS), max_size=3)) if draw(st.booleans()) else None
     bad = draw(st.sampled_from([None, *chosen, *(keys or ())]))
     argv = [sub] + [f"{flag}={draw(_flag_values(flag, sub, flag == bad))}" for flag in chosen]
     config = None
