@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .estimates import SolveFailure, refinement_study, rhs_gradient_convexity_probe
 from .fdgrid import Grid, GridField, hessian_field_array, eigh_batch
-from .inequalities import REPORT_BUILDERS, run_inequality_suite
+from .inequalities import OPERATORS, REPORT_BUILDERS, run_inequality_suite
 from .rigidity import QuadraticCandidate, ScaledField, entire_solution_residual, quadratic_residual
 from .solver import ProblemSpec, SolveConfig, continuation_solve, isotropic_level
 from .symfun import SumHessianOp, identity_residuals, s_value
@@ -271,15 +271,14 @@ def _say(line: str) -> None:
 
 def _identity_sweep_passes(samples: int, seed: int) -> bool:
     rng = np.random.default_rng(seed + 421)
-    for n in range(2, 7):
-        lams = rng.uniform(-5.0, 5.0, size=(max(10, samples // 5), n))
-        for k in range(1, n + 1):
-            for alpha in (0.1, 1.0, 10.0):
-                op = SumHessianOp(n, k, alpha)
-                res = identity_residuals(op, lams)
-                scale = 1.0 + np.abs(np.asarray(s_value(lams, k, alpha)))
-                if not (res <= 1e-9 * scale[:, None]).all():
-                    return False
+    lams = np.empty((0, 0))
+    for op in OPERATORS:  # the table is ordered by n: one batch per n
+        if lams.shape[1] != op.n:
+            lams = rng.uniform(-5.0, 5.0, size=(max(10, samples // 5), op.n))
+        res = identity_residuals(op, lams)
+        scale = 1.0 + np.abs(np.asarray(s_value(lams, op.k, op.alpha)))
+        if not (res <= 1e-9 * scale[:, None]).all():
+            return False
     return True
 
 
@@ -430,6 +429,12 @@ _FLAGS = {
     "estimate": (*_SOLVE, "seed", "betas", "levels"),
     "rigidity": ("n", "k", "alpha", "seed", "samples", "cells", "box", "scale_ratio", "out"),
 }
+_SUMMARY = {
+    "identities": "inequality sweep",
+    "solve": "Newton solve of S_k(D^2 u) = f, u = 0 on the boundary",
+    "estimate": "refinement study of (-u)^beta * Laplacian u",
+    "rigidity": "entire solutions, quadratics and scaling invariance",
+}
 _HELP = {"out": "output directory", "box": "lo,hi (applied to every axis)",
          "rhs": "expression over constants, x/y/z, u, g2=|Du|^2",
          "betas": "comma list of weight exponents", "negate_oracle": argparse.SUPPRESS}
@@ -439,9 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sumhess", description="Sum Hessian operator experiments")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, flags in _FLAGS.items():
-        # a subparser given help=None would still be listed in the top-level help
-        listed = {"help": "inequality sweep"} if name == "identities" else {}
-        p = sub.add_parser(name, allow_abbrev=False, **listed)
+        p = sub.add_parser(name, allow_abbrev=False, help=_SUMMARY[name])
         p.add_argument("--config", help="key=value config file; flags override it")
         for key in flags:
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))

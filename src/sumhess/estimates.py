@@ -65,11 +65,14 @@ def _require_nonpositive(u: GridField) -> np.ndarray:
 
 
 def pogorelov_quantity(u: GridField, exponent: float) -> GridField:
-    """Node-wise (-u)^exponent * (Laplacian of u); exponent 0 reproduces
-    the plain Laplacian field bit-exactly."""
+    """Node-wise (-u)^exponent * (Laplacian of u), a DomainError where that
+    is not finite; exponent 0 reproduces the Laplacian bit-exactly."""
     interior = _require_nonpositive(u)
     lap = laplacian_field(u)
-    weighted = np.power(-interior, exponent) * lap.interior
+    with np.errstate(all="ignore"):
+        weighted = np.power(-interior, exponent) * lap.interior
+    if not np.isfinite(weighted).all():
+        raise DomainError(f"weighted quantity (-u)^{exponent} * Laplacian is not finite")
     return GridField.from_interior(u.grid, weighted, boundary=0.0)
 
 

@@ -1,14 +1,18 @@
 """Executable oracles for the inequality toolbox of the sum operator.
 
-Each margin function returns LHS - RHS of one inequality (positive means
-the inequality holds).  The randomized sweep drivers at the bottom turn
-the oracles into InequalityReport records; those are the backbone of the
-property-test suite and of the `identities` CLI subcommand.
+Every margin kernel returns normalized margins: LHS - RHS of one
+inequality (positive means it holds) over 1 + (sum of magnitudes of the
+additive terms on both sides), so one tolerance is meaningful across
+wildly different eigenvalue magnitudes and cancellation inside a tight
+inequality cannot masquerade as a violation; a kernel for several
+inequalities returns their minimum.  The exception is
+_partial_product_batch: it returns raw margins and scales per order,
+because _first_worst picks the worst order by raw margin.
 
-Margins produced by the sweeps are normalized by 1 + (sum of magnitudes
-of the additive terms on both sides), so a single tolerance is
-meaningful across wildly different eigenvalue magnitudes and so that
-cancellation inside a tight inequality cannot masquerade as a violation.
+The randomized sweep drivers at the bottom run each inequality over the
+fixed operator table OPERATORS and turn the margins into InequalityReport
+records, the backbone of the property tests and of the `identities` CLI
+subcommand.
 
 Conditional inequalities (those holding only for a sufficiently large
 top eigenvalue) are never asserted pointwise; an empirical threshold is
@@ -31,7 +35,7 @@ from .cones import (
     sample_gamma_k_array,
 )
 from .errors import DegenerateEigenvaluesError
-from .symfun import SumHessianOp, s_gradient, s_hessian, s_value, sigma_all
+from .symfun import SumHessianOp, s_gradient, s_hessian, sigma_all
 
 SWEEP_TOL = 1e-9
 WITNESSES = 5  # worst samples kept per report
@@ -39,6 +43,10 @@ GAP_TOL = 1e-6  # smallest eigenvalue gap the directional derivative accepts
 CAPPED_TAILS = 6  # Gamma_{k-1} tails of the capped threshold search
 CAPPED_N0 = 10.0  # operator cap S_k <= N0 of the capped threshold search
 CAPPED_EPS0 = 0.1  # eps0 of the conditional top bound S_k >= (1-eps0) lam_1 S^{11}
+# the swept operators: n = 2..6, every order k, alpha in (0.1, 1, 10)
+OPERATORS = tuple(
+    SumHessianOp(n, k, alpha) for n in range(2, 7) for k in range(1, n + 1) for alpha in (0.1, 1.0, 10.0)
+)
 
 
 @dataclass
@@ -104,8 +112,8 @@ class _WorstTracker:
 # ---------------------------------------------------------------------------
 
 def _quotient_concavity_batch(op, l, lams, ws, split_deltas):
-    """Margins (and term scales) of the quotient-concavity quadratic-form
-    inequality, batched over rows of lams/ws, one pair per entry of
+    """Normalized margins of the quotient-concavity quadratic-form
+    inequality, batched over rows of lams/ws, one array per entry of
     split_deltas (None: the plain form), from one pass over S_k and S_l.
 
     With theta = 1/(k-l), dotS_m = sum_p S_m^{pp} w_p and
@@ -148,7 +156,7 @@ def _quotient_concavity_batch(op, l, lams, ws, split_deltas):
                 + sk * (theta + 1.0 - d * theta) * y * y
                 + np.abs(sk / sl * ddl)
             )
-        yield lhs - rhs, 1.0 + scale
+        yield (lhs - rhs) / (1.0 + scale)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +236,21 @@ def _first_worst(margins, scales):
 # Newton-type inequality for adjacent operator orders
 # ---------------------------------------------------------------------------
 
+def _sigma_and_s(lams, alpha, order):
+    """sigma_0..sigma_order and S_0..S_order of lams from one sigma_all pass;
+    sigma_{-1} = 0 and sigma_{j>n} = 0 give S_0 = 1 and S_{n+1} = alpha*sigma_n."""
+    sig = sigma_all(lams, order)
+    padded = np.zeros(sig.shape[:-1] + (order + 2,))  # sigma_{-1}..sigma_order
+    padded[..., 1 : sig.shape[-1] + 1] = sig
+    return padded[..., 1:], padded[..., 1:] + alpha * padded[..., :-1]
+
+
 def _s_newton_batch(op, lams):
-    """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2); for k = n, sigma_{n+1} = 0
-    gives S_{n+1} = alpha*sigma_n."""
-    k, alpha = op.k, op.alpha
-    sk = np.asarray(s_value(lams, k, alpha), dtype=float)
-    skm = np.asarray(s_value(lams, k - 1, alpha), dtype=float)
-    skp = np.asarray(s_value(lams, k + 1, alpha), dtype=float)
-    return (sk * sk - skm * skp) / (1.0 + sk * sk)
+    """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2)."""
+    k = op.k
+    s = _sigma_and_s(lams, op.alpha, k + 1)[1]
+    sk = s[..., k]
+    return (sk * sk - s[..., k - 1] * s[..., k + 1]) / (1.0 + sk * sk)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +258,7 @@ def _s_newton_batch(op, lams):
 # ---------------------------------------------------------------------------
 
 def _newton_maclaurin_batch(lams, k):
-    """Normalized margins, on Gamma_k with k >= 2, of
+    """The smaller normalized margin, on Gamma_k with k >= 2, of
         sigma_{k-1} >= sigma_1^{1/(k-1)} sigma_k^{(k-2)/(k-1)}  and
         sigma_k sigma_{k-1} >= sigma_{k-2} sigma_{k+1}."""
     sig = sigma_all(lams, k + 1)
@@ -252,7 +267,7 @@ def _newton_maclaurin_batch(lams, k):
     rhs1 = s1 ** (1.0 / (k - 1)) * sk ** ((k - 2.0) / (k - 1.0))
     m1 = (skm1 - rhs1) / (1.0 + np.abs(skm1) + np.abs(rhs1))
     m2 = (sk * skm1 - skm2 * skp1) / (1.0 + np.abs(sk * skm1) + np.abs(skm2 * skp1))
-    return m1, m2
+    return np.minimum(m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +275,11 @@ def _newton_maclaurin_batch(lams, k):
 # ---------------------------------------------------------------------------
 
 def _capped_bounds_batch(op, lams, n0):
-    """Margins for descending Gamma_k spectra with S_k <= n0, k >= 2, each
-    with its term scale.  With K0 = n*(n0/alpha)^{1/(k-1)}, kap_i = lam_i + K0:
-    cap (n0/alpha)^{1/(k-1)} - lam_{k-1}, floor lam_n + K0 and share
-    min_i C0 S_k - lam_i S^{ii}, C0 = 2 + K0*binom(n,k)/alpha, hold
-    unconditionally; weighted min_i 2 kap_1^{k+2} S^{11} - kap_i^{k+2} S^{ii}
+    """(unconditional, conditional) normalized minima for descending
+    Gamma_k spectra with S_k <= n0, k >= 2.  With K0 = n*(n0/alpha)^{1/(k-1)},
+    kap_i = lam_i + K0: cap (n0/alpha)^{1/(k-1)} - lam_{k-1}, floor
+    lam_n + K0 and share min_i C0 S_k - lam_i S^{ii}, C0 = 2 + K0*binom(n,k)/alpha,
+    hold unconditionally; weighted min_i 2 kap_1^{k+2} S^{11} - kap_i^{k+2} S^{ii}
     and top S_k - (1-CAPPED_EPS0) lam_1 S^{11} only for large lam_1."""
     n, k, alpha = op.n, op.k, op.alpha
     sk = gamma_tilde_margins(op, lams)[..., -1]
@@ -273,32 +288,18 @@ def _capped_bounds_batch(op, lams, n0):
     k0 = n * (n0 / alpha) ** (1.0 / (k - 1))
     kap = lams + k0[..., None]
     cap = (n0 / alpha) ** (1.0 / (k - 1)) - lams[..., k - 2]
-    floor = lams[..., -1] + k0
+    cap = cap / (1.0 + np.abs(cap) + np.abs(lams[..., k - 2]))
+    floor = (lams[..., -1] + k0) / (1.0 + k0 + np.abs(lams[..., -1]))
     lhs_w = 2.0 * kap[..., :1] ** (k + 2) * grad[..., :1]
     rhs_w = kap ** (k + 2) * grad
-    weighted = (lhs_w - rhs_w).min(axis=-1)
-    weighted_scale = 1.0 + np.abs(lhs_w[..., 0]) + np.abs(rhs_w).max(axis=-1)
+    weighted = (lhs_w - rhs_w).min(axis=-1) / (1.0 + np.abs(lhs_w[..., 0]) + np.abs(rhs_w).max(axis=-1))
     top_rhs = (1.0 - CAPPED_EPS0) * lams[..., 0] * grad[..., 0]
-    top = sk - top_rhs
-    top_scale = 1.0 + np.abs(sk) + np.abs(top_rhs)
+    top = (sk - top_rhs) / (1.0 + np.abs(sk) + np.abs(top_rhs))
     c0 = 2.0 + k0 * math.comb(n, k) / alpha
     share_rhs = lams * grad
     share = (c0[..., None] * sk[..., None] - share_rhs).min(axis=-1)
-    share_scale = 1.0 + np.abs(c0 * sk) + np.abs(share_rhs).max(axis=-1)
-    return {
-        "k0": k0,
-        "c0": c0,
-        "cap": cap,
-        "cap_scale": 1.0 + np.abs(cap) + np.abs(lams[..., k - 2]),
-        "floor": floor,
-        "floor_scale": 1.0 + k0 + np.abs(lams[..., -1]),
-        "weighted": weighted,
-        "weighted_scale": weighted_scale,
-        "top": top,
-        "top_scale": top_scale,
-        "share": share,
-        "share_scale": share_scale,
-    }
+    share = share / (1.0 + np.abs(c0 * sk) + np.abs(share_rhs).max(axis=-1))
+    return np.minimum(cap, np.minimum(floor, share)), np.minimum(weighted, top)
 
 
 def _family_coefficients(op, lam1s, tail_sigma):
@@ -413,11 +414,8 @@ def _capped_family_worst(op, n0, lam1s, tails, tail_sigma):
     specs = np.concatenate([lam1s[li, None], np.asarray(roots)[:, None] * tails[ti]], axis=1)
     specs = np.sort(specs, axis=-1)[:, ::-1]
     ok = (specs[:, 0] == lam1s[li]) & members(gamma_k_margins(specs, k))
-    d = _capped_bounds_batch(op, specs[ok], n0)
     worst = np.full(len(lam1s), math.inf)
-    np.minimum.at(
-        worst, li[ok], np.minimum(d["weighted"] / d["weighted_scale"], d["top"] / d["top_scale"])
-    )
+    np.minimum.at(worst, li[ok], _capped_bounds_batch(op, specs[ok], n0)[1])
     return worst
 
 
@@ -499,50 +497,41 @@ def _concavity_values(op, S, l=None):
 # sweep drivers
 # ---------------------------------------------------------------------------
 
-def _op_grid(ns, alphas, k_min=1, k_max_off=0):
-    for n in ns:
-        for k in range(k_min, n + 1 - k_max_off):
-            for alpha in alphas:
-                yield SumHessianOp(n, k, alpha)
-
-
-def _report_quotient_concavity(ns, alphas, samples, rng, split_deltas=None):
+def _report_quotient_concavity(samples, rng, split_deltas=None):
     name = "quotient_concavity" if split_deltas is None else "quotient_concavity_split"
     deltas = split_deltas or [None]
     tracker = _WorstTracker()
-    for op in _op_grid(ns, alphas, k_min=2):
+    for op in (op for op in OPERATORS if op.k >= 2):
         ells = list(range(1, op.k))
         per = max(1, samples // len(ells))
         for l in ells:
             lams = sample_cone_array(op, per, 5.0, rng)
             ws = rng.uniform(-1.0, 1.0, size=lams.shape)
-            pairs = _quotient_concavity_batch(op, l, lams, ws, deltas)
-            for delta, (margins, scales) in zip(deltas, pairs):
-                tracker.add_batch(margins / scales, op, lams, l=l, w=ws, delta=delta)
+            for delta, margin in zip(deltas, _quotient_concavity_batch(op, l, lams, ws, deltas)):
+                tracker.add_batch(margin, op, lams, l=l, w=ws, delta=delta)
     extras = {} if split_deltas is None else {"deltas": list(split_deltas)}
     return tracker.report(name, extras)
 
 
-def _report_cone_upgrade(ns, alphas, samples, rng):
+def _report_cone_upgrade(samples, rng):
     """Inside the admissible cone at order k, positivity of S_{k+1}
     upgrades membership to order k+1; equivalently sigma_k > 0."""
     tracker = _WorstTracker()
     promoted_fail = 0
-    for op in _op_grid(ns, alphas, k_max_off=1):  # k < n
+    for op in (op for op in OPERATORS if op.k < op.n):
         lams = sample_cone_array(op, samples, 5.0, rng)
-        mtilde = gamma_tilde_margins(SumHessianOp(op.n, op.k + 1, op.alpha), lams)
-        keep = mtilde[..., -1] > 0  # S_{k+1}
-        lams, mtilde = lams[keep], mtilde[keep]
+        sig, s = _sigma_and_s(lams, op.alpha, op.k + 1)
+        keep = s[..., -1] > 0  # S_{k+1}
+        lams, mtilde, sig_k = lams[keep], s[keep, 1:], sig[keep, op.k]
         if not len(lams):
             continue
         scale = 1.0 + np.abs(mtilde).max(axis=-1)
         promoted_fail += int((mtilde.min(axis=-1) < -SWEEP_TOL * scale).sum())
-        sig_k = sigma_all(lams, op.k)[..., op.k]
         tracker.add_batch(sig_k / (1.0 + np.abs(sig_k)), op, lams)
     return tracker.report("cone_upgrade", {"promotion_failures": promoted_fail})
 
 
-def _report_partial_products(ns, alphas, samples, rng):
+def _report_partial_products(samples, rng):
     """Asserts the partial-product bound where it genuinely holds:
     s = 1..k-2 on admissible-cone samples and the full s = 1..k-1 on
     Garding-cone samples.  The s = k-1 term on merely admissible spectra
@@ -552,7 +541,7 @@ def _report_partial_products(ns, alphas, samples, rng):
     thetas = {}
     boundary_worst = math.inf
     boundary_violations = 0
-    for op in _op_grid(ns, alphas, k_min=2):
+    for op in (op for op in OPERATORS if op.k >= 2):
         lams = sample_cone_array(op, samples, 5.0, rng)
         margins, scales, theta = _partial_product_batch(op, lams)
         if op.k >= 3:
@@ -575,22 +564,17 @@ def _report_partial_products(ns, alphas, samples, rng):
     return tracker.report("partial_products", extras)
 
 
-def _report_capped_bounds(ns, alphas, samples, rng):
+def _report_capped_bounds(samples, rng):
     """Unconditional capped-spectrum margins (cap, floor, bounded share
     with the explicit C0) asserted on self-capped Gamma_k samples; the
     two conditional margins go through the threshold search instead."""
     tracker = _WorstTracker()
     thresholds = {}
-    for op in _op_grid(ns, alphas, k_min=2):
+    for op in (op for op in OPERATORS if op.k >= 2):
         lams = sample_gamma_k_array(op.n, op.k, samples, 5.0, rng)
         n0 = gamma_tilde_margins(op, lams)[..., -1]  # before sorting: sorted, the last bits differ
         lams = np.sort(lams, axis=-1)[..., ::-1]
-        d = _capped_bounds_batch(op, lams, n0)
-        worst = np.minimum(
-            d["cap"] / d["cap_scale"],
-            np.minimum(d["floor"] / d["floor_scale"], d["share"] / d["share_scale"]),
-        )
-        tracker.add_batch(worst, op, lams)
+        tracker.add_batch(_capped_bounds_batch(op, lams, n0)[0], op, lams)
         search = capped_threshold_search(op, rng)
         thresholds[f"n={op.n},k={op.k},alpha={op.alpha}"] = {
             "lambda_star": search["lambda_star"],
@@ -600,27 +584,27 @@ def _report_capped_bounds(ns, alphas, samples, rng):
     return tracker.report("capped_bounds", extras)
 
 
-def _report_s_newton(ns, alphas, samples, rng):
+def _report_s_newton(samples, rng):
     tracker = _WorstTracker()
-    for op in _op_grid(ns, alphas):
+    for op in OPERATORS:
         lams = sample_cone_array(op, samples, 5.0, rng)
         tracker.add_batch(_s_newton_batch(op, lams), op, lams)
     return tracker.report("s_newton")
 
 
-def _report_newton_maclaurin(ns, alphas, samples, rng):
+def _report_newton_maclaurin(samples, rng):
     tracker = _WorstTracker()
-    for op in _op_grid(ns, alphas[:1], k_min=2):  # alpha does not enter these margins
+    # alpha does not enter these margins, so only the first alpha is swept
+    for op in (op for op in OPERATORS if op.k >= 2 and op.alpha == OPERATORS[0].alpha):
         lams = sample_gamma_k_array(op.n, op.k, samples, 5.0, rng)
-        m1, m2 = _newton_maclaurin_batch(lams, op.k)
-        tracker.add_batch(np.minimum(m1, m2), op, lams)
+        tracker.add_batch(_newton_maclaurin_batch(lams, op.k), op, lams)
     return tracker.report("newton_maclaurin")
 
 
-def _report_concavity(ns, alphas, samples, rng):
+def _report_concavity(samples, rng):
     tracker = _WorstTracker()
     skipped = 0
-    for op in _op_grid(ns, alphas):
+    for op in OPERATORS:
         ells = [None] + list(range(1, op.k))
         per = max(2, samples // len(ells))
         for l in ells:
@@ -654,27 +638,17 @@ REPORT_BUILDERS = {
 }
 
 
-def run_inequality_suite(
-    ns=(2, 3, 4, 5, 6),
-    alphas=(0.1, 1.0, 10.0),
-    samples: int = 1000,
-    seed: int = 2024,
-    names=None,
-) -> list[InequalityReport]:
-    """Run the full randomized sweep and return one report per inequality.
+def run_inequality_suite(samples: int = 1000, seed: int = 2024) -> list[InequalityReport]:
+    """Run every report over the operator table OPERATORS, `samples`
+    spectra per operator (split over the orders l of the quotient and
+    concavity reports), and return one report per inequality.
 
     Every report holds its worst margin, which passes at -SWEEP_TOL, and
     up to WITNESSES witnesses, each the operator (n, k, alpha), the
     spectrum lam, the report's own fields and the margin (see
     _WorstTracker).  The capped threshold search runs at CAPPED_N0 and
     CAPPED_EPS0.  Deterministic for a fixed seed: every report consumes
-    its own child random stream, so selecting a subset with `names` does
-    not change the numbers of the reports kept.
+    its own child random stream.
     """
-    wanted = list(REPORT_BUILDERS) if names is None else list(names)
     streams = np.random.default_rng(seed).spawn(len(REPORT_BUILDERS))
-    return [
-        builder(ns, alphas, samples, streams[i])
-        for i, (name, builder) in enumerate(REPORT_BUILDERS.items())
-        if name in wanted
-    ]
+    return [builder(samples, rng) for builder, rng in zip(REPORT_BUILDERS.values(), streams)]

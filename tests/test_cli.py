@@ -6,15 +6,17 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sumhess
 from sumhess import cli
@@ -129,6 +131,13 @@ def test_every_setting_has_a_flag():
     flags = set().union(*cli._FLAGS.values())
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     assert fields - {"subcommand", "box_lo", "box_hi"} <= flags
+
+
+def test_help_lists_every_subcommand_with_a_summary(capsys):
+    assert main(["--help"]) == EXIT_OK
+    out = capsys.readouterr().out
+    for name in cli._COMMANDS:
+        assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), (name, out)
 
 
 @pytest.mark.parametrize("sub", sorted(cli._COMMANDS))
@@ -550,10 +559,10 @@ _FLOAT_FLAGS = {
 }
 _TEXT_FLAGS = {
     "--box": ["-1,1", "0,1", "2,1", "1,a", "1", "1,2,3", ",", "-1e200,1e200", "0,1e-300", "0,inf",
-              "nan,1", "-inf,0"],
+              "nan,1", "-inf,0", "-1e30,1e30"],
     "--rhs": ["3", "3+0.1*g2", "3+x*y-0.5*u", "3+30*u", "3-10*u", "-1", "0", "1e999", "1e-300",
               "3+z", "3+x3", "(", "__import__('os')", "3 # g2", "1e300*g2", "3+1e10*u", ""],
-    "--betas": ["1,2", "1,1.1,2", "x", "nan", "inf", "1,,2", "", ","],
+    "--betas": ["1,2", "1,1.1,2", "x", "nan", "inf", "1,,2", "", ",", "1,8", "-400"],
     "--negate-oracle": ["s_newton", "no_such_report"],
 }
 # the flags each subcommand takes (the operator's for all but identities);
@@ -626,6 +635,10 @@ def _cached_inequality_suite(samples, seed):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_argv_and_config())
+# the generated runs seldom pair a solvable estimate with a huge box or beta,
+# so the two whose weighted quantity overflows are always run as well
+@example((["estimate", "--box=-1e30,1e30", "--cells=5", "--levels=2", "--betas=1,8"], None))
+@example((["estimate", "--cells=5", "--levels=2", "--betas=-400"], None))
 def test_exit_code_contract_holds_for_generated_argv(case):
     argv, config = case
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -732,6 +745,26 @@ class TestEstimateCommand:
         assert rc == EXIT_STALLED
         assert captured.err == ""
         assert captured.out.startswith("FAIL estimate beta=1.0: refinement level 0: field must be <= 0")
+        assert captured.out.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--box=-1e30,1e30", "--betas", "1,8"], ["--betas=-400"]],
+        ids=["huge-box", "negative-beta"],
+    )
+    def test_non_finite_weighted_quantity_is_a_domain_error(self, argv, tmp_path, capsys):
+        # (-u)^8 overflows where -u is near 1e60 on the huge box, and (-u)^-400
+        # next to the boundary of the finer level, where -u is small
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["estimate", "--cells", "5", "--levels", "2", "--rhs", "3", *argv,
+                       "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_STALLED
+        assert captured.err == ""
+        assert captured.out.startswith("FAIL estimate beta=")
+        assert ": refinement level " in captured.out
+        assert "Laplacian is not finite" in captured.out
         assert captured.out.count("\n") == 1
 
     def test_level_falls_back_to_continuation(self, tmp_path):

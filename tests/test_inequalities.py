@@ -18,6 +18,7 @@ from sumhess.cones import (
 from sumhess.errors import DegenerateEigenvaluesError
 from sumhess.inequalities import (
     CAPPED_TAILS,
+    OPERATORS,
     _capped_bounds_batch,
     _capped_family_worst,
     _concavity_values,
@@ -28,6 +29,7 @@ from sumhess.inequalities import (
     _partial_product_batch,
     _quotient_concavity_batch,
     _s_newton_batch,
+    _sigma_and_s,
     _WorstTracker,
     capped_threshold_search,
     directional_second_derivative,
@@ -36,46 +38,42 @@ from sumhess.inequalities import (
 from sumhess.symfun import SumHessianOp, s_hessian, s_value, sigma_all
 
 
-def _quotient_concavity(op, l, lam, w, delta=None):
-    [(margins, _)] = _quotient_concavity_batch(op, l, np.array([lam]), np.array([w]), [delta])
-    return float(margins[0])
-
-
-def _normalized_quotient_concavity(op, l, lams, ws, delta=None):
-    [(margins, scales)] = _quotient_concavity_batch(op, l, lams, ws, [delta])
-    return margins / scales
+def _quotient_concavity(op, l, lams, ws, delta=None):
+    [margins] = _quotient_concavity_batch(op, l, np.atleast_2d(lams), np.atleast_2d(ws), [delta])
+    return margins
 
 
 class TestQuotientConcavityForm:
     def test_zero_direction(self):
         op = SumHessianOp(3, 2, 1.0)
-        assert _quotient_concavity(op, 1, [1.0, 1.0, 1.0], np.zeros(3)) == 0.0
+        assert _quotient_concavity(op, 1, [1.0, 1.0, 1.0], np.zeros(3))[0] == 0.0
 
     def test_closed_form_point(self):
-        # lam=(1,1,1), w=e_1: LHS = 0, RHS = (3/6 - 1/4)((1-1)3/6 - 2/4)
+        # lam=(1,1,1), w=e_1: x = 3/6, y = 1/4, LHS = 0, RHS = (x - y)((1-1)x - 2y),
+        # so the margin 0.125 over the scale 1 + 2(x^2 + y^2 + xy) = 1.875
         op = SumHessianOp(3, 2, 1.0)
-        m = _quotient_concavity(op, 1, [1.0, 1.0, 1.0], [1.0, 0.0, 0.0])
-        assert m == pytest.approx(0.125)
+        (m,) = _quotient_concavity(op, 1, [1.0, 1.0, 1.0], [1.0, 0.0, 0.0])
+        assert m == pytest.approx(0.125 / 1.875)
 
     def test_randomized_sweep(self):
         op = SumHessianOp(3, 2, 1.0)
         rng = np.random.default_rng(40)
         lams = sample_cone_array(op, 10_000, 5.0, rng)
         ws = rng.uniform(-1.0, 1.0, size=lams.shape)
-        assert (_normalized_quotient_concavity(op, 1, lams, ws) >= -1e-9).all()
+        assert (_quotient_concavity(op, 1, lams, ws) >= -1e-9).all()
 
 
 class TestQuotientConcavitySplit:
     def test_zero_direction(self):
         op = SumHessianOp(3, 2, 1.0)
-        assert _quotient_concavity(op, 1, [1.0, 1.0, 1.0], np.zeros(3), delta=0.5) == 0.0
+        assert _quotient_concavity(op, 1, [1.0, 1.0, 1.0], np.zeros(3), delta=0.5)[0] == 0.0
 
     def test_closed_form_point(self):
         # lam=(1,1,1), w=(1,-1,0): ddS_2 = -2, gradients cancel, so
-        # LHS = 2 and RHS = 0
+        # LHS = 2 and RHS = 0 over the scale 1 + |ddS_2| = 3
         op = SumHessianOp(3, 2, 1.0)
-        m = _quotient_concavity(op, 1, [1.0, 1.0, 1.0], [1.0, -1.0, 0.0], delta=0.5)
-        assert m == pytest.approx(2.0)
+        (m,) = _quotient_concavity(op, 1, [1.0, 1.0, 1.0], [1.0, -1.0, 0.0], delta=0.5)
+        assert m == pytest.approx(2.0 / 3.0)
 
     @pytest.mark.parametrize("delta", [0.5, 0.1, 0.01])
     def test_delta_sweep(self, delta):
@@ -84,7 +82,7 @@ class TestQuotientConcavitySplit:
         lams = sample_cone_array(op, 1000, 5.0, rng)
         ws = rng.uniform(-1.0, 1.0, size=lams.shape)
         for l in (1, 2):
-            assert (_normalized_quotient_concavity(op, l, lams, ws, delta) >= -1e-9).all()
+            assert (_quotient_concavity(op, l, lams, ws, delta) >= -1e-9).all()
 
 
 class TestDirectionalSecondDerivative:
@@ -232,34 +230,59 @@ class TestSNewton:
                     lams = sample_cone_array(op, 120, 5.0, rng)
                     assert (_s_newton_batch(op, lams) >= -1e-9).all()
 
+    def test_one_sigma_pass_is_bitwise_the_s_value_forms(self):
+        # _s_newton_batch and the cone_upgrade sweep read S_0..S_{k+1} and
+        # sigma_k from one _sigma_and_s pass; every swept operator is checked,
+        # k = 1 (S_0 = 1) and k = n (S_{n+1} = alpha*sigma_n) among them
+        assert {op.k for op in OPERATORS if op.k in (1, op.n)} == {1, 2, 3, 4, 5, 6}
+        rng = np.random.default_rng(50)
+        for op in OPERATORS:
+            k, alpha = op.k, op.alpha
+            lams = sample_cone_array(op, 64, 5.0, rng)
+            sig, s = _sigma_and_s(lams, alpha, k + 1)
+            forms = [np.asarray(s_value(lams, m, alpha)) for m in range(k + 2)]
+            for m, form in enumerate(forms):
+                assert s[:, m].tobytes() == form.tobytes(), (op, m)
+            assert sig[:, k].tobytes() == s_value(lams, k, 0.0).tobytes(), op
+            skm, sk, skp = forms[k - 1 :]
+            want = (sk * sk - skm * skp) / (1.0 + sk * sk)
+            assert _s_newton_batch(op, lams).tobytes() == want.tobytes(), op
+
 
 class TestNewtonMaclaurin:
     def test_collapsed_exponents_all_ones(self):
-        (m1,), (m2,) = _newton_maclaurin_batch(np.array([[1.0, 1.0, 1.0]]), 2)
-        assert m1 == pytest.approx(0.0, abs=1e-15)
-        assert m2 > 0
+        # the first margin collapses to 0 and the second is
+        # (3*3 - 1*1)/(1 + 9 + 1) > 0, so their minimum is 0
+        (m,) = _newton_maclaurin_batch(np.array([[1.0, 1.0, 1.0]]), 2)
+        assert m == pytest.approx(0.0, abs=1e-15)
 
     def test_collapsed_exponents_generic_k2(self):
-        # k = 2 collapses the first bound to sigma_1 >= sigma_1
-        (m1,), _ = _newton_maclaurin_batch(np.array([[2.0, 1.0, 1.0]]), 2)
-        assert m1 == pytest.approx(0.0, abs=1e-15)
+        # k = 2 collapses the first bound to sigma_1 >= sigma_1; the second
+        # is (5*4 - 1*2)/(1 + 20 + 2) > 0
+        (m,) = _newton_maclaurin_batch(np.array([[2.0, 1.0, 1.0]]), 2)
+        assert m == pytest.approx(0.0, abs=1e-15)
 
     def test_randomized_sweep(self):
         rng = np.random.default_rng(45)
         for n in (3, 4, 5, 6):
             for k in range(2, n + 1):
-                m1, m2 = _newton_maclaurin_batch(sample_gamma_k_array(n, k, 400, 5.0, rng), k)
-                assert (m1 >= -1e-9).all()
-                assert (m2 >= -1e-9).all()
+                m = _newton_maclaurin_batch(sample_gamma_k_array(n, k, 400, 5.0, rng), k)
+                assert (m >= -1e-9).all()
 
 
 class TestCappedBounds:
     def test_cap_margin_point(self):
+        # lam = (2, 0.5, 0.1), n0 = 4: K0 = 3*4 = 12, C0 = 2 + 12*3 = 38,
+        # S_2 = 3.85 and lam_i S^{ii} = (3.2, 1.55, 0.35)
         op = SumHessianOp(3, 2, 1.0)
-        b = _capped_bounds_batch(op, np.array([[2.0, 0.5, 0.1]]), 4.0)
-        assert b["cap"][0] == pytest.approx(2.0)
-        assert b["k0"][0] == pytest.approx(12.0)
-        assert b["c0"][0] == pytest.approx(2.0 + 12.0 * 3.0)
+        (unconditional,), (conditional,) = _capped_bounds_batch(op, np.array([[2.0, 0.5, 0.1]]), 4.0)
+        cap = 2.0 / (1.0 + 2.0 + 2.0)
+        floor = (0.1 + 12.0) / (1.0 + 12.0 + 0.1)
+        share = (38.0 * 3.85 - 3.2) / (1.0 + 38.0 * 3.85 + 3.2)
+        assert unconditional == pytest.approx(min(cap, floor, share))
+        assert unconditional == pytest.approx(0.4)  # the cap of 2 binds
+        # top: S_2 - 0.9*2*1.6 = 0.97 binds below the weighted margin
+        assert conditional == pytest.approx(0.97 / (1.0 + 3.85 + 2.88))
 
     def test_unconditional_margins_on_selfcapped_sweep(self):
         rng = np.random.default_rng(46)
@@ -267,10 +290,8 @@ class TestCappedBounds:
             op = SumHessianOp(n, k, alpha)
             lams = sample_gamma_k_array(n, k, 1000, 5.0, rng)
             n0 = np.asarray(s_value(lams, k, alpha))
-            b = _capped_bounds_batch(op, np.sort(lams, axis=-1)[..., ::-1], n0)
-            assert (b["cap"] >= -1e-9 * (1 + np.abs(b["cap"]))).all()
-            assert (b["floor"] > 0).all()
-            assert (b["share"] >= -1e-9 * (1 + n0 * b["c0"])).all()
+            unconditional, _ = _capped_bounds_batch(op, np.sort(lams, axis=-1)[..., ::-1], n0)
+            assert (unconditional >= -1e-9).all()
 
     def test_threshold_search_reports_finite(self):
         rng = np.random.default_rng(47)
@@ -306,12 +327,7 @@ def _family_worst_per_pair(op, n0, lam1, tails):
         spec = np.sort(np.concatenate([[lam1], s * nu]))[::-1]
         if spec[0] != lam1 or not in_gamma_k(spec, k).member:
             continue
-        d = _capped_bounds_batch(op, spec[None, :], n0)
-        worst = min(
-            worst,
-            float(d["weighted"][0] / d["weighted_scale"][0]),
-            float(d["top"][0] / d["top_scale"][0]),
-        )
+        worst = min(worst, float(_capped_bounds_batch(op, spec[None, :], n0)[1][0]))
     return worst
 
 
@@ -519,9 +535,16 @@ class TestConcavityProbe:
         assert skips < len(a) // 2
 
 
+def _operators_up_to(monkeypatch, n_max):
+    """Sweep only the table's operators with n <= n_max, in table order."""
+    rows = tuple(op for op in OPERATORS if op.n <= n_max)
+    monkeypatch.setattr(inequalities, "OPERATORS", rows)
+
+
 class TestSuite:
-    def test_reports_pass_and_are_complete(self):
-        reports = run_inequality_suite(ns=(2, 3, 4), samples=150, seed=5)
+    def test_reports_pass_and_are_complete(self, monkeypatch):
+        _operators_up_to(monkeypatch, 4)
+        reports = run_inequality_suite(samples=150, seed=5)
         assert len(reports) == 8
         names = {r.name for r in reports}
         assert names == {
@@ -541,20 +564,18 @@ class TestSuite:
             if r.name == "cone_upgrade":
                 assert r.extras["promotion_failures"] == 0
 
-    def test_deterministic_given_seed(self):
-        a = run_inequality_suite(ns=(2, 3), samples=60, seed=11)
-        b = run_inequality_suite(ns=(2, 3), samples=60, seed=11)
+    def test_deterministic_given_seed(self, monkeypatch):
+        _operators_up_to(monkeypatch, 3)
+        a = run_inequality_suite(samples=60, seed=11)
+        b = run_inequality_suite(samples=60, seed=11)
         for ra, rb in zip(a, b):
             assert asdict(ra) == asdict(rb)
 
-    def test_witnesses_carry_their_report_fields_and_margin(self):
+    def test_witnesses_carry_their_report_fields_and_margin(self, monkeypatch):
         # every witness holds exactly its report's fields, and, where the
         # margin comes from one kernel, those fields alone reproduce it
         def quotient(op, w):
-            [(m, s)] = _quotient_concavity_batch(
-                op, w["l"], np.array([w["lam"]]), np.array([w["w"]]), [w.get("delta")]
-            )
-            return m[0] / s[0]
+            return _quotient_concavity(op, w["l"], w["lam"], w["w"], w.get("delta"))[0]
 
         def cone_upgrade(op, w):
             sig_k = sigma_all(np.array([w["lam"]]))[0, op.k]
@@ -573,14 +594,13 @@ class TestSuite:
             "quotient_concavity_split": quotient,
             "cone_upgrade": cone_upgrade,
             "s_newton": lambda op, w: _s_newton_batch(op, np.array([w["lam"]]))[0],
-            "newton_maclaurin": lambda op, w: min(
-                m[0] for m in _newton_maclaurin_batch(np.array([w["lam"]]), op.k)
-            ),
+            "newton_maclaurin": lambda op, w: _newton_maclaurin_batch(np.array([w["lam"]]), op.k)[0],
             "concavity": concavity,
         }
         base = {"n", "k", "alpha", "lam", "margin"}
         extra_keys = {"quotient_concavity": {"l", "w"}, "quotient_concavity_split": {"l", "w", "delta"}}
-        reports = run_inequality_suite(ns=(2, 3), samples=60, seed=17)
+        _operators_up_to(monkeypatch, 3)
+        reports = run_inequality_suite(samples=60, seed=17)
         assert len(reports) == 8
         for rep in reports:
             assert rep.witnesses, rep.name
@@ -595,8 +615,9 @@ class TestSuite:
                     got = recompute[rep.name](op, w)
                     assert got == pytest.approx(w["margin"], rel=1e-12, abs=0), (rep.name, w)
 
-    def test_thresholds_finite(self):
-        reports = run_inequality_suite(ns=(2, 3), samples=60, seed=13, names=["capped_bounds"])
-        ths = reports[0].extras["conditional_thresholds"]
+    def test_thresholds_finite(self, monkeypatch):
+        _operators_up_to(monkeypatch, 3)
+        [capped] = [r for r in run_inequality_suite(samples=60, seed=13) if r.name == "capped_bounds"]
+        ths = capped.extras["conditional_thresholds"]
         assert ths and all(v["finite"] for v in ths.values())
         assert all(math.isfinite(v["lambda_star"]) for v in ths.values())
