@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, WeightDomainError
 from .estimates import SolveFailure, refinement_study, rhs_gradient_convexity_probe
 from .fdgrid import Grid, GridField, hessian_field_array, eigh_batch
 from .inequalities import OPERATORS, REPORT_BUILDERS, run_inequality_suite
@@ -271,14 +272,13 @@ def _say(line: str) -> None:
 
 def _identity_sweep_passes(samples: int, seed: int) -> bool:
     rng = np.random.default_rng(seed + 421)
-    lams = np.empty((0, 0))
-    for op in OPERATORS:  # the table is ordered by n: one batch per n
-        if lams.shape[1] != op.n:
-            lams = rng.uniform(-5.0, 5.0, size=(max(10, samples // 5), op.n))
-        res = identity_residuals(op, lams)
-        scale = 1.0 + np.abs(np.asarray(s_value(lams, op.k, op.alpha)))
-        if not (res <= 1e-9 * scale[:, None]).all():
-            return False
+    for n, ops in itertools.groupby(OPERATORS, key=lambda op: op.n):  # one batch per n
+        lams = rng.uniform(-5.0, 5.0, size=(max(10, samples // 5), n))
+        for op in ops:
+            res = identity_residuals(op, lams)
+            scale = 1.0 + np.abs(np.asarray(s_value(lams, op.k, op.alpha)))
+            if not (res <= 1e-9 * scale[:, None]).all():
+                return False
     return True
 
 
@@ -341,8 +341,8 @@ def cmd_estimate(config: RunConfig) -> int:
     except SolveFailure as exc:
         _say(f"FAIL estimate beta={config.betas[0]}: {exc}")
         return _STATUS_EXIT.get(exc.status, EXIT_PROPERTY)
-    except DomainError as exc:  # a solved level outside the weights' domain
-        _say(f"FAIL estimate beta={config.betas[0]}: {exc}")
+    except WeightDomainError as exc:
+        _say(f"FAIL estimate beta={exc.exponent}: {exc}")
         return EXIT_STALLED
     near_linear = [rep.beta_or_delta for rep in reports if rep.quantity == "near_linear"]
     if near_linear:

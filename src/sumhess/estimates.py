@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, WeightDomainError
 from .fdgrid import GridField, laplacian_field
 from .solver import ProblemSpec, SolveConfig, continuation_solve
 
@@ -128,8 +128,8 @@ def refinement_study(
     The prolonged coarse solution is not used as a start: it lacks the
     fine grid's corner boundary layer and breaches the cone there, and
     the blends that repair it saved at most one Newton iteration.  A
-    level whose solution is positive somewhere (for k = 1, alpha > f
-    makes u superharmonic) raises DomainError, naming the level."""
+    level whose solution is positive somewhere (for k = 1, alpha > f makes
+    u superharmonic) or gives a non-finite weighted quantity raises WeightDomainError."""
     reports = [EstimateReport(quantity_tag(e), float(e)) for e in exponents]
     grid = spec.grid
     for level in range(levels):
@@ -141,7 +141,7 @@ def refinement_study(
             try:
                 q = pogorelov_quantity(u, report.beta_or_delta)
             except DomainError as exc:
-                raise DomainError(f"refinement level {level}: {exc}") from None
+                raise WeightDomainError(level, report.beta_or_delta, str(exc)) from None
             sup_core, arg_core = _core_supremum(q)
             full_idx = np.unravel_index(int(np.argmax(q.interior)), grid.shape)
             report.per_refinement.append(

@@ -236,21 +236,16 @@ def _first_worst(margins, scales):
 # Newton-type inequality for adjacent operator orders
 # ---------------------------------------------------------------------------
 
-def _sigma_and_s(lams, alpha, order):
-    """sigma_0..sigma_order and S_0..S_order of lams from one sigma_all pass;
-    sigma_{-1} = 0 and sigma_{j>n} = 0 give S_0 = 1 and S_{n+1} = alpha*sigma_n."""
-    sig = sigma_all(lams, order)
-    padded = np.zeros(sig.shape[:-1] + (order + 2,))  # sigma_{-1}..sigma_order
-    padded[..., 1 : sig.shape[-1] + 1] = sig
-    return padded[..., 1:], padded[..., 1:] + alpha * padded[..., :-1]
-
-
 def _s_newton_batch(op, lams):
-    """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2)."""
-    k = op.k
-    s = _sigma_and_s(lams, op.alpha, k + 1)[1]
-    sk = s[..., k]
-    return (sk * sk - s[..., k - 1] * s[..., k + 1]) / (1.0 + sk * sk)
+    """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2) from one sigma_all pass, with
+    S_0 = 1 and, for k = n, S_{n+1} = alpha*sigma_n."""
+    k, alpha = op.k, op.alpha
+    sig = sigma_all(lams, k + 1)
+    s = sig[..., 1:] + alpha * sig[..., :-1]  # S_1..S_min(k+1,n), as in gamma_tilde_margins
+    sk = s[..., k - 1]
+    skm = s[..., k - 2] if k > 1 else sig[..., 0]
+    skp = s[..., k] if k < op.n else alpha * sig[..., k]
+    return (sk * sk - skm * skp) / (1.0 + sk * sk)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +468,8 @@ def capped_threshold_search(op: SumHessianOp, rng: np.random.Generator) -> dict:
         # empty, so the bounds hold vacuously there
         lambda_star = CAPPED_N0 / alpha
         vacuous = True
-    return {
-        "lambda_star": lambda_star,
-        "finite": math.isfinite(lambda_star),
-        "vacuous": vacuous,
-        "probes": probes,
-    }
+    return {"lambda_star": lambda_star, "finite": math.isfinite(lambda_star), "vacuous": vacuous,
+            "probes": probes}
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +511,10 @@ def _report_cone_upgrade(samples, rng):
     promoted_fail = 0
     for op in (op for op in OPERATORS if op.k < op.n):
         lams = sample_cone_array(op, samples, 5.0, rng)
-        sig, s = _sigma_and_s(lams, op.alpha, op.k + 1)
-        keep = s[..., -1] > 0  # S_{k+1}
-        lams, mtilde, sig_k = lams[keep], s[keep, 1:], sig[keep, op.k]
+        sig = sigma_all(lams, op.k + 1)
+        mtilde = sig[..., 1:] + op.alpha * sig[..., :-1]  # S_1..S_{k+1}, as in gamma_tilde_margins
+        keep = mtilde[..., -1] > 0
+        lams, mtilde, sig_k = lams[keep], mtilde[keep], sig[keep, op.k]
         if not len(lams):
             continue
         scale = 1.0 + np.abs(mtilde).max(axis=-1)

@@ -28,8 +28,8 @@ from sumhess.inequalities import (
     _newton_maclaurin_batch,
     _partial_product_batch,
     _quotient_concavity_batch,
+    _report_cone_upgrade,
     _s_newton_batch,
-    _sigma_and_s,
     _WorstTracker,
     capped_threshold_search,
     directional_second_derivative,
@@ -231,22 +231,36 @@ class TestSNewton:
                     assert (_s_newton_batch(op, lams) >= -1e-9).all()
 
     def test_one_sigma_pass_is_bitwise_the_s_value_forms(self):
-        # _s_newton_batch and the cone_upgrade sweep read S_0..S_{k+1} and
-        # sigma_k from one _sigma_and_s pass; every swept operator is checked,
-        # k = 1 (S_0 = 1) and k = n (S_{n+1} = alpha*sigma_n) among them
+        # _s_newton_batch reads S_{k-1}, S_k and S_{k+1} from one sigma_all
+        # pass; every swept operator is checked, k = 1 (S_0 = 1) and k = n
+        # (S_{n+1} = alpha*sigma_n) among them
         assert {op.k for op in OPERATORS if op.k in (1, op.n)} == {1, 2, 3, 4, 5, 6}
         rng = np.random.default_rng(50)
         for op in OPERATORS:
             k, alpha = op.k, op.alpha
             lams = sample_cone_array(op, 64, 5.0, rng)
-            sig, s = _sigma_and_s(lams, alpha, k + 1)
-            forms = [np.asarray(s_value(lams, m, alpha)) for m in range(k + 2)]
-            for m, form in enumerate(forms):
-                assert s[:, m].tobytes() == form.tobytes(), (op, m)
-            assert sig[:, k].tobytes() == s_value(lams, k, 0.0).tobytes(), op
-            skm, sk, skp = forms[k - 1 :]
+            skm, sk, skp = (np.asarray(s_value(lams, m, alpha)) for m in (k - 1, k, k + 1))
             want = (sk * sk - skm * skp) / (1.0 + sk * sk)
             assert _s_newton_batch(op, lams).tobytes() == want.tobytes(), op
+
+    def test_cone_upgrade_is_bitwise_the_s_value_forms(self):
+        # the cone_upgrade sweep reads S_1..S_{k+1} and sigma_k from one
+        # sigma_all pass; its report, kept samples and promotion failures
+        # included, is the one the s_value forms give on every swept operator
+        tracker, failures = _WorstTracker(), 0
+        rng = np.random.default_rng(51)
+        for op in (op for op in OPERATORS if op.k < op.n):
+            lams = sample_cone_array(op, 64, 5.0, rng)
+            mtilde = np.stack([s_value(lams, m, op.alpha) for m in range(1, op.k + 2)], axis=-1)
+            keep = mtilde[:, -1] > 0
+            lams, mtilde = lams[keep], mtilde[keep]
+            scale = 1.0 + np.abs(mtilde).max(axis=-1)
+            failures += int((mtilde.min(axis=-1) < -1e-9 * scale).sum())
+            sig_k = np.asarray(s_value(lams, op.k, 0.0))
+            tracker.add_batch(sig_k / (1.0 + np.abs(sig_k)), op, lams)
+        want = tracker.report("cone_upgrade", {"promotion_failures": failures})
+        assert want.samples > 0
+        assert _report_cone_upgrade(64, np.random.default_rng(51)) == want
 
 
 class TestNewtonMaclaurin:
@@ -255,6 +269,17 @@ class TestNewtonMaclaurin:
         # (3*3 - 1*1)/(1 + 9 + 1) > 0, so their minimum is 0
         (m,) = _newton_maclaurin_batch(np.array([[1.0, 1.0, 1.0]]), 2)
         assert m == pytest.approx(0.0, abs=1e-15)
+
+    def test_second_margin_binds_below_the_first(self):
+        # lam = (1, -2, -3), k = 2, outside Gamma_2: sigma = (1, -4, 1, 6), the
+        # first margin collapses to 0 and the second is (1*(-4) - 1*6)/(1 + 4 + 6)
+        (m,) = _newton_maclaurin_batch(np.array([[1.0, -2.0, -3.0]]), 2)
+        assert m == pytest.approx(-10.0 / 11.0)
+        # lam = (1, 1, 1/32) in Gamma_3: sigma = (1, 65/32, 17/16, 1/32) and
+        # sigma_4 = 0, so the second is (17/512)/(1 + 17/512) = 17/529, below
+        # the first, (17/16 - sqrt(65/1024))/(1 + 17/16 + sqrt(65/1024)) = 0.35
+        (m,) = _newton_maclaurin_batch(np.array([[1.0, 1.0, 1.0 / 32.0]]), 3)
+        assert m == pytest.approx(17.0 / 529.0)
 
     def test_collapsed_exponents_generic_k2(self):
         # k = 2 collapses the first bound to sigma_1 >= sigma_1; the second
@@ -284,6 +309,32 @@ class TestCappedBounds:
         # top: S_2 - 0.9*2*1.6 = 0.97 binds below the weighted margin
         assert conditional == pytest.approx(0.97 / (1.0 + 3.85 + 2.88))
 
+    def test_floor_and_weighted_margin_point(self):
+        # n = k = 2, alpha = 0.5, lam = (-4, -7.5), n0 = 2 (outside Gamma_2, so
+        # the floor can bind): K0 = 2*(2/0.5) = 8, C0 = 2 + 8*1/0.5 = 18,
+        # S_2 = 30 - 5.75 = 24.25, S^{ii} = (-7, -3.5), lam_i S^{ii} = (28, 26.25)
+        op = SumHessianOp(2, 2, 0.5)
+        (unconditional,), (conditional,) = _capped_bounds_batch(op, np.array([[-4.0, -7.5]]), 2.0)
+        cap = 8.0 / (1.0 + 8.0 + 4.0)
+        floor = (-7.5 + 8.0) / (1.0 + 8.0 + 7.5)
+        share = (18.0 * 24.25 - 28.0) / (1.0 + 18.0 * 24.25 + 28.0)
+        assert floor < min(cap, share)
+        assert unconditional == pytest.approx(floor)
+        # kap = lam + K0 = (4, 0.5): weighted min_i 2*4^4*(-7) - kap_i^4 S^{ii},
+        # -3584 + 0.5^4*3.5 at i = 2, over 1 + 3584 + 4^4*7, is below top
+        # (24.25 - 0.9*(-4)*(-7))/(1 + 24.25 + 25.2) = -0.95/50.45
+        assert conditional == pytest.approx((-3584.0 + 0.21875) / 5377.0)
+
+    def test_share_margin_point(self):
+        # lam = (1/64, 0, 0), n0 = 1: K0 = 3, C0 = 2 + 3*binom(3,2) = 11,
+        # S_2 = 1/64 and lam_i S^{ii} = (1/64, 0, 0); cap (63/64)/2 and floor
+        # 3/4 stay above share (11/64 - 1/64)/(1 + 11/64 + 1/64) = 5/38
+        op = SumHessianOp(3, 2, 1.0)
+        (unconditional,), (conditional,) = _capped_bounds_batch(op, np.array([[1.0 / 64.0, 0.0, 0.0]]), 1.0)
+        assert unconditional == pytest.approx(5.0 / 38.0)
+        # top: S_2 - 0.9*(1/64)*1 = 0.1/64 binds below the weighted margin
+        assert conditional == pytest.approx((0.1 / 64.0) / (1.0 + 1.0 / 64.0 + 0.9 / 64.0))
+
     def test_unconditional_margins_on_selfcapped_sweep(self):
         rng = np.random.default_rng(46)
         for n, k, alpha in [(3, 2, 0.1), (4, 3, 1.0), (5, 2, 10.0), (6, 4, 1.0)]:
@@ -292,6 +343,8 @@ class TestCappedBounds:
             n0 = np.asarray(s_value(lams, k, alpha))
             unconditional, _ = _capped_bounds_batch(op, np.sort(lams, axis=-1)[..., ::-1], n0)
             assert (unconditional >= -1e-9).all()
+            # the floor lam_n + K0 holds strictly
+            assert (lams.min(axis=-1) + n * (n0 / alpha) ** (1.0 / (k - 1)) > 0).all()
 
     def test_threshold_search_reports_finite(self):
         rng = np.random.default_rng(47)
