@@ -5,14 +5,13 @@ Dirichlet problem on boxes, interior-estimate harnesses, and the
 scaling/rigidity toolbox, with a CLI wrapping them as reproducible
 experiments."""
 
-from .cones import ConeVerdict, in_gamma_k, in_gamma_tilde_k
+from .cones import in_gamma_k, in_gamma_tilde_k
 from .errors import ConeBreachError, DegenerateEigenvaluesError, DomainError
 from .fdgrid import Grid, GridField, laplacian_field
 from .solver import ProblemSpec, SolveConfig, SolveReport, continuation_solve, initial_guess, solve
 from .symfun import SumHessianOp, identity_residuals, sigma_all
 
 __all__ = [
-    "ConeVerdict",
     "ConeBreachError",
     "DegenerateEigenvaluesError",
     "DomainError",

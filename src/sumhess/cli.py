@@ -6,7 +6,7 @@ weight-exponent sweep), rigidity (entire-solution sweep, quadratic
 classification, scaling invariance).
 
 Exit codes: 0 pass, 1 property failure, 2 solver stall or domain error
-during a solve or the estimate convexity probe, 3 cone breach, 64
+(in a solve, an estimate weight or the convexity probe), 3 cone breach, 64
 configuration error.  A subcommand takes flags only for the settings it
 reads; a --config file may set any.  A flag (--max-iter 5) and a --config
 line (max_iter=5) take the same text and give the same value; flags
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, WeightDomainError
+from .errors import DomainError
 from .estimates import SolveFailure, refinement_study, rhs_gradient_convexity_probe
 from .fdgrid import Grid, GridField, hessian_field_array, eigh_batch
 from .inequalities import OPERATORS, REPORT_BUILDERS, run_inequality_suite
@@ -258,12 +258,24 @@ def _dump_json(path: str, payload: dict) -> None:
     _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_report(config: RunConfig, name: str, payload: dict) -> None:
+    """Write payload, with the resolved config embedded, to <out>/<name>.json."""
+    path = os.path.join(config.out, f"{name}.json")
+    _dump_json(path, {**payload, "config": dataclasses.asdict(config)})
+
+
 def _say(line: str) -> None:
     """Print one stdout line, and keep the run going once the reader is gone."""
     try:
         print(line, flush=True)
     except BrokenPipeError:  # `| head` closed the pipe: the Python docs' "Note on SIGPIPE"
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _verdict(ok: bool, label: str) -> bool:
+    """Print the PASS or FAIL line for label, and return ok."""
+    _say(f"{'PASS' if ok else 'FAIL'} {label}")
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +296,16 @@ def _identity_sweep_passes(samples: int, seed: int) -> bool:
 
 def cmd_identities(config: RunConfig) -> int:
     reports = run_inequality_suite(samples=config.samples, seed=config.seed)
-    if config.negate_oracle:
-        for rep in reports:
-            if rep.name == config.negate_oracle:
-                rep.worst_margin = -rep.worst_margin
-                rep.passed = bool(rep.worst_margin >= -rep.tolerance)
-                rep.extras["negated_for_testing"] = True
     all_ok = True
     for rep in reports:
-        payload = dataclasses.asdict(rep)
-        payload["config"] = dataclasses.asdict(config)
-        _dump_json(os.path.join(config.out, f"{rep.name}.json"), payload)
-        flag = "PASS" if rep.passed else "FAIL"
-        _say(f"{flag} {rep.name}: worst margin {rep.worst_margin:.3e} over {rep.samples} samples")
-        all_ok &= rep.passed
-    ident_ok = _identity_sweep_passes(config.samples, config.seed)
-    _say(f"{'PASS' if ident_ok else 'FAIL'} deletion identities")
-    all_ok &= ident_ok
+        if rep.name == config.negate_oracle:
+            rep.worst_margin = -rep.worst_margin
+            rep.passed = bool(rep.worst_margin >= -rep.tolerance)
+            rep.extras["negated_for_testing"] = True
+        _write_report(config, rep.name, dataclasses.asdict(rep))
+        label = f"{rep.name}: worst margin {rep.worst_margin:.3e} over {rep.samples} samples"
+        all_ok &= _verdict(rep.passed, label)
+    all_ok &= _verdict(_identity_sweep_passes(config.samples, config.seed), "deletion identities")
     return EXIT_OK if all_ok else EXIT_PROPERTY
 
 
@@ -323,14 +328,13 @@ def cmd_solve(config: RunConfig) -> int:
     solve_config = SolveConfig(rtol=config.rtol, max_iter=config.max_iter)
     report = continuation_solve(spec, solve_config)
     payload = report.to_json_dict()
-    payload["config"] = dataclasses.asdict(config)
     payload["gradient_dependent_rhs"] = "g2" in _compile_rhs(config.rhs).co_names
-    _dump_json(os.path.join(config.out, "solve_report.json"), payload)
+    _write_report(config, "solve_report", payload)
     csv_path = os.path.join(config.out, "solution.csv")
     report.final_field.to_csv(csv_path + ".tmp", name="u")
     os.replace(csv_path + ".tmp", csv_path)
     _say(f"solve: {report.status} after {report.iterations} iterations")
-    return _STATUS_EXIT.get(report.status, EXIT_PROPERTY)
+    return _STATUS_EXIT[report.status]
 
 
 def cmd_estimate(config: RunConfig) -> int:
@@ -338,12 +342,10 @@ def cmd_estimate(config: RunConfig) -> int:
     solve_config = SolveConfig(rtol=config.rtol, max_iter=config.max_iter)
     try:
         reports = refinement_study(spec, config.betas, levels=config.levels, config=solve_config)
-    except SolveFailure as exc:
-        _say(f"FAIL estimate beta={config.betas[0]}: {exc}")
-        return _STATUS_EXIT.get(exc.status, EXIT_PROPERTY)
-    except WeightDomainError as exc:
-        _say(f"FAIL estimate beta={exc.exponent}: {exc}")
-        return EXIT_STALLED
+    except SolveFailure as exc:  # labelled by a weight's exponent, or for a solve by the first
+        beta = config.betas[0] if exc.exponent is None else exc.exponent
+        _verdict(False, f"estimate beta={beta}: {exc}")
+        return _STATUS_EXIT[exc.status]
     near_linear = [rep.beta_or_delta for rep in reports if rep.quantity == "near_linear"]
     if near_linear:
         # the near-linear weight presumes f^{1/k} convex in the gradient;
@@ -351,18 +353,16 @@ def cmd_estimate(config: RunConfig) -> int:
         try:
             probe = rhs_gradient_convexity_probe(spec, np.random.default_rng(config.seed))
         except DomainError as exc:
-            _say(f"FAIL estimate beta={near_linear[0]}: gradient convexity probe: {exc}")
+            _verdict(False, f"estimate beta={near_linear[0]}: gradient convexity probe: {exc}")
             return EXIT_STALLED
     all_stable = True
     for beta, rep in zip(config.betas, reports):
         payload = dataclasses.asdict(rep)
-        payload["config"] = dataclasses.asdict(config)
         if rep.quantity == "near_linear":
             payload["gradient_convexity_worst_margin"] = probe
-        _dump_json(os.path.join(config.out, f"estimate_beta_{beta}.json"), payload)
+        _write_report(config, f"estimate_beta_{beta}", payload)
         sups = [e["sup"] for e in rep.per_refinement]
-        _say(f"{'PASS' if rep.stable else 'FAIL'} estimate beta={beta}: sups={sups}")
-        all_stable &= rep.stable
+        all_stable &= _verdict(rep.stable, f"estimate beta={beta}: sups={sups}")
     return EXIT_OK if all_stable else EXIT_PROPERTY
 
 
@@ -370,13 +370,11 @@ def cmd_rigidity(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     pts = rng.uniform(-1.0, 1.0, size=(max(10, config.samples), 3))
     residuals, sigma1 = entire_solution_residual(pts)
-    sweep_ok = bool(residuals.max() <= 1e-9 and (sigma1 > 0).all())
 
     op = config.op()
     level = isotropic_level(op, 1.0)
     cand = QuadraticCandidate(np.diag([level] * config.n))
     quad_res = quadratic_residual(op, cand)
-    quad_ok = bool(quad_res <= 1e-12)
 
     ratio = config.scale_ratio
     grid_v = config.grid()
@@ -388,32 +386,28 @@ def cmd_rigidity(config: RunConfig) -> int:
     lam_u, _ = eigh_batch(hessian_field_array(fu).reshape(-1, config.n, config.n))
     scale = 1.0 + float(np.abs(lam_u).max())
     scaling_err = float(np.abs(lam_v - lam_u).max())
-    scaling_ok = bool(scaling_err <= 1e-10 * scale)
 
-    payload = {
+    blocks = {
         "entire_solution_sweep": {
             "samples": int(len(pts)),
             "max_residual": float(residuals.max()),
             "min_sigma1": float(sigma1.min()),
-            "passed": sweep_ok,
+            "passed": bool(residuals.max() <= 1e-9 and (sigma1 > 0).all()),
         },
         "quadratic_classification": {
             "isotropic_level": level,
             "residual": quad_res,
-            "passed": quad_ok,
+            "passed": bool(quad_res <= 1e-12),
         },
         "scaling_invariance": {
             "ratio": ratio,
             "max_spectrum_error": scaling_err,
-            "passed": scaling_ok,
+            "passed": bool(scaling_err <= 1e-10 * scale),
         },
-        "config": dataclasses.asdict(config),
     }
-    _dump_json(os.path.join(config.out, "rigidity_report.json"), payload)
-    for name, block in payload.items():
-        if isinstance(block, dict) and "passed" in block:
-            _say(f"{'PASS' if block['passed'] else 'FAIL'} {name}")
-    return EXIT_OK if (sweep_ok and quad_ok and scaling_ok) else EXIT_PROPERTY
+    _write_report(config, "rigidity_report", blocks)
+    passed = [_verdict(block["passed"], name) for name, block in blocks.items()]
+    return EXIT_OK if all(passed) else EXIT_PROPERTY
 
 
 # ---------------------------------------------------------------------------

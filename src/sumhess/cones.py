@@ -8,15 +8,13 @@ admissible set of the sum operator is
 
 where the second form is the working characterization used everywhere
 in this package.  The cones are open: the samplers and the solver test
-strict positivity.  Only members, in_gamma_k and in_gamma_tilde_k (and
-through members the capped-family sweep, whose spectra come from root
-solves) allow a relative slack: a margin passes when it exceeds
--DEFAULT_TOL * (1 + max |margin|).
+strict positivity.  Only in_gamma_k and in_gamma_tilde_k (and through
+in_gamma_k the capped-family sweep, whose spectra come from root solves)
+allow a relative slack: a margin passes when it exceeds
+-DEFAULT_TOL * (1 + max |margin|) of its own spectrum.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,28 +23,11 @@ from .symfun import SumHessianOp, _as_array, sigma_all
 DEFAULT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ConeVerdict:
-    """Outcome of a cone test: the tested margins and the slack used."""
-
-    member: bool
-    margins: tuple[float, ...]
-    tolerance: float
-
-    @property
-    def worst(self) -> float:
-        return min(self.margins)
-
-
-def members(margins: np.ndarray) -> np.ndarray:
+def _members(margins: np.ndarray) -> np.ndarray:
     """Per-spectrum membership for margins of shape (..., m): each margin
     exceeds -DEFAULT_TOL * (1 + max |margin|) of its own spectrum."""
     scale = 1.0 + np.abs(margins).max(axis=-1, keepdims=True)
     return (margins > -DEFAULT_TOL * scale).all(axis=-1)
-
-
-def _verdict(margins: np.ndarray) -> ConeVerdict:
-    return ConeVerdict(bool(members(margins)), tuple(float(m) for m in margins), DEFAULT_TOL)
 
 
 def gamma_k_margins(lam, k: int) -> np.ndarray:
@@ -63,14 +44,14 @@ def gamma_tilde_margins(op: SumHessianOp, lam) -> np.ndarray:
     return sig[..., 1 : op.k + 1] + op.alpha * sig[..., : op.k]
 
 
-def in_gamma_k(lam, k: int) -> ConeVerdict:
-    """Garding cone test: sigma_m(lam) > 0 for m = 1..k."""
-    return _verdict(gamma_k_margins(lam, k))
+def in_gamma_k(lam, k: int) -> np.ndarray:
+    """Garding cone test, sigma_m(lam) > 0 for m = 1..k: one boolean per spectrum."""
+    return _members(gamma_k_margins(lam, k))
 
 
-def in_gamma_tilde_k(op: SumHessianOp, lam) -> ConeVerdict:
-    """Admissible cone test: S_m(lam) > 0 for m = 1..k."""
-    return _verdict(gamma_tilde_margins(op, lam))
+def in_gamma_tilde_k(op: SumHessianOp, lam) -> np.ndarray:
+    """Admissible cone test, S_m(lam) > 0 for m = 1..k: one boolean per spectrum."""
+    return _members(gamma_tilde_margins(op, lam))
 
 
 def _sample_cone_array(

@@ -13,11 +13,3 @@ class DegenerateEigenvaluesError(ValueError):
 
 class ConeBreachError(RuntimeError):
     """A field left the admissible cone where the operator is elliptic."""
-
-
-class WeightDomainError(DomainError):
-    """A solved refinement level outside one weight's domain; carries its exponent."""
-
-    def __init__(self, level: int, exponent: float, message: str):
-        super().__init__(f"refinement level {level}: {message}")
-        self.exponent = exponent

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, WeightDomainError
+from .errors import DomainError
 from .fdgrid import GridField, laplacian_field
 from .solver import ProblemSpec, SolveConfig, continuation_solve
 
@@ -29,12 +29,12 @@ PROBE_SAMPLES, PROBE_RADIUS = 200, 3.0  # the convexity probe's points and gradi
 
 
 class SolveFailure(RuntimeError):
-    """A refinement level failed to solve; carries the level and status."""
+    """A failed refinement level: the solver's status, or "domain_error" and the weight's exponent."""
 
-    def __init__(self, level: int, status: str, message: str = ""):
-        super().__init__(f"solver reported '{status}' at refinement level {level}: {message}")
-        self.level = level
+    def __init__(self, status: str, message: str, exponent: float | None = None):
+        super().__init__(message)
         self.status = status
+        self.exponent = exponent
 
 
 def quantity_tag(exponent: float) -> str:
@@ -102,13 +102,10 @@ def rhs_gradient_convexity_probe(spec: ProblemSpec, rng: np.random.Generator) ->
     return float(margin.min())
 
 
-def _core_supremum(q: GridField) -> tuple[float, tuple[int, ...]]:
-    """Supremum over interior nodes at distance >= 2h from the boundary."""
-    vals = q.interior
-    core = vals[tuple(slice(1, -1) for _ in vals.shape)]
-    flat = int(np.argmax(core))
-    idx = np.unravel_index(flat, core.shape)
-    return float(core[idx]), tuple(int(i) + 1 for i in idx)
+def _supremum(vals: np.ndarray, offset: int) -> tuple[float, list[int]]:
+    """Largest entry of vals and its index, each coordinate shifted by offset."""
+    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return float(vals[idx]), [int(i) + offset for i in idx]
 
 
 def refinement_study(
@@ -127,30 +124,33 @@ def refinement_study(
 
     The prolonged coarse solution is not used as a start: it lacks the
     fine grid's corner boundary layer and breaches the cone there, and
-    the blends that repair it saved at most one Newton iteration.  A
-    level whose solution is positive somewhere (for k = 1, alpha > f makes
-    u superharmonic) or gives a non-finite weighted quantity raises WeightDomainError."""
+    the blends that repair it saved at most one Newton iteration.  A level
+    that does not converge raises SolveFailure with the solver's status; a
+    solution positive somewhere (k = 1, alpha > f makes u superharmonic) or
+    a non-finite weighted quantity raises it as "domain_error" with the exponent."""
     reports = [EstimateReport(quantity_tag(e), float(e)) for e in exponents]
     grid = spec.grid
     for level in range(levels):
         result = continuation_solve(replace(spec, grid=grid), config)
         if not result.converged:
-            raise SolveFailure(level, result.status, result.message)
+            message = f"solver reported '{result.status}' at refinement level {level}: {result.message}"
+            raise SolveFailure(result.status, message)
         u = result.final_field
         for report in reports:
             try:
-                q = pogorelov_quantity(u, report.beta_or_delta)
+                vals = pogorelov_quantity(u, report.beta_or_delta).interior
             except DomainError as exc:
-                raise WeightDomainError(level, report.beta_or_delta, str(exc)) from None
-            sup_core, arg_core = _core_supremum(q)
-            full_idx = np.unravel_index(int(np.argmax(q.interior)), grid.shape)
+                raise SolveFailure("domain_error", f"refinement level {level}: {exc}",
+                                   report.beta_or_delta) from None
+            sup_core, arg_core = _supremum(vals[(slice(1, -1),) * vals.ndim], 1)
+            sup_full, arg_full = _supremum(vals, 0)
             report.per_refinement.append(
                 {
                     "h": list(grid.h),
                     "sup": sup_core,
-                    "argmax": [int(i) for i in arg_core],
-                    "sup_full_interior": float(q.interior.max()),
-                    "argmax_full_interior": [int(i) for i in full_idx],
+                    "argmax": arg_core,
+                    "sup_full_interior": sup_full,
+                    "argmax_full_interior": arg_full,
                     "newton_iterations": result.iterations,
                 }
             )

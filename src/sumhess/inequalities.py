@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import (
-    gamma_k_margins,
     gamma_tilde_margins,
-    members,
+    in_gamma_k,
     sample_cone_array,
     sample_gamma_k_array,
 )
@@ -408,7 +407,7 @@ def _capped_family_worst(op, n0, lam1s, tails, tail_sigma):
     ]
     specs = np.concatenate([lam1s[li, None], np.asarray(roots)[:, None] * tails[ti]], axis=1)
     specs = np.sort(specs, axis=-1)[:, ::-1]
-    ok = (specs[:, 0] == lam1s[li]) & members(gamma_k_margins(specs, k))
+    ok = (specs[:, 0] == lam1s[li]) & in_gamma_k(specs, k)
     worst = np.full(len(lam1s), math.inf)
     np.minimum.at(worst, li[ok], _capped_bounds_batch(op, specs[ok], n0)[1])
     return worst

@@ -655,6 +655,47 @@ def test_exit_code_contract_holds_for_generated_argv(case):
     assert "Traceback" not in stderr.getvalue(), (argv, stderr.getvalue())
 
 
+# solve and estimate runs that draw only valid values, so that every run
+# gets past validation and solves, plus one extreme but valid value; cells
+# <= 7 and levels 2 keep each run short
+_VALID_SOLVE_FLAGS = {
+    "--alpha": ["1", "0.5", "10"],
+    "--box": ["-1,1", "0,1", "-3,2"],
+    "--rhs": ["3", "3+0.1*g2", "3-0.5*u", "3+x*x+y*y", "3+30*u"],
+    "--rtol": ["1e-8", "1e-3"],
+    "--max-iter": ["5", "30"],
+}
+_VALID_ESTIMATE_FLAGS = {"--betas": ["1", "1,2", "1,1.1,2"], "--seed": ["0", "7"]}
+_EXTREME_SOLVE_VALUES = [("--box", "-1e30,1e30"), ("--box", "0,1e30"), ("--box", "-1e15,1e15"),
+                         ("--rtol", "1e-300"), ("--alpha", "1e12")]
+_EXTREME_ESTIMATE_VALUES = [("--betas", "8"), ("--betas", "1,8"), ("--betas", "-400")]
+
+
+@st.composite
+def _valid_solving_argv(draw):
+    sub = draw(st.sampled_from(["solve", "estimate"]))
+    n = draw(st.sampled_from([2, 3]))
+    valid = {**_VALID_SOLVE_FLAGS, **(_VALID_ESTIMATE_FLAGS if sub == "estimate" else {})}
+    extremes = _EXTREME_SOLVE_VALUES + (_EXTREME_ESTIMATE_VALUES if sub == "estimate" else [])
+    extreme_flag, extreme = draw(st.sampled_from(extremes))
+    chosen = draw(st.lists(st.sampled_from(sorted(set(valid) - {extreme_flag})), unique=True, max_size=4))
+    argv = [sub, f"--n={n}", f"--k={draw(st.integers(1, n))}",
+            f"--cells={draw(st.sampled_from(['3', '5', '7']))}", f"{extreme_flag}={extreme}"]
+    argv += [f"{flag}={draw(st.sampled_from(valid[flag]))}" for flag in chosen]
+    return argv + ["--levels=2"] if sub == "estimate" else argv
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_valid_solving_argv())
+def test_valid_argv_with_an_extreme_value_solves_without_a_config_error(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp,
+          contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+        rc = main(argv + [f"--out={tmp}"])
+    assert rc in (EXIT_OK, EXIT_PROPERTY, EXIT_STALLED, EXIT_CONE_BREACH), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue(), (argv, stderr.getvalue())
+
+
 class TestRunSizeBound:
     """validate() refuses a run whose arrays cannot fit in physical memory
     before any command starts; nothing large is allocated here."""

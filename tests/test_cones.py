@@ -9,7 +9,6 @@ from sumhess.cones import (
     gamma_tilde_margins,
     in_gamma_k,
     in_gamma_tilde_k,
-    members,
     sample_cone_array,
     sample_gamma_k_array,
 )
@@ -33,16 +32,16 @@ def stacked_sample(n, count, radius, rng, margins):
 
 class TestGammaK:
     def test_member_with_one_negative_entry(self):
-        v = in_gamma_k([1.0, 1.0, -0.4], 2)
-        assert v.member
-        assert v.margins[0] == pytest.approx(1.6)
-        assert v.margins[1] == pytest.approx(0.2)  # 1 - 0.4 - 0.4
+        assert in_gamma_k([1.0, 1.0, -0.4], 2)
+        margins = gamma_k_margins([1.0, 1.0, -0.4], 2)
+        assert margins[0] == pytest.approx(1.6)
+        assert margins[1] == pytest.approx(0.2)  # 1 - 0.4 - 0.4
 
     def test_negative_orthant_rejected(self):
-        assert not in_gamma_k([-1.0, -1.0, -1.0], 1).member
+        assert not in_gamma_k([-1.0, -1.0, -1.0], 1)
 
     def test_positive_orthant_in_top_cone(self):
-        assert in_gamma_k([1.0, 1.0, 1.0], 3).member
+        assert in_gamma_k([1.0, 1.0, 1.0], 3)
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(20)
@@ -51,23 +50,23 @@ class TestGammaK:
             k = rng.integers(1, n + 1)
             lam = rng.uniform(-5, 5, size=n)
             t = float(rng.uniform(0.01, 100.0))
-            assert in_gamma_k(lam, int(k)).member == in_gamma_k(t * lam, int(k)).member
+            assert in_gamma_k(lam, int(k)) == in_gamma_k(t * lam, int(k))
 
 
 class TestGammaTildeK:
     def test_member_example(self):
         op = SumHessianOp(3, 2, 1.0)
-        v = in_gamma_tilde_k(op, [1.0, 1.0, -0.4])
-        assert v.member
-        assert v.margins[0] == pytest.approx(2.6)
-        assert v.margins[1] == pytest.approx(1.8)
+        assert in_gamma_tilde_k(op, [1.0, 1.0, -0.4])
+        margins = gamma_tilde_margins(op, [1.0, 1.0, -0.4])
+        assert margins[0] == pytest.approx(2.6)
+        assert margins[1] == pytest.approx(1.8)
 
     def test_rejected_example(self):
         op = SumHessianOp(3, 2, 1.0)
-        v = in_gamma_tilde_k(op, [1.0, -0.5, -0.6])
-        assert v.margins[0] == pytest.approx(0.9)
-        assert v.margins[1] == pytest.approx(-0.9)
-        assert not v.member
+        margins = gamma_tilde_margins(op, [1.0, -0.5, -0.6])
+        assert margins[0] == pytest.approx(0.9)
+        assert margins[1] == pytest.approx(-0.9)
+        assert not in_gamma_tilde_k(op, [1.0, -0.5, -0.6])
 
     def test_positive_orthant_always_member(self):
         rng = np.random.default_rng(21)
@@ -75,7 +74,7 @@ class TestGammaTildeK:
             n = rng.integers(1, 9)
             k = rng.integers(1, n + 1)
             op = SumHessianOp(int(n), int(k), float(rng.uniform(0.1, 10)))
-            assert in_gamma_tilde_k(op, rng.uniform(0.01, 5, size=n)).member
+            assert in_gamma_tilde_k(op, rng.uniform(0.01, 5, size=n))
 
     def test_cone_nesting_in_order(self):
         # membership at order k implies membership at order k-1
@@ -84,7 +83,7 @@ class TestGammaTildeK:
             for k in range(2, n + 1):
                 op = SumHessianOp(n, k, alpha)
                 for lam in sample_cone_array(op, 200, 4.0, rng):
-                    assert in_gamma_tilde_k(SumHessianOp(n, k - 1, alpha), lam).member
+                    assert in_gamma_tilde_k(SumHessianOp(n, k - 1, alpha), lam)
 
     def test_membership_upgrade_when_next_order_positive(self):
         # within the admissible cone, S_{k+1} > 0 promotes membership one
@@ -99,7 +98,7 @@ class TestGammaTildeK:
                     sk1 = np.asarray(s_value(lams, k + 1, alpha))
                     up = SumHessianOp(n, k + 1, alpha)
                     for lam in lams[sk1 > 0]:
-                        assert in_gamma_tilde_k(up, lam).member
+                        assert in_gamma_tilde_k(up, lam)
                         sig_k = s_value(lam, k, 0.0)
                         assert sig_k > -1e-12 * (1 + abs(sig_k))
                         checked += 1
@@ -109,10 +108,37 @@ class TestGammaTildeK:
 def equivalent(op, lam):
     """True iff the two characterizations of the admissible cone agree
     on lam: (Gamma_{k-1} and S_k > 0)  <=>  (S_m > 0 for m = 1..k)."""
-    via_gamma = op.k == 1 or bool(members(gamma_k_margins(lam, op.k - 1)))
+    via_gamma = op.k == 1 or bool(in_gamma_k(lam, op.k - 1))
     sk = float(s_value(lam, op.k, op.alpha))
     route_a = via_gamma and sk > -DEFAULT_TOL * (1.0 + abs(sk))
-    return route_a == bool(members(gamma_tilde_margins(op, lam)))
+    return route_a == bool(in_gamma_tilde_k(op, lam))
+
+
+class TestBatchedMembership:
+    def test_batch_matches_rows_and_slack_boundary(self):
+        rng = np.random.default_rng(30)
+        for n in (2, 3, 5):
+            lams = rng.uniform(-5, 5, size=(300, n))
+            for k in range(1, n + 1):
+                op = SumHessianOp(n, k, 1.0)
+                assert in_gamma_k(lams, k).tolist() == [bool(in_gamma_k(lam, k)) for lam in lams]
+                rows = [bool(in_gamma_tilde_k(op, lam)) for lam in lams]
+                assert in_gamma_tilde_k(op, lams).tolist() == rows
+        # lam = (1, -c): margins (1 - c, -c), so the slack is
+        # -DEFAULT_TOL * (2 - c); iterate c to the float where they meet
+        c = 2e-12
+        for _ in range(10):
+            margins = gamma_k_margins([1.0, -c], 2)
+            slack = -DEFAULT_TOL * (1.0 + np.abs(margins).max())
+            if margins[1] == slack:
+                break
+            c = -slack
+        assert margins[1] == slack
+        inside = -np.nextafter(np.nextafter(np.nextafter(c, 0.0), 0.0), 0.0)  # 3 ulps inside
+        margins = gamma_k_margins([1.0, inside], 2)
+        assert margins[1] > -DEFAULT_TOL * (1.0 + np.abs(margins).max())
+        assert in_gamma_k([[1.0, -c], [1.0, inside]], 2).tolist() == [False, True]
+        assert not in_gamma_k([1.0, -c], 2) and in_gamma_k([1.0, inside], 2)
 
 
 class TestEquivalence:
@@ -136,13 +162,13 @@ class TestSampler:
         rng = np.random.default_rng(25)
         op = SumHessianOp(2, 2, 1.0)
         for lam in sample_cone_array(op, 10, 3.0, rng):
-            assert in_gamma_tilde_k(op, lam).member
+            assert in_gamma_tilde_k(op, lam)
 
     def test_tiny_radius_keeps_box_bounded_members(self):
         rng = np.random.default_rng(26)
         op = SumHessianOp(3, 3, 1.0)
         (lam,) = sample_cone_array(op, 1, 0.1, rng)
-        assert in_gamma_tilde_k(op, lam).member
+        assert in_gamma_tilde_k(op, lam)
         assert np.abs(lam).max() <= 0.2
 
     def test_deterministic_given_seed(self):
@@ -194,7 +220,7 @@ class TestSampler:
         rng = np.random.default_rng(27)
         pts = sample_gamma_k_array(4, 3, 100, 5.0, rng)
         for lam in pts:
-            assert in_gamma_k(lam, 3).member
+            assert in_gamma_k(lam, 3)
         with pytest.raises(ValueError, match="out of range"):
             sample_gamma_k_array(4, 0, 10, 5.0, rng)
 

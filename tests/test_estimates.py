@@ -9,6 +9,7 @@ from sumhess import estimates, solver
 from sumhess.errors import DomainError
 from sumhess.estimates import (
     EstimateReport,
+    SolveFailure,
     pogorelov_quantity,
     quantity_tag,
     refinement_study,
@@ -169,6 +170,29 @@ class TestRefinementStudy:
         assert guesses == [(9, 9), (19, 19), (39, 39)]
         assert prolonged == []
         assert len(rep.per_refinement) == 3
+
+    @pytest.mark.parametrize(
+        "k, alpha, box, exponents, level, exponent, message",
+        [
+            (2, 1.0, 1e30, [1.0, 8.0], 0, 8.0, "weighted quantity (-u)^8.0 * Laplacian is not finite"),
+            (2, 1.0, 1.0, [-400.0], 1, -400.0, "weighted quantity (-u)^-400.0 * Laplacian is not finite"),
+            (1, 10.0, 1.0, [1.0], 0, 1.0, "field must be <= 0 on the interior"),
+        ],
+        ids=["huge-box", "negative-beta", "positive-solution"],
+    )
+    def test_weight_failure_is_a_domain_error_status(self, k, alpha, box, exponents, level, exponent,
+                                                     message):
+        # the level solves; then (-u)^8 overflows where -u is near 1e60,
+        # (-u)^-400 next to the boundary of the finer level, or, for k = 1
+        # and alpha = 10 > f = 3, u is superharmonic and positive
+        grid = Grid((-box, -box), (box, box), (5, 5))
+        spec = ProblemSpec(SumHessianOp(2, k, alpha), grid, rhs=lambda x, u, p: np.full(len(x), 3.0))
+        with pytest.raises(SolveFailure) as info:
+            refinement_study(spec, exponents, levels=2)
+        exc = info.value
+        assert (exc.status, exc.exponent) == ("domain_error", exponent)
+        assert str(exc).startswith(f"refinement level {level}: {message}")
+        assert not isinstance(exc, DomainError)
 
     def test_report_round_trips_to_dict(self):
         (rep,) = refinement_study(self.quadratic_problem(), [2.0], levels=2)

@@ -11,7 +11,7 @@ from sumhess import inequalities
 from sumhess.cones import (
     gamma_tilde_margins,
     in_gamma_k,
-    members,
+    in_gamma_tilde_k,
     sample_cone_array,
     sample_gamma_k_array,
 )
@@ -378,7 +378,7 @@ def _family_worst_per_pair(op, n0, lam1, tails):
             continue
         s = brentq(gap, 1e-9, s_hi, xtol=1e-12, rtol=1e-12)
         spec = np.sort(np.concatenate([[lam1], s * nu]))[::-1]
-        if spec[0] != lam1 or not in_gamma_k(spec, k).member:
+        if spec[0] != lam1 or not in_gamma_k(spec, k):
             continue
         worst = min(worst, float(_capped_bounds_batch(op, spec[None, :], n0)[1][0]))
     return worst
@@ -555,7 +555,7 @@ def _concavity_margins(op, a, b, l=None):
     leaves the admissible cone dropped, and their count."""
     a, b = np.atleast_2d(a).astype(float), np.atleast_2d(b).astype(float)
     mid = 0.5 * (a + b)
-    ok = members(gamma_tilde_margins(op, mid))
+    ok = in_gamma_tilde_k(op, mid)
     gm, ga, gb = (_concavity_values(op, gamma_tilde_margins(op, x[ok]), l) for x in (mid, a, b))
     return gm - 0.5 * (ga + gb), int((~ok).sum())
 
