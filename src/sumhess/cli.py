@@ -448,8 +448,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config is not None:
-        with open(args.config) as fh:
-            config = RunConfig.parse(fh.read())
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                config = RunConfig.parse(fh.read())
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config file is not UTF-8 text: {exc}") from None
     config.subcommand = args.subcommand
     for key in _FLAGS[args.subcommand]:
         text = getattr(args, key)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symfun import SumHessianOp, _as_array, sigma_all
+from .symfun import SumHessianOp, _as_array, s_from_sigma, sigma_all
 
 DEFAULT_TOL = 1e-12
 
@@ -40,8 +40,7 @@ def gamma_k_margins(lam, k: int) -> np.ndarray:
 
 def gamma_tilde_margins(op: SumHessianOp, lam) -> np.ndarray:
     """S_1..S_k of lam, shape (..., k)."""
-    sig = sigma_all(lam, op.k)
-    return sig[..., 1 : op.k + 1] + op.alpha * sig[..., : op.k]
+    return s_from_sigma(sigma_all(lam, op.k), op.alpha)
 
 
 def in_gamma_k(lam, k: int) -> np.ndarray:

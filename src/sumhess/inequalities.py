@@ -5,9 +5,8 @@ inequality (positive means it holds) over 1 + (sum of magnitudes of the
 additive terms on both sides), so one tolerance is meaningful across
 wildly different eigenvalue magnitudes and cancellation inside a tight
 inequality cannot masquerade as a violation; a kernel for several
-inequalities returns their minimum.  The exception is
-_partial_product_batch: it returns raw margins and scales per order,
-because _first_worst picks the worst order by raw margin.
+inequalities returns their minimum, or one column each where the sweep
+reads them apart (_partial_product_batch, one per order).
 
 The randomized sweep drivers at the bottom run each inequality over the
 fixed operator table OPERATORS and turn the margins into InequalityReport
@@ -34,7 +33,7 @@ from .cones import (
     sample_gamma_k_array,
 )
 from .errors import DegenerateEigenvaluesError
-from .symfun import SumHessianOp, s_gradient, s_hessian, sigma_all
+from .symfun import SumHessianOp, s_from_sigma, s_gradient, s_hessian, sigma_all
 
 SWEEP_TOL = 1e-9
 WITNESSES = 5  # worst samples kept per report
@@ -204,11 +203,11 @@ def directional_second_derivative(k: int, alpha: float, A, B) -> float:
 # ---------------------------------------------------------------------------
 
 def _partial_product_batch(op, lams):
-    """Margins, for s = 1..k-1, of
+    """Normalized margins, for s = 1..k-1, of
         S_s - (lam_1...lam_s + alpha*lam_1...lam_{s-1})
-    on descending-sorted spectra and their term scales, both (..., k-1),
-    plus the empirical constant min_{j<=k-1} lam_j S_k^{jj} / S_k (needs
-    k >= 2), from one sort and one pass over S_1..S_k.
+    on descending-sorted spectra, shape (..., k-1) with order s in column
+    s-1, plus the empirical constant min_{j<=k-1} lam_j S_k^{jj} / S_k
+    (needs k >= 2), from one sort and one pass over S_1..S_k.
 
     Every term is positive on the Garding cone Gamma_k; on the larger
     admissible cone only s <= k-2 is guaranteed, and s = k-1 can go
@@ -220,15 +219,8 @@ def _partial_product_batch(op, lams):
     prods = np.cumprod(lams[..., : k - 1], axis=-1)  # lam_1...lam_s at index s-1
     prev = np.concatenate([np.ones_like(prods[..., :1]), prods[..., :-1]], axis=-1)
     ss = S[..., : k - 1]
-    margins = ss - (prods + alpha * prev)
     scales = 1.0 + np.abs(ss) + np.abs(prods) + alpha * np.abs(prev)
-    return margins, scales, theta
-
-
-def _first_worst(margins, scales):
-    """Per row, the first smallest margin divided by its own scale."""
-    j = np.argmin(margins, axis=-1)[..., None]
-    return np.take_along_axis(margins / scales, j, axis=-1)[..., 0]
+    return (ss - (prods + alpha * prev)) / scales, theta
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +228,11 @@ def _first_worst(margins, scales):
 # ---------------------------------------------------------------------------
 
 def _s_newton_batch(op, lams):
-    """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2) from one sigma_all pass, with
-    S_0 = 1 and, for k = n, S_{n+1} = alpha*sigma_n."""
-    k, alpha = op.k, op.alpha
-    sig = sigma_all(lams, k + 1)
-    s = sig[..., 1:] + alpha * sig[..., :-1]  # S_1..S_min(k+1,n), as in gamma_tilde_margins
-    sk = s[..., k - 1]
-    skm = s[..., k - 2] if k > 1 else sig[..., 0]
-    skp = s[..., k] if k < op.n else alpha * sig[..., k]
+    """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2) from one sigma_all pass, padded with
+    sigma_{-1} = 0 and sigma_{n+1} = 0, so S_0 = 1 and S_{n+1} = alpha*sigma_n."""
+    sig = sigma_all(lams, op.k + 1)
+    sig = np.pad(sig, [(0, 0)] * (sig.ndim - 1) + [(1, op.k + 2 - sig.shape[-1])])
+    skm, sk, skp = np.moveaxis(s_from_sigma(sig, op.alpha)[..., op.k - 1 :], -1, 0)  # S_{k-1}, S_k, S_{k+1}
     return (sk * sk - skm * skp) / (1.0 + sk * sk)
 
 
@@ -511,7 +500,7 @@ def _report_cone_upgrade(samples, rng):
     for op in (op for op in OPERATORS if op.k < op.n):
         lams = sample_cone_array(op, samples, 5.0, rng)
         sig = sigma_all(lams, op.k + 1)
-        mtilde = sig[..., 1:] + op.alpha * sig[..., :-1]  # S_1..S_{k+1}, as in gamma_tilde_margins
+        mtilde = s_from_sigma(sig, op.alpha)  # S_1..S_{k+1}
         keep = mtilde[..., -1] > 0
         lams, mtilde, sig_k = lams[keep], mtilde[keep], sig[keep, op.k]
         if not len(lams):
@@ -534,16 +523,14 @@ def _report_partial_products(samples, rng):
     boundary_violations = 0
     for op in (op for op in OPERATORS if op.k >= 2):
         lams = sample_cone_array(op, samples, 5.0, rng)
-        margins, scales, theta = _partial_product_batch(op, lams)
+        margins, theta = _partial_product_batch(op, lams)
         if op.k >= 3:
-            tracker.add_batch(_first_worst(margins[..., :-1], scales[..., :-1]), op, lams)
-        bnorm = margins[..., -1] / scales[..., -1]
-        boundary_worst = min(boundary_worst, float(bnorm.min()))
-        boundary_violations += int((bnorm < -SWEEP_TOL).sum())
+            tracker.add_batch(margins[..., :-1].min(axis=-1), op, lams)
+        boundary_worst = min(boundary_worst, float(margins[..., -1].min()))
+        boundary_violations += int((margins[..., -1] < -SWEEP_TOL).sum())
         thetas[f"n={op.n},k={op.k},alpha={op.alpha}"] = float(theta.min())
         glams = sample_gamma_k_array(op.n, op.k, samples, 5.0, rng)
-        margins, scales, _ = _partial_product_batch(op, glams)
-        tracker.add_batch(_first_worst(margins, scales), op, glams)
+        tracker.add_batch(_partial_product_batch(op, glams)[0].min(axis=-1), op, glams)
     extras = {
         "empirical_theta_min": thetas,
         "admissible_boundary_term": {

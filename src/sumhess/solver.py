@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConeBreachError, DomainError
 from .fdgrid import Grid, GridField, gradient_field_array, hessian_field_array, laplacian_field
-from .symfun import SumHessianOp, s_tensor, s_value, sigma_all_matrix
+from .symfun import SumHessianOp, s_from_sigma, s_tensor, s_value, sigma_all_matrix
 
 FD_STEP = 1e-6
 ARMIJO = 1e-4  # sufficient-decrease factor of the line search
@@ -39,7 +39,6 @@ LINEAR_RTOL = 1e-10  # floor of the forcing term eta, each linear solve's relati
 LINEAR_ROUNDS = 3  # BiCGSTAB rounds per linear solve: a first try and two restarts
 LINEAR_MAXITER = 500  # BiCGSTAB iterations per round
 CONTINUATION_STEPS = 8
-LEVEL_RTOL = 1e-12  # relative bracket width of isotropic_level's bisection
 
 
 @dataclass
@@ -109,8 +108,8 @@ class _NodeState:
         # an overflowing S_k is reported by solve as a stall, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             self.H = hessian_field_array(u).reshape(-1, n, n)
-            sig = self.sigma = sigma_all_matrix(self.H)
-            s_all = sig[:, 1 : spec.op.k + 1] + spec.op.alpha * sig[:, : spec.op.k]  # S_1..S_k
+            self.sigma = sigma_all_matrix(self.H)
+            s_all = s_from_sigma(self.sigma[:, : spec.op.k + 1], spec.op.alpha)  # S_1..S_k
             self.margins = functools.reduce(np.minimum, s_all.T)
             self.residual = s_all[:, -1] - self.f
 
@@ -294,9 +293,9 @@ def _harmonic_lift(grid: Grid, trace, laplacian_inverse: Callable) -> GridField:
 def isotropic_level(op: SumHessianOp, target: float) -> float:
     """The c with S_k(c, ..., c) = target.  For k = 1 it is the closed form
     (target - alpha) / n, negative when alpha > target.  For k >= 2 it is
-    the positive root, by bisection to a relative bracket width LEVEL_RTOL
-    (the map is increasing in c for positive c), so the tiny roots of a
-    large alpha are as accurate as roots above 1."""
+    the positive root, by bisection until the bracket's ends are adjacent
+    floats (the map is increasing in c for positive c), so every root,
+    the tiny ones of a large alpha included, is accurate to an ulp."""
     if target <= 0:
         raise ValueError("target must be positive")
     if op.k == 1:
@@ -309,16 +308,11 @@ def isotropic_level(op: SumHessianOp, target: float) -> float:
     hi = 1.0
     while val(hi) < 0:
         hi *= 2.0
-    lo = 0.0
-    while hi - lo > LEVEL_RTOL * hi:
+    lo, mid = 0.0, 0.5 * hi
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if val(mid) < 0 else (lo, mid)
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent subnormals: the bracket cannot shrink
-            break
-        if val(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def _sup_rhs(spec: ProblemSpec) -> float:
@@ -414,10 +408,11 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     accepted iterate, the best: the line search accepts no equal or larger
     residual and no NaN.  iterations counts the accepted steps, so once a
     start is evaluated the histories hold iterations + 1 entries, the
-    start's first.  A start field where the rhs is not positive
-    reports domain_error, one where S_k overflows reports stalled.  The
-    iteration converges once max |S_k - f| <= rtol * max |f|, however
-    small f is (a bound that underflows to 0 asks for a zero residual).
+    start's first.  A start field where the rhs is not positive reports
+    domain_error, as does f(x, 0, 0) <= 0 at every node (initial_guess has
+    no start); one where S_k overflows reports stalled.  The iteration
+    converges once max |S_k - f| <= rtol * max |f|, however small f is (a
+    bound that underflows to 0 asks for a zero residual).
     Each Newton step is solved inexactly, to a relative max-norm residual
     eta_k = min(0.1, max(LINEAR_RTOL, ||F_k||^2)) (Dembo, Eisenstat and
     Steihaug, 1982), which keeps quadratic convergence.
@@ -431,9 +426,9 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
 
     try:
         u = u0 if u0 is not None else initial_guess(spec)
-    except ConeBreachError as exc:
+    except (ConeBreachError, DomainError) as exc:
         u = spec.boundary_field()
-        return finish("cone_breach", 0, str(exc))
+        return finish("domain_error" if isinstance(exc, DomainError) else "cone_breach", 0, str(exc))
 
     state = _NodeState(spec, u)
     res_hist.append(state.res_norm)
@@ -498,7 +493,8 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
     failing t recorded, and a success doubles it again unless the stage
     before was rejected.  continuation_ts lists the t of every converged
     stage ([1.0] after a direct solve), rejected_stages the t and status
-    of every failed one, the direct attempt first.
+    of every failed one, the direct attempt first, and the only one when
+    f(x, 0, 0) <= 0 at every node.
     """
     config = config or SolveConfig()
     report = solve(spec, config)
@@ -506,7 +502,11 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
         report.extras["continuation_ts"] = [1.0]
         return report
     rejected = [{"t": 1.0, "status": report.status}]
-    s0 = 2.0 * _sup_rhs(spec)
+    try:
+        s0 = 2.0 * _sup_rhs(spec)
+    except DomainError:  # f(x, 0, 0) <= 0 at every node: no positive level to start a homotopy from
+        report.extras.update(continuation_ts=[], rejected_stages=rejected)
+        return report
 
     def path(t: float) -> ProblemSpec:
         def rhs(x, u, p):

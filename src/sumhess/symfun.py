@@ -72,6 +72,11 @@ def sigma_all(lam, order: int | None = None) -> np.ndarray:
     return np.moveaxis(buf, 0, -1)
 
 
+def s_from_sigma(sig: np.ndarray, alpha: float) -> np.ndarray:
+    """S_1..S_m, S_j = sigma_j + alpha*sigma_{j-1}, from sig = sigma_0..sigma_m on the last axis."""
+    return sig[..., 1:] + alpha * sig[..., :-1]
+
+
 def _deleted(arr: np.ndarray, drops: Sequence[Sequence[int]]) -> np.ndarray:
     """arr with the indices of each tuple in `drops` removed, order kept,
     stacked by one gather: shape (..., len(drops), n - len(drops[0]))."""

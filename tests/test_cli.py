@@ -494,13 +494,14 @@ class TestSolveCommand:
         ["solve", "--cells", "5", "--config="],
         ["identities", "--samples", "10", "--negate-oracle", "bogus"],
         ["identities", "--samples", "10", "--config", "{bogus_oracle_cfg}"],
+        ["identities", "--config", "{non_utf8_cfg}"],
     ],
     ids=["box", "config-value", "betas", "betas-empty", "samples", "levels-0", "levels-1",
          "scale-ratio", "seed", "box-inf", "betas-nan", "alpha-inf", "rtol-negative", "rtol-nan",
          "max-iter", "config-range", "rhs-nested", "rhs-long", "rhs-z-on-2d", "rhs-x3-on-2d",
          "box-huge", "box-tiny", "rigidity-box-huge", "scale-ratio-huge", "scale-ratio-squared",
          "rhs-inf", "cells-huge", "box-flag-empty", "betas-flag-empty", "config-flag-empty",
-         "negate-oracle-unknown", "config-negate-oracle-unknown"],
+         "negate-oracle-unknown", "config-negate-oracle-unknown", "config-not-utf8"],
 )
 def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
@@ -511,8 +512,10 @@ def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     nan_rtol_cfg.write_text("rtol=nan\n")
     bogus_oracle_cfg = tmp_path / "bogus_oracle.cfg"
     bogus_oracle_cfg.write_text("negate_oracle=bogus\n")
+    non_utf8_cfg = tmp_path / "non_utf8.cfg"
+    non_utf8_cfg.write_bytes(b"samples=\xff\xfe\n")
     names = dict(bad_cfg=bad_cfg, no_betas_cfg=no_betas_cfg, nan_rtol_cfg=nan_rtol_cfg,
-                 bogus_oracle_cfg=bogus_oracle_cfg)
+                 bogus_oracle_cfg=bogus_oracle_cfg, non_utf8_cfg=non_utf8_cfg)
     argv = [a.format(**names) for a in argv]
     argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_CONFIG
@@ -840,4 +843,18 @@ class TestRigidityCommand:
         assert rc == EXIT_OK
         payload = json.loads((tmp_path / "rigidity_report.json").read_text())
         assert payload["quadratic_classification"]["isotropic_level"] == pytest.approx(-0.5)
+
+    def test_n3_k3_classifies_the_quadratic_over_a_log_grid_of_alpha(self, tmp_path, capsys):
+        # every third of 241 log-spaced alpha in [1e-6, 1e6]; the residual
+        # bound 1e-12 needs a level accurate to a few ulps: a relative
+        # bracket width of 1e-12 gives up to 1.4e-12 here (alpha =
+        # 0.004466835921509635 among them)
+        for i, alpha in enumerate(np.geomspace(1e-6, 1e6, 241)[::3]):
+            out = tmp_path / str(i)
+            argv = ["rigidity", "--n", "3", "--k", "3", "--alpha", repr(float(alpha)),
+                    "--cells", "3", "--samples", "10", "--out", str(out)]
+            assert main(argv) == EXIT_OK, alpha
+            report = json.loads((out / "rigidity_report.json").read_text())
+            assert report["quadratic_classification"]["passed"]
+        assert "FAIL" not in capsys.readouterr().out
 

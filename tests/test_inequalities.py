@@ -24,7 +24,6 @@ from sumhess.inequalities import (
     _concavity_values,
     _family_coefficients,
     _family_gap,
-    _first_worst,
     _newton_maclaurin_batch,
     _partial_product_batch,
     _quotient_concavity_batch,
@@ -131,34 +130,36 @@ class TestDirectionalSecondDerivative:
 
 
 def _partial_products(op, lam):
-    margins, _, theta = _partial_product_batch(op, np.array([lam]))
+    margins, theta = _partial_product_batch(op, np.array([lam]))
     return float(margins[0].min()), float(theta[0])
 
 
 class TestPartialProducts:
     def test_simple_point(self):
         op = SumHessianOp(3, 2, 1.0)
+        # S_1 = 4.5 against 2 + 1, over the scale 1 + 4.5 + 2 + 1
         first, theta = _partial_products(op, [2.0, 1.0, 0.5])
-        assert first == pytest.approx(1.5)
+        assert first == pytest.approx(1.5 / 8.5)
         assert theta == pytest.approx(2.0 * 2.5 / 7.0)
 
     def test_two_dim_point(self):
         op = SumHessianOp(2, 2, 1.0)
+        # S_1 = 3 against 1 + 1, over the scale 1 + 3 + 1 + 1
         first, _ = _partial_products(op, [1.0, 1.0])
-        assert first == pytest.approx(1.0)
+        assert first == pytest.approx(1.0 / 6.0)
 
     def test_boundary_term_counterexample(self):
         # admissible but not Garding: the s = k-1 term goes negative,
         # which is why the sweep only asserts it on Garding samples
         op = SumHessianOp(3, 2, 1.0)
         first, _ = _partial_products(op, [2.0, -0.2, -0.3])
-        assert first == pytest.approx(2.5 - 3.0)
+        assert first == pytest.approx((2.5 - 3.0) / (1.0 + 2.5 + 2.0 + 1.0))
 
     def test_positive_on_garding_samples(self):
         rng = np.random.default_rng(43)
         for n, k, alpha in [(3, 2, 1.0), (4, 3, 0.1), (5, 4, 10.0), (6, 2, 1.0)]:
             op = SumHessianOp(n, k, alpha)
-            margins, _, theta = _partial_product_batch(
+            margins, theta = _partial_product_batch(
                 op, sample_gamma_k_array(n, k, 2000, 5.0, rng)
             )
             assert (margins > 0).all()
@@ -166,23 +167,18 @@ class TestPartialProducts:
 
     def test_orders_match_the_partial_products_of_each_order(self):
         # column s-1 is order s: S_s of the sorted spectrum minus
-        # lam_1...lam_s + alpha*lam_1...lam_{s-1}, with that order's own scale
+        # lam_1...lam_s + alpha*lam_1...lam_{s-1}, over that order's own scale
         op = SumHessianOp(5, 4, 0.1)
         lams = sample_cone_array(op, 500, 5.0, np.random.default_rng(44))
-        margins, scales, _ = _partial_product_batch(op, lams)
+        margins, _ = _partial_product_batch(op, lams)
         desc = np.sort(lams, axis=-1)[:, ::-1]
-        assert margins.shape == scales.shape == (500, op.k - 1)
+        assert margins.shape == (500, op.k - 1)
         for s in range(1, op.k):
             ss = s_value(desc, s, op.alpha)
             prod_s, prod_sm1 = desc[:, :s].prod(axis=-1), desc[:, : s - 1].prod(axis=-1)
             scale = 1.0 + np.abs(ss) + np.abs(prod_s) + op.alpha * np.abs(prod_sm1)
-            assert np.abs(margins[:, s - 1] - (ss - (prod_s + op.alpha * prod_sm1))).max() <= 1e-13 * scale.max()
-            assert np.abs(scales[:, s - 1] - scale).max() <= 1e-13 * scale.max()
-
-    def test_first_worst_divides_the_first_smallest_margin_by_its_own_scale(self):
-        margins = np.array([[1.0, 0.5, 0.5], [-1.0, 2.0, -3.0], [2.0, 2.0, 3.0]])
-        scales = np.array([[1.0, 2.0, 4.0], [1.0, 1.0, 2.0], [4.0, 1.0, 1.0]])
-        assert _first_worst(margins, scales).tolist() == [0.25, -1.5, 0.5]
+            margin = (ss - (prod_s + op.alpha * prod_sm1)) / scale
+            assert np.abs(margins[:, s - 1] - margin).max() <= 1e-13
 
 
 def _s_newton_margin(op, lam):

@@ -5,7 +5,8 @@ field solves the problem when checked independently on eigh spectra, and
 the histories hold the start plus one entry per accepted step."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sumhess.estimates import SolveFailure, refinement_study
 from sumhess.fdgrid import Grid, GridField, gradient_field_array, hessian_field_array
@@ -13,6 +14,13 @@ from sumhess.solver import ProblemSpec, SolveConfig, continuation_solve, solve
 from sumhess.symfun import SumHessianOp, sigma_all
 
 STATUSES = ("converged", "stalled", "cone_breach", "domain_error")
+# f(x, 0, 0) = -1 at every node: initial_guess has no start and no homotopy can begin
+NONPOSITIVE = (
+    ProblemSpec(SumHessianOp(2, 2, 1.0), Grid((-1.0, -1.0), (1.0, 1.0), (9, 9)),
+                rhs=lambda x, u, p: -np.ones(len(x))),
+    SolveConfig(),
+    None,
+)
 
 
 @st.composite
@@ -72,6 +80,7 @@ def check_outcome(spec, config, report):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(problems())
+@example(NONPOSITIVE)
 def test_solve_names_its_outcome(case):
     spec, config, u0 = case
     check_outcome(spec, config, solve(spec, config, u0=u0))
@@ -79,6 +88,7 @@ def test_solve_names_its_outcome(case):
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(problems())
+@example(NONPOSITIVE)
 def test_continuation_solve_names_its_outcome(case):
     spec, config, _ = case
     check_outcome(spec, config, continuation_solve(spec, config))
@@ -86,6 +96,7 @@ def test_continuation_solve_names_its_outcome(case):
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(problems(max_cells=5))
+@example(NONPOSITIVE)
 def test_refinement_study_names_its_outcome(case):
     spec, config, _ = case
     try:
@@ -94,3 +105,15 @@ def test_refinement_study_names_its_outcome(case):
         assert exc.status in STATUSES[1:]
     else:
         assert all(len(rep.per_refinement) == 2 for rep in reports)
+
+
+def test_nonpositive_rhs_everywhere_is_a_named_domain_error():
+    spec, config, _ = NONPOSITIVE
+    report = solve(spec, config)
+    assert (report.status, report.iterations, report.residual_history) == ("domain_error", 0, [])
+    report = continuation_solve(spec, config)
+    assert report.status == "domain_error"
+    assert report.extras == {"continuation_ts": [], "rejected_stages": [{"t": 1.0, "status": "domain_error"}]}
+    with pytest.raises(SolveFailure) as info:
+        refinement_study(spec, [1.0], levels=2, config=config)
+    assert info.value.status == "domain_error"

@@ -76,6 +76,19 @@ class TestIsotropicLevel:
         # c = (1 - 2) / 2 solves S_1 = 1 and S_1 = 1 > 0 is admissible
         assert isotropic_level(SumHessianOp(2, 1, 2.0), 1.0) == -0.5
 
+    def test_residual_is_within_a_few_ulps(self):
+        # bisected to adjacent floats, |S_k(c I) - t| / t stays within a few
+        # ulps (a relative bracket width of 1e-12 gives up to 2.6e-12)
+        worst = 0.0
+        for n in range(2, 7):
+            for k in range(2, n + 1):
+                for alpha in np.geomspace(1e-6, 1e6, 13):
+                    for target in (1.0, 6.0):
+                        c = isotropic_level(SumHessianOp(n, k, float(alpha)), target)
+                        s = float(s_value(np.full(n, c), k, float(alpha)))
+                        worst = max(worst, abs(s - target) / target)
+        assert worst <= 8 * np.finfo(float).eps
+
     def test_underflowing_root_terminates(self):
         # the root, about 1e-608, is below the smallest subnormal: the
         # bracket shrinks to [0, 5e-324] and the bisection stops there
