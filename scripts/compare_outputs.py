@@ -37,13 +37,33 @@ COMMANDS = {
     "rigidity": ["rigidity"],
     "rigidity-3d": ["rigidity", "--n", "3", "--k", "3", "--alpha", "0.5"],
 }
-# library calls whose result is printed as JSON on stdout
+# library calls whose results are printed on stdout
 SNIPPETS = {
     "inequality-suite-170-31415": (
         "import dataclasses, json\n"
         "from sumhess.inequalities import run_inequality_suite\n"
         "reports = run_inequality_suite(samples=170, seed=31415)\n"
         "print(json.dumps([dataclasses.asdict(r) for r in reports], sort_keys=True, indent=2))\n"
+    ),
+    # the failing solves the solver tests pin, so a renamed outcome shows here
+    "failed-solve-outcomes": (
+        "import numpy as np\n"
+        "from sumhess import Grid, GridField, ProblemSpec, SolveConfig, SumHessianOp, initial_guess, solve\n"
+        "box = lambda n, cells: Grid((-1.0,) * n, (1.0,) * n, (cells,) * n)\n"
+        "const = lambda c: lambda x, u, p: np.full(len(x), c)\n"
+        "u0 = initial_guess(ProblemSpec(SumHessianOp(2, 2, 1.0), box(2, 9), const(3.0)))\n"
+        "saddle = lambda x: 0.5 * (x[..., 0] ** 2 - x[..., 1] ** 2)\n"
+        "runs = {\n"
+        "    'nonpositive-rhs-at-start': solve(ProblemSpec(SumHessianOp(2, 2, 1.0), box(2, 9),\n"
+        "        lambda x, u, p: 3.0 + 10.0 * u), u0=u0.with_interior(u0.interior - 1.0)),\n"
+        "    'overflowing-start': solve(ProblemSpec(SumHessianOp(2, 2, 1e308), box(2, 7), const(3.0)),\n"
+        "        u0=GridField.from_function(box(2, 7), lambda x: 5.0 * (x**2).sum(axis=-1))),\n"
+        "    'none-admissible': solve(ProblemSpec(SumHessianOp(3, 3, 10.0), box(3, 17), const(0.5), saddle)),\n"
+        "    'gradient-rhs-200': solve(ProblemSpec(SumHessianOp(2, 2, 1.0), box(2, 9),\n"
+        "        lambda x, u, p: 0.5 + 200.0 * (p**2).sum(axis=-1)), SolveConfig(max_iter=60)),\n"
+        "}\n"
+        "for name, rep in runs.items():\n"
+        "    print(f'{name}: {rep.status} after {rep.iterations} iterations: {rep.message}')\n"
     ),
 }
 

@@ -6,19 +6,19 @@ scaling/rigidity toolbox, with a CLI wrapping them as reproducible
 experiments."""
 
 from .cones import in_gamma_k, in_gamma_tilde_k
-from .errors import ConeBreachError, DegenerateEigenvaluesError, DomainError
+from .errors import DegenerateEigenvaluesError, DomainError, SolveFailure
 from .fdgrid import Grid, GridField, laplacian_field
 from .solver import ProblemSpec, SolveConfig, SolveReport, continuation_solve, initial_guess, solve
 from .symfun import SumHessianOp, identity_residuals, sigma_all
 
 __all__ = [
-    "ConeBreachError",
     "DegenerateEigenvaluesError",
     "DomainError",
     "Grid",
     "GridField",
     "ProblemSpec",
     "SolveConfig",
+    "SolveFailure",
     "SolveReport",
     "SumHessianOp",
     "continuation_solve",

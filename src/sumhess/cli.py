@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .estimates import SolveFailure, refinement_study, rhs_gradient_convexity_probe
+from .errors import DomainError, SolveFailure
+from .estimates import refinement_study, rhs_gradient_convexity_probe
 from .fdgrid import Grid, GridField, hessian_field_array, eigh_batch
 from .inequalities import OPERATORS, REPORT_BUILDERS, run_inequality_suite
 from .rigidity import QuadraticCandidate, ScaledField, entire_solution_residual, quadratic_residual
@@ -480,7 +480,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         os.makedirs(config.out, exist_ok=True)
         return _COMMANDS[config.subcommand](config)
-    except (ConfigError, DomainError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -20,21 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SolveFailure
 from .fdgrid import GridField, laplacian_field
 from .solver import ProblemSpec, SolveConfig, continuation_solve
 
 STABILITY_RTOL = 0.05
 PROBE_SAMPLES, PROBE_RADIUS = 200, 3.0  # the convexity probe's points and gradient-cube half-side
-
-
-class SolveFailure(RuntimeError):
-    """A failed refinement level: the solver's status, or "domain_error" and the weight's exponent."""
-
-    def __init__(self, status: str, message: str, exponent: float | None = None):
-        super().__init__(message)
-        self.status = status
-        self.exponent = exponent
 
 
 def quantity_tag(exponent: float) -> str:

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConeBreachError, DomainError
+from .errors import SolveFailure
 from .fdgrid import Grid, GridField, gradient_field_array, hessian_field_array, laplacian_field
 from .symfun import SumHessianOp, s_from_sigma, s_tensor, s_value, sigma_all_matrix
 
@@ -46,9 +46,9 @@ class ProblemSpec:
     """A discrete Dirichlet problem: operator, grid, right side, boundary.
 
     rhs maps (x, u, p) -> values with x of shape (N, dim), u (N,) and
-    p (N, dim); it must be positive on the sampled domain (checked at
-    every evaluated iterate).  boundary is the Dirichlet trace: a constant or a
-    callable on coordinate arrays (..., dim).
+    p (N, dim); it must be finite and positive on the sampled domain
+    (checked at every evaluated iterate).  boundary is the Dirichlet
+    trace: a constant or a callable on coordinate arrays (..., dim).
     """
 
     op: SumHessianOp
@@ -98,14 +98,13 @@ class _NodeState:
     def __init__(self, spec: ProblemSpec, u: GridField):
         grid = spec.grid
         n = grid.dim
-        self.u = u
         self.x = grid.interior_points_flat()
         self.uvals = u.interior_flat
         self.grads = gradient_field_array(u).reshape(-1, n)
         self.f = np.asarray(spec.rhs(self.x, self.uvals, self.grads), dtype=float)
         if self.f.shape != self.uvals.shape:
             self.f = np.broadcast_to(self.f, self.uvals.shape).astype(float)
-        # an overflowing S_k is reported by solve as a stall, not warned about
+        # an overflowing S_k is judged a stall by fault, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             self.H = hessian_field_array(u).reshape(-1, n, n)
             self.sigma = sigma_all_matrix(self.H)
@@ -120,6 +119,18 @@ class _NodeState:
     @property
     def worst_margin(self) -> float:
         return float(self.margins.min())
+
+    def fault(self, floor) -> str | None:
+        """The status that rules this iterate out, None when there is none:
+        domain_error where f is not finite and positive, stalled where S_k
+        is not finite, cone_breach where a margin is not above `floor`."""
+        if not (np.isfinite(self.f) & (self.f > 0)).all():
+            return "domain_error"
+        if not np.isfinite(self.residual).all():
+            return "stalled"
+        if not (self.margins > floor).all():
+            return "cone_breach"
+        return None
 
 
 def _fd_partials(spec: ProblemSpec, state: _NodeState) -> tuple[np.ndarray, np.ndarray]:
@@ -179,11 +190,11 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
 
     Requires a strictly admissible iterate: every node's spectrum must
     sit inside the cone with positive margin, otherwise the linearization
-    is not elliptic and a ConeBreachError is raised.
+    is not elliptic and a SolveFailure with status cone_breach is raised.
     """
     if state.worst_margin <= 0:
-        raise ConeBreachError(
-            f"iterate leaves the admissible cone (worst margin {state.worst_margin:.3e})"
+        raise SolveFailure(
+            "cone_breach", f"iterate leaves the admissible cone (worst margin {state.worst_margin:.3e})"
         )
     F = s_tensor(state.H, state.sigma, spec.op.k, spec.op.alpha)
     fu, fp = _fd_partials(spec, state)
@@ -200,13 +211,6 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
     d = np.trace(F, axis1=1, axis2=2) / n
     laplacian_inverse = _laplacian_inverse(spec.grid)
     return jacobian_times, lambda r: laplacian_inverse(r / d)
-
-
-class _LinearSolveError(RuntimeError):
-    """BiCGSTAB did not bring the true linear residual within the forcing
-    term eta in LINEAR_ROUNDS rounds (Jacobian singular, close to it, or
-    not finite), or the update overflows when scaled back; the Newton loop
-    reports a stall instead of crashing."""
 
 
 def _bicgstab(J: Callable, M: Callable, b: np.ndarray, eta: float) -> np.ndarray:
@@ -264,8 +268,9 @@ def _linear_solve(J, M, rhs, eta: float = LINEAR_RTOL) -> np.ndarray:
     relative to max|rhs|, is at most the forcing term eta (a round stops
     once its 2-norm is that small).  J and M are callables on vectors.  The
     system is scaled to max|rhs| = 1, so BiCGSTAB's inner products stay
-    finite however large the residual is; a solution that overflows when
-    scaled back raises _LinearSolveError too."""
+    finite however large the residual is.  Raises SolveFailure with status
+    stalled when no round meets eta (J singular, close to it, or not
+    finite) or the solution overflows when scaled back."""
     scale = float(np.abs(rhs).max()) or 1.0
     b = rhs / scale
     x, res = 0.0, b
@@ -277,10 +282,11 @@ def _linear_solve(J, M, rhs, eta: float = LINEAR_RTOL) -> np.ndarray:
             delta = scale * x
             if np.isfinite(delta).all():
                 return delta
-            raise _LinearSolveError(f"Newton update overflows ({np.abs(x).max():.3e} times max|rhs| {scale:.3e})")
+            raise SolveFailure("stalled",
+                               f"Newton update overflows ({np.abs(x).max():.3e} times max|rhs| {scale:.3e})")
         if not np.isfinite(lin_res):
             break
-    raise _LinearSolveError(f"linear solve residual {lin_res:.3e} exceeds {eta:.3g}")
+    raise SolveFailure("stalled", f"linear solve residual {lin_res:.3e} exceeds {eta:.3g}")
 
 
 def _harmonic_lift(grid: Grid, trace, laplacian_inverse: Callable) -> GridField:
@@ -316,12 +322,13 @@ def isotropic_level(op: SumHessianOp, target: float) -> float:
 
 
 def _sup_rhs(spec: ProblemSpec) -> float:
-    """sup f(x, 0, 0) over the interior nodes, which must be positive."""
+    """sup f(x, 0, 0) over the interior nodes, which must be positive and
+    finite; otherwise a SolveFailure with status domain_error."""
     x = spec.grid.interior_points_flat()
     f0 = np.asarray(spec.rhs(x, np.zeros(len(x)), np.zeros_like(x)), dtype=float)
     sup_f = float(np.max(f0))
-    if sup_f <= 0:
-        raise DomainError("rhs must be positive on the sampled domain")
+    if not 0 < sup_f < math.inf:
+        raise SolveFailure("domain_error", f"rhs must be positive and finite on the sampled domain (sup {sup_f:.3e})")
     return sup_f
 
 
@@ -338,8 +345,9 @@ def initial_guess(spec: ProblemSpec) -> GridField:
     start is a strict convex subsolution (Caffarelli, Nirenberg and
     Spruck, 1985).  A nonzero trace bends the Hessian through the lift, so
     larger factors follow; overflowing candidates are skipped, and none
-    is built after the first admissible one.  Raises ConeBreachError with
-    the best worst margin when no factor gives an admissible field.
+    is built after the first admissible one.  Raises SolveFailure with
+    status cone_breach and the best worst margin when no factor gives an
+    admissible field, and with domain_error from _sup_rhs.
     """
     grid = spec.grid
     c_root = isotropic_level(spec.op, 2.0 * _sup_rhs(spec))
@@ -360,7 +368,8 @@ def initial_guess(spec: ProblemSpec) -> GridField:
         if margin > 0:
             return cand
         best_margin = max(best_margin, margin)
-    raise ConeBreachError(
+    raise SolveFailure(
+        "cone_breach",
         f"no admissible initial guess found (best worst-margin {best_margin:.3e}); "
         "try a coarser grid or continuation"
     )
@@ -398,87 +407,68 @@ def prolong(u: GridField, fine: Grid, boundary=None) -> GridField:
 def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | None = None) -> SolveReport:
     """Damped Newton iteration with cone-preserving backtracking.
 
-    Steps halve until (a) the rhs stays positive at every node, (b) every
-    node's cone margin keeps at least CONE_FRACTION of its current value
-    and (c) the residual satisfies an Armijo decrease and strictly
-    decreases (for a subnormal residual the Armijo bound rounds back to
-    it); a trial whose values overflow is rejected like a stall.  Step
-    underflow reports domain_error, cone_breach or stalled after the
-    condition that rejected the last trial.  Every report keeps the last
-    accepted iterate, the best: the line search accepts no equal or larger
-    residual and no NaN.  iterations counts the accepted steps, so once a
-    start is evaluated the histories hold iterations + 1 entries, the
-    start's first.  A start field where the rhs is not positive reports
-    domain_error, as does f(x, 0, 0) <= 0 at every node (initial_guess has
-    no start); one where S_k overflows reports stalled.  The iteration
-    converges once max |S_k - f| <= rtol * max |f|, however small f is (a
-    bound that underflows to 0 asks for a zero residual).
+    _NodeState.fault judges the start with floor 0 and every line-search
+    trial with floor CONE_FRACTION times the current margins.  Steps halve
+    until a trial passes and its residual satisfies an Armijo decrease and
+    strictly decreases (for a subnormal residual the Armijo bound rounds
+    back to it); a trial whose values overflow is rejected like a stall.
+    Step underflow reports the status that rejected the last trial, and a
+    helper that fails raises SolveFailure with the status to report.  Every
+    report keeps the last accepted iterate, the best: the line search
+    accepts no equal or larger residual and no NaN.  iterations counts the
+    accepted steps, so once a start is evaluated the histories hold
+    iterations + 1 entries, the start's first.  The iteration converges
+    once max |S_k - f| <= rtol * max |f|, however small f is (a bound that
+    underflows to 0 asks for a zero residual).
     Each Newton step is solved inexactly, to a relative max-norm residual
     eta_k = min(0.1, max(LINEAR_RTOL, ||F_k||^2)) (Dembo, Eisenstat and
     Steihaug, 1982), which keeps quadratic convergence.
     """
     config = config or SolveConfig()
-    res_hist: list[float] = []
-    margin_hist: list[float] = []
-
-    def finish(status: str, iterations: int, message: str = "", **extras) -> SolveReport:
-        return SolveReport(status, iterations, res_hist, margin_hist, u, message, extras)
-
+    res_hist, margin_hist = [], []
+    u, it = None, 0
     try:
         u = u0 if u0 is not None else initial_guess(spec)
-    except (ConeBreachError, DomainError) as exc:
-        u = spec.boundary_field()
-        return finish("domain_error" if isinstance(exc, DomainError) else "cone_breach", 0, str(exc))
-
-    state = _NodeState(spec, u)
-    res_hist.append(state.res_norm)
-    margin_hist.append(state.worst_margin)
-    if not (state.f > 0).all():
-        return finish("domain_error", 0, "rhs must be positive on the sampled domain at the starting field")
-    if not np.isfinite(state.residual).all():
-        return finish("stalled", 0, "S_k is not finite at the starting field")
-    if state.worst_margin <= 0:
-        return finish("cone_breach", 0, "starting field is not admissible")
-    f_scale = float(np.abs(state.f).max())
-
-    for it in range(config.max_iter + 1):
-        if state.res_norm <= config.rtol * f_scale:
-            return finish("converged", it, f_scale=f_scale)
-        if it == config.max_iter:
-            return finish("stalled", it, "maximum iterations reached")
-        eta = min(0.1, max(LINEAR_RTOL, state.res_norm * state.res_norm))  # r * r overflows to inf, r**2 raises
-        try:
+        state = _NodeState(spec, u)
+        res_hist.append(state.res_norm)
+        margin_hist.append(state.worst_margin)
+        status = state.fault(0.0)
+        if status is not None:
+            raise SolveFailure(status, {
+                "domain_error": "rhs must be positive on the sampled domain at the starting field",
+                "stalled": "S_k is not finite at the starting field",
+                "cone_breach": "starting field is not admissible"}[status])
+        f_scale = float(np.abs(state.f).max())
+        for it in range(config.max_iter + 1):
+            if state.res_norm <= config.rtol * f_scale:
+                return SolveReport("converged", it, res_hist, margin_hist, u, extras={"f_scale": f_scale})
+            if it == config.max_iter:
+                raise SolveFailure("stalled", "maximum iterations reached")
+            eta = min(0.1, max(LINEAR_RTOL, state.res_norm * state.res_norm))  # r * r overflows to inf, r**2 raises
             # an overflowing product fails the linear residual contract
             with np.errstate(over="ignore", invalid="ignore"):
                 delta = _linear_solve(*assemble_newton(spec, state), -state.residual, eta)
-        except ConeBreachError as exc:
-            return finish("cone_breach", it, str(exc))
-        except _LinearSolveError as exc:
-            return finish("stalled", it, str(exc))
-
-        step = 1.0
-        while True:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = u.interior_flat + step * delta
-            if not np.isfinite(values).all():  # an overflowing update is a rejected trial
-                blocked = "stalled"
-            else:
-                trial = u.with_interior(values)
-                tstate = _NodeState(spec, trial)
-                if not (tstate.f > 0).all():
-                    blocked = "domain_error"
-                elif not (tstate.margins >= CONE_FRACTION * state.margins).all():
-                    blocked = "cone_breach"
-                elif tstate.res_norm <= (1.0 - ARMIJO * step) * state.res_norm and tstate.res_norm < state.res_norm:
-                    break
-                else:
-                    blocked = "stalled"
-            step *= 0.5
-            if step < MIN_STEP:
-                return finish(blocked, it, f"line search underflow at iteration {it} (step < {MIN_STEP:.1e})")
-        u, state = trial, tstate
-        res_hist.append(state.res_norm)
-        margin_hist.append(state.worst_margin)
+            step = 1.0
+            while True:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = u.interior_flat + step * delta
+                status = "stalled"  # an overflowing update, or a residual that does not decrease
+                if np.isfinite(values).all():
+                    trial = u.with_interior(values)
+                    tstate = _NodeState(spec, trial)
+                    fault = tstate.fault(CONE_FRACTION * state.margins)
+                    if fault is None and state.res_norm > tstate.res_norm <= (1.0 - ARMIJO * step) * state.res_norm:
+                        break
+                    status = fault or status
+                step *= 0.5
+                if step < MIN_STEP:
+                    raise SolveFailure(status, f"line search underflow at iteration {it} (step < {MIN_STEP:.1e})")
+            u, state = trial, tstate
+            res_hist.append(state.res_norm)
+            margin_hist.append(state.worst_margin)
+    except SolveFailure as exc:
+        u = u if u is not None else spec.boundary_field()
+        return SolveReport(exc.status, it, res_hist, margin_hist, u, str(exc))
 
 
 def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> SolveReport:
@@ -494,7 +484,7 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
     before was rejected.  continuation_ts lists the t of every converged
     stage ([1.0] after a direct solve), rejected_stages the t and status
     of every failed one, the direct attempt first, and the only one when
-    f(x, 0, 0) <= 0 at every node.
+    sup f(x, 0, 0) is not positive and finite.
     """
     config = config or SolveConfig()
     report = solve(spec, config)
@@ -504,7 +494,7 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
     rejected = [{"t": 1.0, "status": report.status}]
     try:
         s0 = 2.0 * _sup_rhs(spec)
-    except DomainError:  # f(x, 0, 0) <= 0 at every node: no positive level to start a homotopy from
+    except SolveFailure:  # sup f(x, 0, 0) not positive and finite: no level to start a homotopy from
         report.extras.update(continuation_ts=[], rejected_stages=rejected)
         return report
 

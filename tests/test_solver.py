@@ -1,6 +1,7 @@
 """Solver tests: initializer, assembly, Newton loop, continuation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from scipy.fft import dstn, idstn
 
 from sumhess import cli, fdgrid, solver
 from sumhess.cones import gamma_tilde_margins
-from sumhess.errors import ConeBreachError, DomainError
+from sumhess.errors import SolveFailure
+from sumhess.estimates import refinement_study
 from sumhess.fdgrid import (
     Grid,
     GridField,
@@ -19,6 +21,7 @@ from sumhess.fdgrid import (
     laplacian_field,
 )
 from sumhess.solver import (
+    CONE_FRACTION,
     LINEAR_MAXITER,
     LINEAR_RTOL,
     ProblemSpec,
@@ -27,7 +30,6 @@ from sumhess.solver import (
     _harmonic_lift,
     _laplacian_inverse,
     _linear_solve,
-    _LinearSolveError,
     _NodeState,
     assemble_newton,
     continuation_solve,
@@ -152,8 +154,9 @@ class TestInitialGuess:
     def test_rejects_nonpositive_rhs(self):
         op = SumHessianOp(2, 2, 1.0)
         spec = ProblemSpec(op, grid2(15), rhs=const_rhs(-1.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(SolveFailure) as info:
             initial_guess(spec)
+        assert info.value.status == "domain_error"
 
 
 class TestBowl:
@@ -244,8 +247,9 @@ class TestFirstAdmissible:
         grid = Grid((-1.0,) * 3, (1.0,) * 3, (17, 17, 17))
         spec = ProblemSpec(SumHessianOp(3, 3, 10.0), grid, rhs=const_rhs(0.5), boundary=TRACES[2])
         fields, margins = self._recorded(monkeypatch, spec)
-        with pytest.raises(ConeBreachError) as info:
+        with pytest.raises(SolveFailure) as info:
             initial_guess(spec)
+        assert info.value.status == "cone_breach"
         assert len(margins) == 7 and max(margins) <= 0
         # the best margin is the first candidate's, not the last one's
         assert margins[0] == max(margins) > margins[-1]
@@ -328,6 +332,41 @@ class TestEigenFreeNodeState:
         assert iterations(tmp_path / "refused") == expected
 
 
+class TestFault:
+    """_NodeState.fault names the first rule an iterate breaks: f finite and
+    positive, then S_k finite, then every margin strictly above the floor."""
+
+    def _state(self, rhs=3.0, alpha=1.0, c=1.3):
+        g = grid2(7)
+        spec = ProblemSpec(SumHessianOp(2, 2, alpha), g, rhs=rhs if callable(rhs) else const_rhs(rhs))
+        return _NodeState(spec, GridField.from_function(g, lambda x: 0.5 * c * (x**2).sum(axis=-1)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_state_per_status(self):
+        def inf_at_one_node(x, u, p):
+            f = np.full(len(x), 3.0)
+            f[len(x) // 2] = np.inf
+            return f
+
+        passing = self._state()
+        assert passing.worst_margin > 0 and passing.fault(0.0) is None
+        assert passing.fault(CONE_FRACTION * passing.margins) is None
+        assert self._state(rhs=-1.0).fault(0.0) == "domain_error"
+        assert self._state(rhs=inf_at_one_node).fault(0.0) == "domain_error"
+        # alpha * sigma_1 overflows, so S_2 is inf while S_1 stays finite
+        stalled = self._state(alpha=1e308, c=10.0)
+        assert np.isfinite(stalled.margins).all() and stalled.fault(0.0) == "stalled"
+        assert self._state(c=-1.0).fault(0.0) == "cone_breach"
+
+    def test_margin_at_the_floor_is_a_breach(self):
+        state = self._state()
+        floor = CONE_FRACTION * state.margins
+        floor[3] = state.margins[3]
+        assert state.fault(floor) == "cone_breach"
+        floor[3] = np.nextafter(state.margins[3], -np.inf)
+        assert state.fault(floor) is None
+
+
 class TestAssembly:
     @staticmethod
     def _check_k1_laplacian(dim):
@@ -392,8 +431,9 @@ class TestAssembly:
         g = grid2(7)
         spec = ProblemSpec(op, g, rhs=const_rhs(3.0))
         u = GridField.from_function(g, lambda x: -0.5 * (x**2).sum(axis=-1))
-        with pytest.raises(ConeBreachError):
+        with pytest.raises(SolveFailure) as info:
             assemble_newton(spec, _NodeState(spec, u))
+        assert info.value.status == "cone_breach"
 
     def test_jacobian_matches_directional_differences(self):
         op = SumHessianOp(2, 2, 1.0)
@@ -436,10 +476,12 @@ class TestLinearSolve:
         n = 16
         J = lambda v: np.full(n, np.nan)
         M = lambda r: r
-        with pytest.raises(_LinearSolveError):
+        with pytest.raises(SolveFailure) as info:
             _linear_solve(J, M, np.ones(n))
-        with pytest.raises(_LinearSolveError, match="exceeds 0.1$"):
+        assert info.value.status == "stalled"
+        with pytest.raises(SolveFailure, match="exceeds 0.1$") as info:
             _linear_solve(J, M, np.ones(n), 0.1)
+        assert info.value.status == "stalled"
 
     @pytest.mark.parametrize("dim, cells", [(2, 33), (3, 9)], ids=["2d", "3d"])
     def test_forcing_term_follows_the_newton_residual(self, dim, cells, monkeypatch):
@@ -611,6 +653,27 @@ class TestSolve:
         assert rep.status == "stalled"
         assert rep.iterations == 0
         assert "S_k is not finite" in rep.message
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_rhs_at_a_node_is_domain_error(self):
+        # f = 3 with one node at +inf has no finite sup f to scale a start
+        # or a homotopy by; given a start, the start itself is refused
+        def rhs(x, u, p):
+            f = np.full(len(x), 3.0)
+            f[len(x) // 2] = np.inf
+            return f
+
+        spec = ProblemSpec(SumHessianOp(2, 2, 1.0), grid2(9), rhs=rhs)
+        rep = solve(spec)
+        assert (rep.status, rep.iterations, rep.residual_history) == ("domain_error", 0, [])
+        rep = solve(spec, u0=initial_guess(replace(spec, rhs=const_rhs(3.0))))
+        assert (rep.status, rep.iterations) == ("domain_error", 0)
+        rep = continuation_solve(spec)
+        assert rep.status == "domain_error"
+        assert rep.extras == {"continuation_ts": [], "rejected_stages": [{"t": 1.0, "status": "domain_error"}]}
+        with pytest.raises(SolveFailure) as info:
+            refinement_study(spec, [1.0], levels=2)
+        assert info.value.status == "domain_error"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_update_is_a_stall_at_iteration_0(self):
