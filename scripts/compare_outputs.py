@@ -45,6 +45,17 @@ SNIPPETS = {
         "reports = run_inequality_suite(samples=170, seed=31415)\n"
         "print(json.dumps([dataclasses.asdict(r) for r in reports], sort_keys=True, indent=2))\n"
     ),
+    # where each capped threshold search stops and which L it probes; the
+    # probe margins are left out, as they move with the root solver by ~1e-11
+    "capped-thresholds": (
+        "import numpy as np\n"
+        "from sumhess.inequalities import OPERATORS, capped_threshold_search\n"
+        "rng = np.random.default_rng(2718)\n"
+        "for op in (op for op in OPERATORS if op.k >= 2):\n"
+        "    res = capped_threshold_search(op, rng)\n"
+        "    probes = ' '.join(repr(l) for l, _ in res['probes'])\n"
+        "    print(f\"{op}: lambda_star={res['lambda_star']!r} vacuous={res['vacuous']} probes: {probes}\")\n"
+    ),
     # the failing solves the solver tests pin, so a renamed outcome shows here
     "failed-solve-outcomes": (
         "import numpy as np\n"

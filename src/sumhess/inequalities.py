@@ -299,9 +299,7 @@ def _family_coefficients(op, lam1s, tail_sigma):
 
 
 def _family_gap(s, coef, k, target):
-    """S_k(L, s*nu) - target from the _family_coefficients; the same
-    operations for arrays and floats, so a batched bracket and a scalar
-    root solve see equal values."""
+    """S_k(L, s*nu) - target from the _family_coefficients, s an array or a float."""
     c_lo, c_mid, c_hi = coef
     val = c_lo + s * (c_mid + s * c_hi)
     for _ in range(k - 2):
@@ -309,62 +307,18 @@ def _family_gap(s, coef, k, target):
     return val - target
 
 
-def brentq(f, a, b, args=(), xtol=2e-12, rtol=4 * math.ulp(1.0), maxiter=100):
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4), a port of
-    scipy.optimize.brentq step for step, so the roots are bitwise the same
-    without loading scipy.optimize.  Raises ValueError when f(a) and f(b)
-    have the same sign or f returns NaN, and RuntimeError after maxiter
-    iterations.  Naming the three bracket points pre (last iterate),
-    cur (best) and blk (the other side of the bracket), each step tries
-    secant or inverse quadratic interpolation and falls back to bisection.
-    """
-
-    def call(x):
-        fx = float(f(x, *args))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C gives inf or NaN here, which bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+def _family_roots(coef, k, target, hi):
+    """For every pair at once, the scale s in [1e-9, hi] where _family_gap
+    turns nonnegative: the upper end once bisection leaves adjacent floats.
+    Each gap stays negative at lo and nonnegative at hi, so a midpoint
+    that rounds to an end leaves that pair's bracket as it is."""
+    lo = np.full_like(hi, 1e-9)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if ((mid == lo) | (mid == hi)).all():
+            return hi
+        below = _family_gap(mid, coef, k, target) < 0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
 
 
 def _capped_family_worst(op, n0, lam1s, tails, tail_sigma):
@@ -377,8 +331,8 @@ def _capped_family_worst(op, n0, lam1s, tails, tail_sigma):
     entries), so every (L, nu) pair is bracketed in one array pass: s_hi
     is the first of 1e-3 * 2^j, j = 0..30, where the gap S_k - 0.9*n0 is
     nonnegative (else j = 30), and a pair is kept when the gap is negative
-    at 1e-9 and nonnegative at s_hi.  Each kept pair gets one brentq solve
-    on its scalar polynomial.  The spectra whose top entry is still L and
+    at 1e-9 and nonnegative at s_hi.  The kept pairs' roots are bisected
+    together (_family_roots).  The spectra whose top entry is still L and
     that lie in Gamma_k are scored in one batch.
     """
     k = op.k
@@ -389,12 +343,8 @@ def _capped_family_worst(op, n0, lam1s, tails, tail_sigma):
     s_hi = s_grid[np.where(below.all(axis=-1), 30, np.argmin(below, axis=-1))]
     keep = ~((_family_gap(1e-9, coef, k, target) >= 0) | (_family_gap(s_hi, coef, k, target) < 0))
     li, ti = np.nonzero(keep)
-    kept_coef = np.stack([c[keep] for c in coef], axis=-1).tolist()
-    roots = [
-        brentq(_family_gap, 1e-9, hi, args=(cs, k, target), xtol=1e-12, rtol=1e-12)
-        for cs, hi in zip(kept_coef, s_hi[keep].tolist())
-    ]
-    specs = np.concatenate([lam1s[li, None], np.asarray(roots)[:, None] * tails[ti]], axis=1)
+    roots = _family_roots(tuple(c[keep] for c in coef), k, target, s_hi[keep])
+    specs = np.concatenate([lam1s[li, None], roots[:, None] * tails[ti]], axis=1)
     specs = np.sort(specs, axis=-1)[:, ::-1]
     ok = (specs[:, 0] == lam1s[li]) & in_gamma_k(specs, k)
     worst = np.full(len(lam1s), math.inf)
@@ -411,12 +361,11 @@ def capped_threshold_search(op: SumHessianOp, rng: np.random.Generator) -> dict:
     then scans the top eigenvalue L over a geometric grid, one block of L
     values at a time.  On the family S_k is a polynomial in s, so each
     block brackets the scale of every (L, nu) pair in one array pass and
-    solves each bracketed pair by one brentq call (see
-    _capped_family_worst).  The scan stops after the first block whose
-    largest feasible L passes, that is whose margin is at least
-    -SWEEP_TOL.  lambda_star is the smallest probed L beyond which both
-    conditional margins pass; nothing is asserted about it beyond
-    finiteness.
+    bisects all bracketed pairs together (see _capped_family_worst).
+    The scan stops after the first block whose largest feasible L
+    passes, that is whose margin is at least -SWEEP_TOL.  lambda_star
+    is the smallest probed L beyond which both conditional margins pass;
+    nothing is asserted about it beyond finiteness.
 
     For k = 2 the cap itself bounds the top eigenvalue (alpha*lam_1 < S_2
     <= N0 on Gamma_2), so "lam_1 sufficiently large" can leave the
@@ -630,3 +579,13 @@ def run_inequality_suite(samples: int = 1000, seed: int = 2024) -> list[Inequali
     """
     streams = np.random.default_rng(seed).spawn(len(REPORT_BUILDERS))
     return [builder(samples, rng) for builder, rng in zip(REPORT_BUILDERS.values(), streams)]
+
+
+def __getattr__(name):
+    # The benchmark's tracer (perfbench/tracer.py) rebinds `inequalities.brentq`
+    # to count root solves and is the name's only user; the roots are now
+    # bisected in one batch, so the count reads 0.  ROADMAP item 1a removes
+    # the hook, and this bridge with it.
+    if name == "brentq":
+        return _family_roots
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfun import SumHessianOp, s_value, sigma_all_matrix
+from .symfun import SumHessianOp, s_from_sigma, s_value, sigma_all_matrix
 
 
 @dataclass(frozen=True)
@@ -115,4 +115,4 @@ def entire_solution_residual(points) -> tuple[np.ndarray, np.ndarray]:
     points of shape (..., 3); the second value certifies 1-convexity
     pointwise."""
     sig = sigma_all_matrix(entire_solution_hessian(points))
-    return np.abs(sig[..., 2] + sig[..., 1] - 1.0), sig[..., 1]
+    return np.abs(s_from_sigma(sig, 1.0)[..., 1] - 1.0), sig[..., 1]

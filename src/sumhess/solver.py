@@ -435,7 +435,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
         status = state.fault(0.0)
         if status is not None:
             raise SolveFailure(status, {
-                "domain_error": "rhs must be positive on the sampled domain at the starting field",
+                "domain_error": "rhs must be finite and positive on the sampled domain at the starting field",
                 "stalled": "S_k is not finite at the starting field",
                 "cone_breach": "starting field is not admissible"}[status])
         f_scale = float(np.abs(state.f).max())

@@ -16,7 +16,7 @@ import sumhess
 
 MODULES = sorted(p for p in Path(sumhess.__file__).parent.glob("*.py") if p.name != "__init__.py")
 REPO = Path(__file__).resolve().parents[1]
-SRC_LINE_BUDGET = 2457  # ratcheted to the package size; a 15% cut from 2,987 lines allowed 2,539
+SRC_LINE_BUDGET = 2416  # ratcheted to the package size; a 15% cut from 2,987 lines allowed 2,539
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

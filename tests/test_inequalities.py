@@ -3,9 +3,9 @@
 import math
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from sumhess import inequalities
 from sumhess.cones import (
@@ -355,10 +355,23 @@ class TestCappedBounds:
         assert res["finite"]
 
 
+def _exact_family_root(coef, k, target, s_hi):
+    """The root in [1e-9, s_hi] of s^(k-2) (c_lo + s c_mid + s^2 c_hi) - target,
+    coef = (c_lo, c_mid, c_hi), solved at 50 digits and rounded to a float."""
+    with mpmath.workdps(50):
+        c_lo, c_mid, c_hi = (mpmath.mpf(c) for c in coef)
+
+        def gap(s):
+            return s ** (k - 2) * (c_lo + s * (c_mid + s * c_hi)) - target
+
+        return float(mpmath.findroot(gap, (mpmath.mpf(1e-9), mpmath.mpf(s_hi)), solver="anderson"))
+
+
 def _family_worst_per_pair(op, n0, lam1, tails):
     """Reference for _capped_family_worst at one top eigenvalue: each tail
-    gets its own doubling scan and brentq solve on the s_value gap, its
-    own Gamma_k test and its own single-row bounds evaluation."""
+    gets its own doubling scan on the s_value gap, its own 50-digit root of
+    S_k(lam1, s*nu) = 0.9*n0 (sigma_j(nu) summed in mpmath from the float
+    entries), its own Gamma_k test and its own single-row bounds evaluation."""
     k, alpha = op.k, op.alpha
     target = 0.9 * n0
     worst = math.inf
@@ -372,7 +385,14 @@ def _family_worst_per_pair(op, n0, lam1, tails):
             s_hi *= 2.0
         if gap(1e-9) >= 0 or gap(s_hi) < 0:
             continue
-        s = brentq(gap, 1e-9, s_hi, xtol=1e-12, rtol=1e-12)
+        with mpmath.workdps(50):
+            sig = [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+            for x in nu.tolist():
+                for j in range(k, 0, -1):
+                    sig[j] += x * sig[j - 1]
+            big_l, a = mpmath.mpf(lam1), mpmath.mpf(alpha)
+            coef = (a * big_l * sig[k - 2], (big_l + a) * sig[k - 1], sig[k])
+        s = _exact_family_root(coef, k, target, s_hi)
         spec = np.sort(np.concatenate([[lam1], s * nu]))[::-1]
         if spec[0] != lam1 or not in_gamma_k(spec, k):
             continue
@@ -439,30 +459,17 @@ class TestCappedFamilyBatch:
             [p[1] for p in got["probes"]], [p[1] for p in want["probes"]], rtol=0, atol=1e-12
         )
 
-
-def _same_root(f, a, b, **kw):
-    # the port and scipy must return the same double, bit for bit, or
-    # raise the same error
-    def outcome(solver):
-        try:
-            return solver(f, a, b, **kw).hex()
-        except (ValueError, RuntimeError) as exc:
-            return repr(exc)
-
-    assert outcome(inequalities.brentq) == outcome(brentq)
-
-
-class TestBrentPort:
-    def test_matches_scipy_on_family_brackets(self, monkeypatch):
+    def test_roots_match_exact_on_family_brackets(self, monkeypatch):
         # record the brackets _capped_family_worst itself builds
         calls = []
-        port = inequalities.brentq
+        batched = inequalities._family_roots
 
-        def recorder(f, a, b, **kw):
-            calls.append((f, a, b, kw))
-            return port(f, a, b, **kw)
+        def recorder(coef, k, target, hi):
+            roots = batched(coef, k, target, hi)
+            calls.append((coef, k, target, hi, roots))
+            return roots
 
-        monkeypatch.setattr(inequalities, "brentq", recorder)
+        monkeypatch.setattr(inequalities, "_family_roots", recorder)
         rng = np.random.default_rng(63)
         for n, k, alpha in FAMILY_OPS:
             op = SumHessianOp(n, k, alpha)
@@ -476,45 +483,11 @@ class TestBrentPort:
                 ])
                 _capped_family_worst(op, n0, lam1s, tails, tail_sigma)
         monkeypatch.undo()
-        assert len(calls) >= 200, len(calls)
-        for f, a, b, kw in calls:
-            assert kw["xtol"] == kw["rtol"] == 1e-12
-            _same_root(f, a, b, **kw)
-
-    @pytest.mark.parametrize(
-        "f, a, b",
-        [
-            (lambda x: x * x - 1.0, 0.0, 2.0),
-            (lambda x: math.cos(x) - x, 0.0, 1.0),
-            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),  # Wallis
-            (lambda x: math.exp(x) - 2.0, -5.0, 5.0),
-            (lambda x: (x - 1.0 / 3.0) ** 3, 0.0, 1.0),  # flat root
-            (lambda x: (x - 1.0 / 3.0) ** 9, 0.0, 1.0),  # both give up after maxiter
-            (lambda x: math.atan(1e6 * (x - 0.7)), 0.0, 1.0),  # near-step
-            # products of slopes underflow, so interpolation divides by zero
-            (lambda x: 1e-300 * (x - 0.1), -1.0, 1.0),
-            (lambda x: 1e-160 * (x - 0.1) ** 3, -1.0, 1.0),
-            (lambda x: 1e300 * math.expm1(x - 0.4), -3.0, 3.0),  # overflowing values
-        ],
-        ids=["square", "cos", "wallis", "exp", "cube", "ninth-power", "atan-step", "tiny",
-             "tiny-cube", "huge"],
-    )
-    def test_matches_scipy_on_classic_functions(self, f, a, b):
-        _same_root(f, a, b, xtol=1e-12, rtol=1e-12)
-        _same_root(f, b, a, xtol=1e-12, rtol=1e-12)
-        _same_root(f, a, b)
-
-    @pytest.mark.parametrize("solver", [inequalities.brentq, brentq], ids=["port", "scipy"])
-    def test_errors_match_scipy(self, solver):
-        with pytest.raises(ValueError, match="different signs"):
-            solver(lambda x: x * x + 1.0, -1.0, 1.0)
-        with pytest.raises(ValueError, match="NaN"):
-            solver(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
-        with pytest.raises(ValueError, match="NaN"):  # NaN met inside the bracket
-            solver(lambda x: math.nan if 0.2 < x < 0.9 else x - 0.5, 0.0, 1.0)
-        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
-            solver(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, xtol=1e-12, rtol=1e-12, maxiter=3)
-        assert solver(lambda x: x - 0.5, 0.5, 1.0) == 0.5  # a root at an end is returned
+        assert sum(len(call[4]) for call in calls) >= 200
+        for coef, k, target, hi, roots in calls:
+            for i, root in enumerate(roots):
+                want = _exact_family_root([c[i] for c in coef], k, target, hi[i])
+                assert abs(root - want) <= 1e-14 * want, (root, want)
 
 
 # each probe sample j carries the witness field j

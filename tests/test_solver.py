@@ -668,6 +668,7 @@ class TestSolve:
         assert (rep.status, rep.iterations, rep.residual_history) == ("domain_error", 0, [])
         rep = solve(spec, u0=initial_guess(replace(spec, rhs=const_rhs(3.0))))
         assert (rep.status, rep.iterations) == ("domain_error", 0)
+        assert rep.message == "rhs must be finite and positive on the sampled domain at the starting field"
         rep = continuation_solve(spec)
         assert rep.status == "domain_error"
         assert rep.extras == {"continuation_ts": [], "rejected_stages": [{"t": 1.0, "status": "domain_error"}]}
