@@ -8,11 +8,13 @@ neighbors without special cases; corner and edge boundary nodes are
 populated too because the mixed-derivative cross stencil touches them.
 
 Second derivatives: 3-point central differences on the diagonal,
-4-point cross differences for the mixed entries.
+4-point cross differences for the mixed entries; difference_taps holds
+each formula once, for these stencils and the solver's Jacobian.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +63,8 @@ class Grid:
 
     def axis_nodes(self, axis: int, padded: bool = False) -> np.ndarray:
         """Node coordinates along one axis (interior, or with boundary)."""
-        h = self.h[axis]
-        if padded:
-            return self.lo[axis] + h * np.arange(self.cells[axis] + 2)
-        return self.lo[axis] + h * (1 + np.arange(self.cells[axis]))
+        nodes = self.lo[axis] + self.h[axis] * np.arange(self.cells[axis] + 2)
+        return nodes if padded else nodes[1:-1]
 
     def points(self, padded: bool = False) -> np.ndarray:
         """All node coordinates, shape = (padded_)shape + (dim,)."""
@@ -77,10 +77,6 @@ class Grid:
     def refine(self) -> "Grid":
         """Halve the spacing; old nodes coincide with even new nodes."""
         return Grid(self.lo, self.hi, tuple(2 * c + 1 for c in self.cells))
-
-
-def _interior_view(padded: np.ndarray) -> np.ndarray:
-    return padded[tuple(slice(1, -1) for _ in padded.shape)]
 
 
 class GridField:
@@ -120,12 +116,12 @@ class GridField:
             padded[...] = np.asarray(boundary(grid.points(padded=True)), dtype=float)
         else:
             padded[...] = float(boundary)
-        _interior_view(padded)[...] = interior
+        _shifted(padded)[...] = interior
         return cls(grid, padded)
 
     @property
     def interior(self) -> np.ndarray:
-        return _interior_view(self.values)
+        return _shifted(self.values)
 
     @property
     def interior_flat(self) -> np.ndarray:
@@ -133,52 +129,64 @@ class GridField:
 
     def with_interior(self, interior) -> "GridField":
         padded = self.values.copy()
-        _interior_view(padded)[...] = np.asarray(interior, dtype=float).reshape(self.grid.shape)
+        _shifted(padded)[...] = np.asarray(interior, dtype=float).reshape(self.grid.shape)
         return GridField(self.grid, padded)
 
     def to_csv(self, path, name: str = "u") -> None:
         """Write every lattice node as one row: coordinates then value."""
-        pts = self.grid.points(padded=True).reshape(-1, self.grid.dim)
-        rows = np.column_stack([pts, self.values.reshape(-1)]).tolist()
-        headers = ["x", "y", "z"][: self.grid.dim] + [name]
+        # every coordinate is an axis node, so each is formatted once
+        axes = ([repr(x) for x in self.grid.axis_nodes(a, padded=True).tolist()] for a in range(self.grid.dim))
+        prefixes = map(",".join, itertools.product(*axes))
         # the csv module's excel dialect: float reprs need no quoting
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(headers) + "\r\n")
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+            fh.write(",".join(["x", "y", "z"][: self.grid.dim] + [name]) + "\r\n")
+            fh.writelines(f"{p},{v!r}\r\n" for p, v in zip(prefixes, self.values.reshape(-1).tolist()))
 
 
 # ---------------------------------------------------------------------------
 # batched stencils
 # ---------------------------------------------------------------------------
 
-def _shifted(v: np.ndarray, offset) -> np.ndarray:
+def _shifted(v: np.ndarray, offset=(0, 0, 0)) -> np.ndarray:
     """Interior-shaped view of the padded array v moved by `offset` (one
-    entry in {-1, 0, 1} per axis)."""
+    entry in {-1, 0, 1} per axis; zip stops at v's own dimension)."""
     return v[tuple(slice(1 + o, n - 1 + o) for n, o in zip(v.shape, offset))]
+
+
+def difference_taps(grid: Grid, a: int, b: int | None = None) -> tuple[list, float]:
+    """One difference formula as the (offset, weight) taps and denominator of
+    apply_taps: b=None is the central first difference along axis a, b=a
+    the 3-point second difference and b!=a the 4-point cross difference."""
+    e, h = np.eye(grid.dim, dtype=int), grid.h
+    if b is None:
+        return [(e[a], 1.0), (-e[a], -1.0)], 2.0 * h[a]
+    if a == b:
+        return [(e[a], 1.0), (0 * e[a], -2.0), (-e[a], 1.0)], h[a] * h[a]
+    return [(e[a] + e[b], 1.0), (e[a] - e[b], -1.0), (e[b] - e[a], -1.0), (-e[a] - e[b], 1.0)], 4.0 * h[a] * h[b]
+
+
+def apply_taps(padded: np.ndarray, taps, denominator: float = 1.0) -> np.ndarray:
+    """sum(weight * padded moved by offset) / denominator at every interior
+    node; a weight is a scalar or an interior-shaped array."""
+    (offset, weight), *rest = taps
+    out = weight * _shifted(padded, offset)
+    for offset, weight in rest:
+        out += weight * _shifted(padded, offset)
+    return out if denominator == 1.0 else out / denominator  # x / 1.0 is x: skip the pass
 
 
 def gradient_field_array(u: GridField) -> np.ndarray:
     """Central first differences at every interior node, shape cells+(dim,)."""
-    v, h, e = u.values, u.grid.h, np.eye(u.grid.dim, dtype=int)
-    return np.stack(
-        [(_shifted(v, e[a]) - _shifted(v, -e[a])) / (2.0 * h[a]) for a in range(u.grid.dim)], axis=-1
-    )
+    return np.stack([apply_taps(u.values, *difference_taps(u.grid, a)) for a in range(u.grid.dim)], axis=-1)
 
 
 def hessian_field_array(u: GridField) -> np.ndarray:
     """Second-difference Hessians at every interior node,
-    shape cells+(dim, dim)."""
-    v, h, dim = u.values, u.grid.h, u.grid.dim
-    e = np.eye(dim, dtype=int)
-    out = np.empty(u.grid.shape + (dim, dim))
-    center = _interior_view(v)
-    for a in range(dim):
-        out[..., a, a] = (_shifted(v, e[a]) - 2.0 * center + _shifted(v, -e[a])) / (h[a] * h[a])
-        for b in range(a + 1, dim):
-            out[..., a, b] = out[..., b, a] = (
-                _shifted(v, e[a] + e[b]) - _shifted(v, e[a] - e[b])
-                - _shifted(v, e[b] - e[a]) + _shifted(v, -e[a] - e[b])
-            ) / (4.0 * h[a] * h[b])
+    shape cells+(dim, dim), symmetric bit for bit."""
+    out = np.empty(u.grid.shape + (u.grid.dim,) * 2)
+    for a in range(u.grid.dim):
+        for b in range(a, u.grid.dim):
+            out[..., a, b] = out[..., b, a] = apply_taps(u.values, *difference_taps(u.grid, a, b))
     return out
 
 
@@ -196,6 +204,4 @@ def eigh_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def laplacian_field(u: GridField) -> GridField:
     """Trace of the second differences at every interior node (equals
     sigma_1 of the Hessian spectrum); boundary of the result is zero."""
-    H = hessian_field_array(u)
-    trace = np.trace(H, axis1=-2, axis2=-1)
-    return GridField.from_interior(u.grid, trace, boundary=0.0)
+    return GridField.from_interior(u.grid, np.trace(hessian_field_array(u), axis1=-2, axis2=-1))

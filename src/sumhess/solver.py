@@ -4,9 +4,9 @@ S_k(lam(D^2 u)) = f(x, u, Du) on a box, with cone-preserving line search.
 The residual is assembled node-wise from the principal minors of the
 second-difference Hessian H.  The Jacobian v -> sum_ab F^{ab} (D^2 v)_ab
 - f_u v - f_p . Dv, with F = dS_k/dH built from the Newton tensors of H,
-is applied matrix-free through fdgrid's stencils, so Newton
-differentiates exactly the discrete residual (f_u, f_p enter through
-forward differences).  The linearization is elliptic exactly when F is
+is one stencil on fdgrid's difference taps, so Newton differentiates
+exactly the discrete residual (f_u, f_p enter through forward
+differences).  The linearization is elliptic exactly when F is
 positive definite, which holds inside the admissible cone; the line
 search therefore never accepts an iterate whose worst cone margin drops
 below a fraction of its current value.  There the Jacobian is spectrally
@@ -28,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolveFailure
-from .fdgrid import Grid, GridField, gradient_field_array, hessian_field_array, laplacian_field
+from .fdgrid import (Grid, GridField, apply_taps, difference_taps, gradient_field_array, hessian_field_array,
+                     laplacian_field)
 from .symfun import SumHessianOp, s_from_sigma, s_tensor, s_value, sigma_all_matrix
 
 FD_STEP = 1e-6
@@ -96,14 +97,11 @@ class _NodeState:
     """Everything the Newton step needs at one iterate, eigenvalue-free."""
 
     def __init__(self, spec: ProblemSpec, u: GridField):
-        grid = spec.grid
-        n = grid.dim
+        grid, n = spec.grid, spec.grid.dim
         self.x = grid.interior_points_flat()
         self.uvals = u.interior_flat
         self.grads = gradient_field_array(u).reshape(-1, n)
-        self.f = np.asarray(spec.rhs(self.x, self.uvals, self.grads), dtype=float)
-        if self.f.shape != self.uvals.shape:
-            self.f = np.broadcast_to(self.f, self.uvals.shape).astype(float)
+        self.f = np.broadcast_to(np.asarray(spec.rhs(self.x, self.uvals, self.grads), dtype=float), self.uvals.shape)
         # an overflowing S_k is judged a stall by fault, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             self.H = hessian_field_array(u).reshape(-1, n, n)
@@ -150,8 +148,9 @@ def _fd_partials(spec: ProblemSpec, state: _NodeState) -> tuple[np.ndarray, np.n
     return fu, fp
 
 
+@functools.lru_cache(maxsize=8)
 def _laplacian_inverse(grid: Grid) -> Callable:
-    """Exact inverse of fdgrid's Dirichlet Laplacian on interior values.
+    """Exact inverse of fdgrid's Dirichlet Laplacian on interior values, cached per grid.
 
     The DST-I matrix S_a = sqrt(2/(m_a+1)) sin(pi j l / (m_a+1)),
     j, l = 1..m_a, diagonalizes the Laplacian along axis a, with eigenvalues
@@ -174,9 +173,9 @@ def _laplacian_inverse(grid: Grid) -> Callable:
 
     def transform(x):
         # contracting the leading axis moves it last, so after one product
-        # per axis the axes are back in order
+        # per axis the axes are back in order; BLAS reads the transpose in place
         for sine in sines:
-            x = np.tensordot(x, sine, axes=(0, 0))
+            x = (x.reshape(len(sine), -1).T @ sine).reshape(x.shape[1:] + sine.shape[:1])
         return x
 
     return lambda r: transform(transform(np.reshape(r, grid.shape)) / eig).ravel()
@@ -185,8 +184,9 @@ def _laplacian_inverse(grid: Grid) -> Callable:
 def assemble_newton(spec: ProblemSpec, state: _NodeState):
     """Jacobian of the discrete problem at the iterate of `state` and its
     preconditioner v -> L^{-1}(v / d), with L the Dirichlet Laplacian and
-    d = tr F / n, F = dS_k/dH node-wise, both as plain callables on
-    interior vectors (matrix-free, nothing is stored).
+    d = tr F / n, F = dS_k/dH node-wise, both as callables on interior
+    vectors.  The Jacobian is one stencil: F, f_u and f_p folded into a
+    coefficient field per offset of fdgrid's difference taps (9 in 2-D, 19 in 3-D).
 
     Requires a strictly admissible iterate: every node's spectrum must
     sit inside the cone with positive margin, otherwise the linearization
@@ -198,18 +198,24 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
         )
     F = s_tensor(state.H, state.sigma, spec.op.k, spec.op.alpha)
     fu, fp = _fd_partials(spec, state)
-    n = spec.grid.dim
+    grid, n = spec.grid, spec.grid.dim
+    terms = [(difference_taps(grid, a), -fp[:, a]) for a in range(n)]
+    terms += [(difference_taps(grid, a, b), F[:, a, b]) for a in range(n) for b in range(n)]
+    coefficients = {(0,) * n: -fu}
+    for (taps, denominator), field_weight in terms:
+        for offset, weight in taps:
+            coefficients[tuple(offset)] = coefficients.get(tuple(offset), 0.0) + weight / denominator * field_weight
+    stencil = [(offset, c.reshape(grid.shape)) for offset, c in coefficients.items()]
+    padded = np.zeros(grid.padded_shape)  # the boundary layer stays zero
 
     def jacobian_times(v):
         if not np.isfinite(v).all():  # an overflowed Krylov vector fails the residual contract
             return np.full_like(v, np.nan)
-        vf = GridField.from_interior(spec.grid, v)
-        Hv = hessian_field_array(vf).reshape(-1, n, n)
-        Dv = gradient_field_array(vf).reshape(-1, n)
-        return np.einsum("nab,nab->n", F, Hv) - fu * v - np.einsum("na,na->n", fp, Dv)
+        padded[(slice(1, -1),) * n] = v.reshape(grid.shape)
+        return apply_taps(padded, stencil).ravel()
 
     d = np.trace(F, axis1=1, axis2=2) / n
-    laplacian_inverse = _laplacian_inverse(spec.grid)
+    laplacian_inverse = _laplacian_inverse(grid)
     return jacobian_times, lambda r: laplacian_inverse(r / d)
 
 
@@ -383,25 +389,13 @@ def prolong(u: GridField, fine: Grid, boundary=None) -> GridField:
         raise ValueError("fine grid must be the refinement of the coarse grid")
     vals = u.values
     for axis in range(u.grid.dim):
-        m = vals.shape[axis]
-        shape = list(vals.shape)
-        shape[axis] = 2 * m - 1
-        out = np.empty(shape)
-        even = [slice(None)] * len(shape)
-        even[axis] = slice(0, None, 2)
-        out[tuple(even)] = vals
-        odd = [slice(None)] * len(shape)
-        odd[axis] = slice(1, None, 2)
-        lo = [slice(None)] * len(shape)
-        lo[axis] = slice(0, -1)
-        hi = [slice(None)] * len(shape)
-        hi[axis] = slice(1, None)
-        out[tuple(odd)] = 0.5 * (vals[tuple(lo)] + vals[tuple(hi)])
-        vals = out
-    if boundary is None:
-        return GridField(fine, vals)
-    interior = vals[tuple(slice(1, -1) for _ in vals.shape)]
-    return GridField.from_interior(fine, interior, boundary=boundary)
+        v = np.moveaxis(vals, axis, 0)
+        out = np.empty((2 * len(v) - 1,) + v.shape[1:])
+        out[::2] = v
+        out[1::2] = 0.5 * (v[:-1] + v[1:])
+        vals = np.moveaxis(out, 0, axis)
+    fine_field = GridField(fine, vals)
+    return fine_field if boundary is None else GridField.from_interior(fine, fine_field.interior, boundary=boundary)
 
 
 def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | None = None) -> SolveReport:
@@ -421,8 +415,9 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
     once max |S_k - f| <= rtol * max |f|, however small f is (a bound that
     underflows to 0 asks for a zero residual).
     Each Newton step is solved inexactly, to a relative max-norm residual
-    eta_k = min(0.1, max(LINEAR_RTOL, ||F_k||^2)) (Dembo, Eisenstat and
-    Steihaug, 1982), which keeps quadratic convergence.
+    eta_k = min(0.1, max(LINEAR_RTOL, r_k^2, 0.1 rtol max|f| / r_k)) for
+    r_k = max |S_k - f|: r_k^2 keeps quadratic convergence (Dembo, Eisenstat
+    and Steihaug, 1982), the last term stops oversolving (Eisenstat and Walker, 1996).
     """
     config = config or SolveConfig()
     res_hist, margin_hist = [], []
@@ -444,7 +439,8 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
                 return SolveReport("converged", it, res_hist, margin_hist, u, extras={"f_scale": f_scale})
             if it == config.max_iter:
                 raise SolveFailure("stalled", "maximum iterations reached")
-            eta = min(0.1, max(LINEAR_RTOL, state.res_norm * state.res_norm))  # r * r overflows to inf, r**2 raises
+            r = state.res_norm  # positive here, and r * r overflows to inf where r**2 raises
+            eta = min(0.1, max(LINEAR_RTOL, r * r, 0.1 * config.rtol * f_scale / r))
             # an overflowing product fails the linear residual contract
             with np.errstate(over="ignore", invalid="ignore"):
                 delta = _linear_solve(*assemble_newton(spec, state), -state.residual, eta)
@@ -532,10 +528,8 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
 
 
 def __getattr__(name):
-    # The benchmark's tracer (perfbench/tracer.py) wraps `solver.spla`, as
-    # scipy.sparse.linalg, and is the name's only user; importing it on first
-    # access keeps scipy out of untraced runs.  ROADMAP item 1 removes the
-    # hook, and this bridge with it.
+    # `solver.spla` (scipy.sparse.linalg) is wrapped only by the benchmark's tracer
+    # (perfbench/tracer.py); importing it on first access keeps scipy out of other runs
     if name == "spla":
         import scipy.sparse.linalg
 

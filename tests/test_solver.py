@@ -216,6 +216,21 @@ class TestHarmonicLifts:
         want = idstn(dstn(r.reshape(g.shape), type=1) / eig, type=1).ravel()
         assert np.abs(_laplacian_inverse(g)(r) - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_sine_matrices_are_built_once_per_grid(self):
+        # an estimate run builds one inverse per refinement level, and an
+        # equal grid gets that object back; the box is one no other test
+        # uses, so earlier builds do not count
+        g = Grid((-1.0, -1.0), (1.25, 1.25), (7, 7))
+        spec = ProblemSpec(SumHessianOp(2, 2, 1.0), g, rhs=const_rhs(3.0))
+        misses = _laplacian_inverse.cache_info().misses
+        refinement_study(spec, [1.0], levels=3)
+        assert _laplacian_inverse.cache_info().misses == misses + 3
+        levels = [g, g.refine(), g.refine().refine()]
+        inverses = [_laplacian_inverse(Grid(lv.lo, lv.hi, lv.cells)) for lv in levels]
+        assert all(_laplacian_inverse(lv) is inverse for lv, inverse in zip(levels, inverses))
+        assert len({id(inverse) for inverse in inverses}) == len(levels)
+        assert _laplacian_inverse.cache_info().misses == misses + 3
+
 
 class TestFirstAdmissible:
     """initial_guess tries its factors in order and stops at the first
@@ -413,6 +428,24 @@ class TestAssembly:
         expected = (F * Hv).sum(axis=(1, 2)) - fu * v - (fp * Dv).sum(axis=1)
         assert np.abs(J(v) - expected).max() <= 1e-13 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+    def test_products_leave_their_argument_and_earlier_results_alone(self, dim):
+        # every product writes its argument into one shared padded buffer,
+        # so J(a) must leave a as it was, and a later J(b) must not change
+        # the array J(a) returned
+        g = Grid((-1.0,) * dim, (1.0, 0.5, 2.0)[:dim], (9, 7, 8)[:dim])
+        spec = ProblemSpec(SumHessianOp(dim, 2, 1.0), g, rhs=lambda x, u, p: 3.0 + 0.1 * (p**2).sum(axis=-1))
+        J, _ = assemble_newton(spec, _NodeState(spec, initial_guess(spec)))
+        a, b = np.random.default_rng(74).normal(size=(2, g.n_interior))
+        a_before = a.copy()
+        ja = J(a)
+        ja_before = ja.copy()
+        jb = J(b)
+        assert a.tobytes() == a_before.tobytes()
+        assert ja.tobytes() == ja_before.tobytes()
+        assert not np.shares_memory(ja, jb)
+        assert J(a).tobytes() == ja_before.tobytes()
+
     def test_residual_constant_at_isotropic_start(self):
         # pure quadratic field (no lift): residual = S_k(cI) - f everywhere
         op = SumHessianOp(2, 2, 1.0)
@@ -501,8 +534,12 @@ class TestLinearSolve:
         assert rep.converged
         hist = rep.residual_history
         assert len(etas) == rep.iterations == len(hist) - 1
-        assert etas == [min(0.1, max(LINEAR_RTOL, r**2)) for r in hist[:-1]]
-        assert hist[-1] <= cfg.rtol * rep.extras["f_scale"]
+        # r_k^2 (Dembo, Eisenstat and Steihaug) safeguarded against
+        # oversolving (Eisenstat and Walker): the last term asks a step for
+        # no more than a tenth of the stop test's bound
+        f_scale = rep.extras["f_scale"]
+        assert etas == [min(0.1, max(LINEAR_RTOL, r**2, 0.1 * cfg.rtol * f_scale / r)) for r in hist[:-1]]
+        assert hist[-1] <= cfg.rtol * f_scale
 
 
 def _same_bicgstab(J, M, b, eta):
