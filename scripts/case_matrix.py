@@ -18,6 +18,8 @@ stages (len(continuation_ts): 1 for a direct solve) and the rejected ones
 (the failed direct attempt included).  A summary follows.  The lines hold
 no timings, so the stdout of two trees can be diffed as it is; the wall
 time and the slowest cases go to stderr.  Standard library and sumhess only.
+tests/test_solver.py imports cases() and problem() for its floor test
+over the 9-cell cases.
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ import time
 import traceback
 from collections import Counter, defaultdict
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads; spawned workers inherit it
-
-from sumhess.cli import parse_rhs  # noqa: E402
-from sumhess.fdgrid import Grid  # noqa: E402
-from sumhess.solver import ProblemSpec, continuation_solve  # noqa: E402
-from sumhess.symfun import SumHessianOp  # noqa: E402
+from sumhess.cli import parse_rhs
+from sumhess.fdgrid import Grid
+from sumhess.solver import ProblemSpec, continuation_solve
+from sumhess.symfun import SumHessianOp
 
 RHS = ("3", "0.5", "3+0.1*g2", "0.5+13*g2", "3+x*y-0.5*u")
 TRACES = {
@@ -58,11 +58,16 @@ def cases() -> list[tuple]:
     ]
 
 
-def run_case(case: tuple) -> tuple:
-    """(status, Newton steps, converged stages, rejected stages, seconds)."""
+def problem(case: tuple) -> ProblemSpec:
+    """The case's Dirichlet problem on the box [-1, 1]^n."""
     n, k, alpha, rhs, trace, cells = case
     grid = Grid((-1.0,) * n, (1.0,) * n, (cells,) * n)
-    spec = ProblemSpec(SumHessianOp(n, k, alpha), grid, rhs=parse_rhs(rhs), boundary=TRACES[trace])
+    return ProblemSpec(SumHessianOp(n, k, alpha), grid, rhs=parse_rhs(rhs), boundary=TRACES[trace])
+
+
+def run_case(case: tuple) -> tuple:
+    """(status, Newton steps, converged stages, rejected stages, seconds)."""
+    spec = problem(case)
     start = time.perf_counter()
     try:
         report = continuation_solve(spec)
@@ -80,6 +85,7 @@ def label(case: tuple) -> str:
 
 
 def main(argv: list[str]) -> int:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # the spawned workers load numpy with one BLAS thread
     cpus = os.cpu_count() or 1
     workers = max(1, min(int(argv[0]) if argv else cpus, cpus))
     todo = cases()

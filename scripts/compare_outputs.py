@@ -34,6 +34,8 @@ COMMANDS = {
                                "--rhs", "3"],
     "estimate-positive-solution": ["estimate", "--k", "1", "--alpha", "10", "--rhs", "3",
                                    "--cells", "5", "--levels", "2", "--betas", "1"],
+    "estimate-convexity-probe": ["estimate", "--rhs", "3-0.2*g2", "--cells", "7", "--betas", "1.1",
+                                 "--levels", "2"],
     "rigidity": ["rigidity"],
     "rigidity-3d": ["rigidity", "--n", "3", "--k", "3", "--alpha", "0.5"],
 }

@@ -6,14 +6,11 @@ scaling/rigidity toolbox, with a CLI wrapping them as reproducible
 experiments."""
 
 from .cones import in_gamma_k, in_gamma_tilde_k
-from .errors import DegenerateEigenvaluesError, DomainError, SolveFailure
 from .fdgrid import Grid, GridField, laplacian_field
-from .solver import ProblemSpec, SolveConfig, SolveReport, continuation_solve, initial_guess, solve
+from .solver import ProblemSpec, SolveConfig, SolveFailure, SolveReport, continuation_solve, initial_guess, solve
 from .symfun import SumHessianOp, identity_residuals, sigma_all
 
 __all__ = [
-    "DegenerateEigenvaluesError",
-    "DomainError",
     "Grid",
     "GridField",
     "ProblemSpec",

@@ -11,6 +11,10 @@ agree within 5%.
 Suprema are taken over nodes at distance >= 2h from the boundary (the
 weight vanishes on the boundary analytically but lags by O(h)
 discretely); the full-interior supremum is recorded alongside.
+
+The weight needs u <= 0, as the estimates do: a solution positive
+somewhere, a non-finite weighted quantity or an f not positive at a
+probed gradient raises SolveFailure("domain_error") with the exponent.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, SolveFailure
 from .fdgrid import GridField, laplacian_field
-from .solver import ProblemSpec, SolveConfig, continuation_solve
+from .solver import ProblemSpec, SolveConfig, SolveFailure, continuation_solve
 
 STABILITY_RTOL = 0.05
 PROBE_SAMPLES, PROBE_RADIUS = 200, 3.0  # the convexity probe's points and gradient-cube half-side
@@ -47,34 +50,31 @@ class EstimateReport:
     stable: bool = False
 
 
-def _require_nonpositive(u: GridField) -> np.ndarray:
+def pogorelov_quantity(u: GridField, exponent: float) -> GridField:
+    """Node-wise (-u)^exponent * (Laplacian of u); exponent 0 reproduces the
+    Laplacian bit-exactly.  Where u > 0 somewhere on the interior, or the
+    product is not finite, raises SolveFailure("domain_error") with the exponent."""
     interior = u.interior
     if (interior > 0).any():
-        worst = float(interior.max())
-        raise DomainError(f"field must be <= 0 on the interior (max {worst:.3e})")
-    return interior
-
-
-def pogorelov_quantity(u: GridField, exponent: float) -> GridField:
-    """Node-wise (-u)^exponent * (Laplacian of u), a DomainError where that
-    is not finite; exponent 0 reproduces the Laplacian bit-exactly."""
-    interior = _require_nonpositive(u)
+        raise SolveFailure("domain_error", f"field must be <= 0 on the interior (max {interior.max():.3e})", exponent)
     lap = laplacian_field(u)
     with np.errstate(all="ignore"):
         weighted = np.power(-interior, exponent) * lap.interior
     if not np.isfinite(weighted).all():
-        raise DomainError(f"weighted quantity (-u)^{exponent} * Laplacian is not finite")
+        raise SolveFailure("domain_error", f"weighted quantity (-u)^{exponent} * Laplacian is not finite", exponent)
     return GridField.from_interior(u.grid, weighted, boundary=0.0)
 
 
-def rhs_gradient_convexity_probe(spec: ProblemSpec, rng: np.random.Generator) -> float:
+def rhs_gradient_convexity_probe(spec: ProblemSpec, rng: np.random.Generator, exponent: float | None = None) -> float:
     """Worst midpoint-convexity margin of f^{1/k} in the gradient slot.
 
     The near-linear weight exponent relies on f^{1/k}(x, u, .) being
     convex; that is the caller's declaration, and this probe only spot
     checks it: for random interior points and gradient pairs it returns
     min of (f^{1/k}(p1) + f^{1/k}(p2))/2 - f^{1/k}((p1+p2)/2).  A
-    clearly negative value disproves the declaration.
+    clearly negative value disproves the declaration.  Where f is not
+    positive at a probed point, raises SolveFailure("domain_error") with
+    `exponent`, the weight exponent whose declaration is checked.
     """
     k = spec.op.k
     x = spec.grid.interior_points_flat()
@@ -86,7 +86,8 @@ def rhs_gradient_convexity_probe(spec: ProblemSpec, rng: np.random.Generator) ->
     def root(p):
         vals = np.asarray(spec.rhs(pts, u, p), dtype=float)
         if (vals <= 0).any():
-            raise DomainError("rhs must stay positive on the probed set")
+            raise SolveFailure("domain_error", "gradient convexity probe: rhs must stay positive on the probed set",
+                               exponent)
         return vals ** (1.0 / k)
 
     margin = 0.5 * (root(p1) + root(p2)) - root(0.5 * (p1 + p2))
@@ -130,9 +131,9 @@ def refinement_study(
         for report in reports:
             try:
                 vals = pogorelov_quantity(u, report.beta_or_delta).interior
-            except DomainError as exc:
-                raise SolveFailure("domain_error", f"refinement level {level}: {exc}",
-                                   report.beta_or_delta) from None
+            except SolveFailure as exc:
+                exc.args = (f"refinement level {level}: {exc}",)
+                raise
             sup_core, arg_core = _supremum(vals[(slice(1, -1),) * vals.ndim], 1)
             sup_full, arg_full = _supremum(vals, 0)
             report.per_refinement.append(

@@ -202,6 +202,7 @@ def eigh_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def laplacian_field(u: GridField) -> GridField:
-    """Trace of the second differences at every interior node (equals
-    sigma_1 of the Hessian spectrum); boundary of the result is zero."""
-    return GridField.from_interior(u.grid, np.trace(hessian_field_array(u), axis1=-2, axis2=-1))
+    """Trace of the second differences at every interior node (sigma_1 of the
+    Hessian spectrum), summed from 0 as np.trace does; zero boundary."""
+    H = hessian_field_array(u)
+    return GridField.from_interior(u.grid, sum(H[..., a, a] for a in range(u.grid.dim)))

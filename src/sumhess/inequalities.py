@@ -32,7 +32,6 @@ from .cones import (
     sample_cone_array,
     sample_gamma_k_array,
 )
-from .errors import DegenerateEigenvaluesError
 from .symfun import SumHessianOp, s_from_sigma, s_gradient, s_hessian, sigma_all
 
 SWEEP_TOL = 1e-9
@@ -170,7 +169,8 @@ def directional_second_derivative(k: int, alpha: float, A, B) -> float:
             + 2 sum_{j<k} (f'[j] - f'[k]) / (kap_j - kap_k) * B_jk^2.
 
     The difference quotient has a removable singularity at equal
-    eigenvalues which is deliberately not regularized here.
+    eigenvalues which is deliberately not regularized here: a gap below
+    GAP_TOL raises ValueError, like every other bad argument.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -185,9 +185,7 @@ def directional_second_derivative(k: int, alpha: float, A, B) -> float:
     kap = np.diag(A)
     gaps = np.abs(kap[:, None] - kap[None, :])[~np.eye(n, dtype=bool)]
     if gaps.size and gaps.min() < GAP_TOL:
-        raise DegenerateEigenvaluesError(
-            f"eigenvalue gap {gaps.min():.3e} below threshold {GAP_TOL:.0e}"
-        )
+        raise ValueError(f"eigenvalue gap {gaps.min():.3e} below threshold {GAP_TOL:.0e}")
     f1 = s_gradient(kap, k, alpha)
     f2 = s_hessian(kap, k, alpha)
     bdiag = np.diag(B)

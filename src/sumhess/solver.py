@@ -27,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SolveFailure
 from .fdgrid import (Grid, GridField, apply_taps, difference_taps, gradient_field_array, hessian_field_array,
                      laplacian_field)
 from .symfun import SumHessianOp, s_from_sigma, s_tensor, s_value, sigma_all_matrix
@@ -40,6 +39,18 @@ LINEAR_RTOL = 1e-10  # floor of the forcing term eta, each linear solve's relati
 LINEAR_ROUNDS = 3  # BiCGSTAB rounds per linear solve: a first try and two restarts
 LINEAR_MAXITER = 500  # BiCGSTAB iterations per round
 CONTINUATION_STEPS = 8
+
+
+class SolveFailure(RuntimeError):
+    """The package's one exception: a solve, one of its helpers, or the
+    estimate harness failed with the named status (stalled, cone_breach or
+    domain_error).  A weight or convexity-probe failure of the harness is
+    domain_error and carries the weight's exponent where it knows one."""
+
+    def __init__(self, status: str, message: str, exponent: float | None = None):
+        super().__init__(message)
+        self.status = status
+        self.exponent = exponent
 
 
 @dataclass
@@ -214,7 +225,7 @@ def assemble_newton(spec: ProblemSpec, state: _NodeState):
         padded[(slice(1, -1),) * n] = v.reshape(grid.shape)
         return apply_taps(padded, stencil).ravel()
 
-    d = np.trace(F, axis1=1, axis2=2) / n
+    d = sum(F[:, a, a] for a in range(n)) / n  # tr F, summed from 0 as np.trace does
     laplacian_inverse = _laplacian_inverse(grid)
     return jacobian_times, lambda r: laplacian_inverse(r / d)
 

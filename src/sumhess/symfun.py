@@ -130,13 +130,15 @@ def _adjugate3(H: np.ndarray) -> np.ndarray:
 
 def sigma_all_matrix(H: np.ndarray) -> np.ndarray:
     """[sigma_0, ..., sigma_n] of the spectra of symmetric 2x2 or 3x3 H, shape
-    (..., n+1), from the sums of principal minors: tr H, tr adj H, det H."""
-    sig = [np.ones(H.shape[:-2]), np.trace(H, axis1=-2, axis2=-1)]
-    if H.shape[-1] == 2:
+    (..., n+1), from the sums of principal minors: tr H, tr adj H, det H.
+    The traces are sums from 0, as np.trace's, so a diagonal of -0.0 gives +0.0."""
+    n = H.shape[-1]
+    sig = [np.ones(H.shape[:-2]), sum(H[..., a, a] for a in range(n))]
+    if n == 2:
         return np.stack(sig + [H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 0, 1]], axis=-1)
     adj = _adjugate3(H)
     det = (H[..., 0, :] * adj[..., :, 0]).sum(axis=-1)  # Laplace expansion along row 0
-    return np.stack(sig + [np.trace(adj, axis1=-2, axis2=-1), det], axis=-1)
+    return np.stack(sig + [sum(adj[..., a, a] for a in range(n)), det], axis=-1)
 
 
 def s_tensor(H: np.ndarray, sig: np.ndarray, k: int, alpha: float) -> np.ndarray:

@@ -187,6 +187,15 @@ class TestRhsParser:
         p = np.array([[1.0, 2.0], [0.0, 3.0]])
         self.check("3+0.1*g2", x, np.zeros(2), p, 3.0 + 0.1 * np.array([5.0, 9.0]))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_g2_is_the_squared_norm_bit_for_bit(self, dim):
+        # g2 sums the squared components one by one; the reference is the
+        # reduction over the trailing axis it replaced
+        p = np.random.default_rng(5).normal(size=(1000, dim)) * np.logspace(-150, 150, 1000)[:, None]
+        p[:2] = [[-0.0] * dim, [0.0] * dim]
+        got = parse_rhs("g2")(np.zeros((1000, dim)), np.zeros(1000), p)
+        assert got.tobytes() == (p**2).sum(axis=-1).tobytes()
+
     def test_coordinates_and_u(self):
         x = np.array([[0.5, -1.0], [2.0, 0.25]])
         u = np.array([1.0, -2.0])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sumhess import estimates, solver
-from sumhess.errors import DomainError
 from sumhess.estimates import (
     EstimateReport,
     SolveFailure,
@@ -50,7 +49,7 @@ class TestPogorelovQuantity:
     def test_positive_node_rejected(self):
         g = Grid((-1.0, -1.0), (1.0, 1.0), (9, 9))
         u = GridField.from_interior(g, np.full((9, 9), 0.3), boundary=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(SolveFailure, match="field must be <= 0 on the interior"):
             pogorelov_quantity(u, 1.0)
 
     def test_closed_form_supremum_of_quadratic(self):
@@ -88,6 +87,15 @@ class TestGradientConvexityProbe:
         spec = ProblemSpec(OP22, grid, rhs=rhs)
         margin = rhs_gradient_convexity_probe(spec, np.random.default_rng(1))
         assert margin < -1e-6
+
+
+    def test_nonpositive_rhs_is_a_domain_error_with_the_exponent(self):
+        # f = 3 - 0.2 g2 turns negative inside the probed cube (g2 up to 18)
+        grid = Grid((-1.0, -1.0), (1.0, 1.0), (7, 7))
+        spec = ProblemSpec(OP22, grid, rhs=lambda x, u, p: 3.0 - 0.2 * (p**2).sum(axis=-1))
+        with pytest.raises(SolveFailure, match="^gradient convexity probe: rhs must stay positive") as info:
+            rhs_gradient_convexity_probe(spec, np.random.default_rng(0), 1.1)
+        assert (info.value.status, info.value.exponent) == ("domain_error", 1.1)
 
 
 class TestQuantityTag:
@@ -192,7 +200,6 @@ class TestRefinementStudy:
         exc = info.value
         assert (exc.status, exc.exponent) == ("domain_error", exponent)
         assert str(exc).startswith(f"refinement level {level}: {message}")
-        assert not isinstance(exc, DomainError)
 
     def test_report_round_trips_to_dict(self):
         (rep,) = refinement_study(self.quadratic_problem(), [2.0], levels=2)

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from sumhess import fdgrid
 from sumhess.fdgrid import (
     Grid,
     GridField,
@@ -247,6 +248,20 @@ class TestLaplacian:
         interior = spla.spsolve(A.tocsr(), rhs.reshape(-1)).reshape(n, n)
         f = bc.with_interior(interior)
         assert np.abs(laplacian_field(f).interior).max() <= 1e-10
+
+    def test_trace_is_np_trace_bit_for_bit(self, monkeypatch):
+        # the diagonal is summed from 0 as np.trace does: a diagonal of -0.0
+        # gives +0.0, where H_00 + H_11 would give -0.0
+        rng = np.random.default_rng(67)
+        g = make_grid2(7)
+        f = GridField.from_interior(g, rng.normal(size=(7, 7)), boundary=0.0)
+        H = hessian_field_array(f)
+        H[0, 0] = np.diag([-0.0, -0.0])
+        H[0, 1, 0, 0] = -0.0
+        monkeypatch.setattr(fdgrid, "hessian_field_array", lambda u: H)
+        lap = laplacian_field(f).interior
+        assert not np.signbit(lap[0, 0])
+        assert lap.tobytes() == np.trace(H, axis1=-2, axis2=-1).tobytes()
 
     def test_trace_equals_eigenvalue_sum(self):
         rng = np.random.default_rng(66)

@@ -15,7 +15,6 @@ from sumhess.cones import (
     sample_cone_array,
     sample_gamma_k_array,
 )
-from sumhess.errors import DegenerateEigenvaluesError
 from sumhess.inequalities import (
     CAPPED_TAILS,
     OPERATORS,
@@ -98,7 +97,7 @@ class TestDirectionalSecondDerivative:
         assert got == pytest.approx(-2.0)
 
     def test_degenerate_gap_rejected(self):
-        with pytest.raises(DegenerateEigenvaluesError):
+        with pytest.raises(ValueError, match="eigenvalue gap"):
             directional_second_derivative(2, 1.0, np.diag([1.0, 1.0 + 1e-9]), np.eye(2))
 
     def test_non_diagonal_rejected(self):

@@ -1,7 +1,9 @@
 """Solver tests: initializer, assembly, Newton loop, continuation."""
 
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from scipy.fft import dstn, idstn
 
 from sumhess import cli, fdgrid, solver
 from sumhess.cones import gamma_tilde_margins
-from sumhess.errors import SolveFailure
 from sumhess.estimates import refinement_study
 from sumhess.fdgrid import (
     Grid,
@@ -26,6 +27,7 @@ from sumhess.solver import (
     LINEAR_RTOL,
     ProblemSpec,
     SolveConfig,
+    SolveFailure,
     SolveReport,
     _harmonic_lift,
     _laplacian_inverse,
@@ -38,7 +40,7 @@ from sumhess.solver import (
     prolong,
     solve,
 )
-from sumhess.symfun import SumHessianOp, s_gradient, s_tensor, s_value, sigma_all, sigma_all_matrix
+from sumhess.symfun import SumHessianOp, _adjugate3, s_gradient, s_tensor, s_value, sigma_all, sigma_all_matrix
 
 
 def grid2(cells):
@@ -49,8 +51,18 @@ def const_rhs(value):
     return lambda x, u, p: np.full(len(x), value)
 
 
+def _load_case_matrix():
+    """scripts/case_matrix.py, the one table of the solver's case matrix."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "case_matrix.py"
+    module_spec = importlib.util.spec_from_file_location("case_matrix", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+CASE_MATRIX = _load_case_matrix()
 U_STAR = staticmethod(lambda x: 0.5 * ((x**2).sum(axis=-1) - 1.0))
-TRACES = [0.0, lambda x: 0.3 * x[..., 0] * x[..., 1], lambda x: 0.5 * (x[..., 0] ** 2 - x[..., 1] ** 2)]
+TRACES = list(CASE_MATRIX.TRACES.values())  # zero, xy, saddle
 
 
 class TestIsotropicLevel:
@@ -307,6 +319,30 @@ class TestEigenFreeNodeState:
                 assert rel_err(F, F_ref) <= 1e-13, (k, alpha)
                 d_ref = s_gradient(lams, k, alpha).mean(axis=1)
                 assert rel_err(np.trace(F, axis1=1, axis2=2) / n, d_ref) <= 1e-13, (k, alpha)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_traces_are_np_trace_bit_for_bit(self, n):
+        # tr H and tr adj H in sigma_all_matrix, and d = tr F / n in the
+        # preconditioner, sum the diagonal from 0 as np.trace does, so a
+        # diagonal of -0.0 gives +0.0 (where -0.0 + -0.0 would give -0.0)
+        H = np.random.default_rng(76).normal(size=(500, n, n))
+        H = 0.5 * (H + np.swapaxes(H, -1, -2))
+        H[:2] = 0.0
+        H[0] = np.diag([-0.0] * n)
+        H[1, 0, 0] = -0.0
+        sig = sigma_all_matrix(H)
+        assert not np.signbit(sig[0, 1])  # where H_00 + H_11 (+ H_22) gives -0.0
+        assert sig[:, 1].tobytes() == np.trace(H, axis1=1, axis2=2).tobytes()
+        if n == 3:
+            assert sig[:, 2].tobytes() == np.trace(_adjugate3(H), axis1=1, axis2=2).tobytes()
+        g = Grid((-1.0,) * n, (1.0,) * n, (7,) * n)
+        spec = ProblemSpec(SumHessianOp(n, 2, 1.0), g, rhs=const_rhs(3.0))
+        state = _NodeState(spec, initial_guess(spec))
+        _, M = assemble_newton(spec, state)
+        F = s_tensor(state.H, state.sigma, 2, 1.0)
+        r = np.random.default_rng(77).normal(size=state.residual.size)
+        d = np.trace(F, axis1=1, axis2=2) / n
+        assert M(r).tobytes() == _laplacian_inverse(g)(r / d).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_margins_are_the_row_minimum_bit_for_bit(self, n):
@@ -925,3 +961,62 @@ class TestContinuation:
         assert rep.extras["continuation_ts"] == []
         assert rep.extras["rejected_stages"] == [{"t": 1.0, "status": "stalled"},
                                                  {"t": 0.0, "status": "stalled"}]
+
+
+# The 9-cell cases of the matrix that do not converge directly in at most 10
+# Newton steps: all but two have the gradient-dominated f = 0.5 + 13|Du|^2.
+BEYOND_FLOOR = {
+    "n=2 k=1 alpha=0.1 rhs=0.5+13*g2 trace=zero cells=9",
+    "n=2 k=1 alpha=0.1 rhs=0.5+13*g2 trace=xy cells=9",
+    "n=2 k=1 alpha=0.1 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=2 k=1 alpha=1.0 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=2 k=1 alpha=10.0 rhs=0.5+13*g2 trace=zero cells=9",
+    "n=2 k=1 alpha=10.0 rhs=0.5+13*g2 trace=xy cells=9",
+    "n=2 k=1 alpha=10.0 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=2 k=2 alpha=0.1 rhs=0.5+13*g2 trace=zero cells=9",
+    "n=2 k=2 alpha=0.1 rhs=0.5+13*g2 trace=xy cells=9",
+    "n=2 k=2 alpha=0.1 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=2 k=2 alpha=1.0 rhs=0.5+13*g2 trace=zero cells=9",
+    "n=2 k=2 alpha=1.0 rhs=0.5+13*g2 trace=xy cells=9",
+    "n=2 k=2 alpha=1.0 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=3 k=1 alpha=0.1 rhs=0.5+13*g2 trace=xy cells=9",
+    "n=3 k=1 alpha=0.1 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=3 k=1 alpha=1.0 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=3 k=1 alpha=10.0 rhs=0.5+13*g2 trace=zero cells=9",
+    "n=3 k=1 alpha=10.0 rhs=0.5+13*g2 trace=xy cells=9",
+    "n=3 k=1 alpha=10.0 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=3 k=2 alpha=0.1 rhs=0.5+13*g2 trace=zero cells=9",
+    "n=3 k=2 alpha=0.1 rhs=0.5+13*g2 trace=xy cells=9",
+    "n=3 k=2 alpha=0.1 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=3 k=2 alpha=1.0 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=3 k=3 alpha=0.1 rhs=0.5 trace=saddle cells=9",
+    "n=3 k=3 alpha=0.1 rhs=0.5+13*g2 trace=zero cells=9",
+    "n=3 k=3 alpha=0.1 rhs=0.5+13*g2 trace=xy cells=9",
+    "n=3 k=3 alpha=0.1 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=3 k=3 alpha=1.0 rhs=0.5+13*g2 trace=zero cells=9",
+    "n=3 k=3 alpha=1.0 rhs=0.5+13*g2 trace=xy cells=9",
+    "n=3 k=3 alpha=1.0 rhs=0.5+13*g2 trace=saddle cells=9",
+    "n=3 k=3 alpha=10.0 rhs=0.5 trace=saddle cells=9",
+}
+
+
+class TestCaseMatrixFloor:
+    def test_nine_cell_cases_converge_directly(self):
+        # a floor, not a record: a change that makes more cases converge passes
+        floor = [case for case in CASE_MATRIX.cases()
+                 if case[-1] == 9 and CASE_MATRIX.label(case) not in BEYOND_FLOOR]
+        assert len(floor) == 194
+        failed = []
+        for case in floor:
+            rep = solve(CASE_MATRIX.problem(case))  # the direct attempt of continuation_solve
+            if not rep.converged:
+                failed.append(f"{CASE_MATRIX.label(case)}: {rep.status} after {rep.iterations}")
+        assert failed == []
+
+    def test_case_without_a_solution_is_not_converged(self):
+        # k = 1: Lap u + 0.1 = 0.5 + 13|Du|^2.  w = exp(-13 u) > 0 turns it into
+        # Lap w + 5.2 w = 0 with w = 1 on the boundary, and 5.2 = 13 (0.5 - 0.1)
+        # exceeds the first Dirichlet eigenvalue 2 pi^2 / 4 of [-1, 1]^2, so no
+        # solution exists (Cole-Hopf)
+        rep = continuation_solve(CASE_MATRIX.problem((2, 1, 0.1, "0.5+13*g2", "zero", 9)))
+        assert not rep.converged
