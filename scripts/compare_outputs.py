@@ -36,6 +36,7 @@ COMMANDS = {
                                    "--cells", "5", "--levels", "2", "--betas", "1"],
     "estimate-convexity-probe": ["estimate", "--rhs", "3-0.2*g2", "--cells", "7", "--betas", "1.1",
                                  "--levels", "2"],
+    "solve-rhs-overflow": ["solve", "--rhs", "3+0.1*g2+1e-300*g2*1e300*g2*1e300*g2*1e10*g2", "--cells", "5"],
     "rigidity": ["rigidity"],
     "rigidity-3d": ["rigidity", "--n", "3", "--k", "3", "--alpha", "0.5"],
 }

@@ -32,7 +32,7 @@ from .cones import (
     sample_cone_array,
     sample_gamma_k_array,
 )
-from .symfun import SumHessianOp, s_from_sigma, s_gradient, s_hessian, sigma_all
+from .symfun import SumHessianOp, bisect_roots, s_from_sigma, s_gradient, s_hessian, sigma_all
 
 SWEEP_TOL = 1e-9
 WITNESSES = 5  # worst samples kept per report
@@ -226,10 +226,9 @@ def _partial_product_batch(op, lams):
 # ---------------------------------------------------------------------------
 
 def _s_newton_batch(op, lams):
-    """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2) from one sigma_all pass, padded with
-    sigma_{-1} = 0 and sigma_{n+1} = 0, so S_0 = 1 and S_{n+1} = alpha*sigma_n."""
-    sig = sigma_all(lams, op.k + 1)
-    sig = np.pad(sig, [(0, 0)] * (sig.ndim - 1) + [(1, op.k + 2 - sig.shape[-1])])
+    """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2) from one sigma_all pass (so
+    S_{n+1} = alpha*sigma_n), led by sigma_{-1} = 0, so S_0 = 1."""
+    sig = np.pad(sigma_all(lams, op.k + 1), [(0, 0)] * (lams.ndim - 1) + [(1, 0)])
     skm, sk, skp = np.moveaxis(s_from_sigma(sig, op.alpha)[..., op.k - 1 :], -1, 0)  # S_{k-1}, S_k, S_{k+1}
     return (sk * sk - skm * skp) / (1.0 + sk * sk)
 
@@ -243,8 +242,7 @@ def _newton_maclaurin_batch(lams, k):
         sigma_{k-1} >= sigma_1^{1/(k-1)} sigma_k^{(k-2)/(k-1)}  and
         sigma_k sigma_{k-1} >= sigma_{k-2} sigma_{k+1}."""
     sig = sigma_all(lams, k + 1)
-    s1, skm2, skm1, sk = sig[..., 1], sig[..., k - 2], sig[..., k - 1], sig[..., k]
-    skp1 = sig[..., k + 1] if k + 1 < sig.shape[-1] else np.zeros_like(sk)
+    s1, skm2, skm1, sk, skp1 = sig[..., 1], sig[..., k - 2], sig[..., k - 1], sig[..., k], sig[..., k + 1]
     rhs1 = s1 ** (1.0 / (k - 1)) * sk ** ((k - 2.0) / (k - 1.0))
     m1 = (skm1 - rhs1) / (1.0 + np.abs(skm1) + np.abs(rhs1))
     m2 = (sk * skm1 - skm2 * skp1) / (1.0 + np.abs(sk * skm1) + np.abs(skm2 * skp1))
@@ -305,33 +303,19 @@ def _family_gap(s, coef, k, target):
     return val - target
 
 
-def _family_roots(coef, k, target, hi):
-    """For every pair at once, the scale s in [1e-9, hi] where _family_gap
-    turns nonnegative: the upper end once bisection leaves adjacent floats.
-    Each gap stays negative at lo and nonnegative at hi, so a midpoint
-    that rounds to an end leaves that pair's bracket as it is."""
-    lo = np.full_like(hi, 1e-9)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if ((mid == lo) | (mid == hi)).all():
-            return hi
-        below = _family_gap(mid, coef, k, target) < 0
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-
-
 def _capped_family_worst(op, n0, lam1s, tails, tail_sigma):
     """Worst conditional margin over the capped family at each top
     eigenvalue L in lam1s: spectra (L, s*nu), nu a row of tails, with s
     solved so that S_k = 0.9*n0.  +inf where no member is feasible.
 
     On the family S_k is a polynomial in s (see _family_coefficients;
-    tail_sigma holds sig_0..sig_n of each tail, sig_n = 0 on its n-1
-    entries), so every (L, nu) pair is bracketed in one array pass: s_hi
-    is the first of 1e-3 * 2^j, j = 0..30, where the gap S_k - 0.9*n0 is
-    nonnegative (else j = 30), and a pair is kept when the gap is negative
-    at 1e-9 and nonnegative at s_hi.  The kept pairs' roots are bisected
-    together (_family_roots).  The spectra whose top entry is still L and
-    that lie in Gamma_k are scored in one batch.
+    tail_sigma is sigma_all(tails, n), so sig_n = 0 on its n-1 entries),
+    so every (L, nu) pair is bracketed in one array pass: s_hi is the first
+    of 1e-3 * 2^j, j = 0..30, where the gap S_k - 0.9*n0 is nonnegative
+    (else j = 30), and a pair is kept when the gap is negative at 1e-9 and
+    nonnegative at s_hi.  The kept pairs' roots are bisected together by
+    symfun.bisect_roots, the isotropic level's rule too.  The spectra whose
+    top entry is still L and that lie in Gamma_k are scored in one batch.
     """
     k = op.k
     target = 0.9 * n0
@@ -341,7 +325,8 @@ def _capped_family_worst(op, n0, lam1s, tails, tail_sigma):
     s_hi = s_grid[np.where(below.all(axis=-1), 30, np.argmin(below, axis=-1))]
     keep = ~((_family_gap(1e-9, coef, k, target) >= 0) | (_family_gap(s_hi, coef, k, target) < 0))
     li, ti = np.nonzero(keep)
-    roots = _family_roots(tuple(c[keep] for c in coef), k, target, s_hi[keep])
+    gap = functools.partial(_family_gap, coef=tuple(c[keep] for c in coef), k=k, target=target)
+    roots = bisect_roots(gap, np.full(len(li), 1e-9), s_hi[keep])
     specs = np.concatenate([lam1s[li, None], roots[:, None] * tails[ti]], axis=1)
     specs = np.sort(specs, axis=-1)[:, ::-1]
     ok = (specs[:, 0] == lam1s[li]) & in_gamma_k(specs, k)
@@ -376,7 +361,7 @@ def capped_threshold_search(op: SumHessianOp, rng: np.random.Generator) -> dict:
         raise ValueError("threshold search needs k >= 2")
     target = 0.9 * CAPPED_N0
     tails = sample_gamma_k_array(n - 1, k - 1, CAPPED_TAILS, 1.0, rng)
-    tail_sigma = np.pad(sigma_all(tails), ((0, 0), (0, 1)))
+    tail_sigma = sigma_all(tails, n)
     if k == 2:
         grids = [np.geomspace(0.02 * target / alpha, 0.98 * target / alpha, 12)]
     else:
@@ -585,5 +570,5 @@ def __getattr__(name):
     # bisected in one batch, so the count reads 0.  ROADMAP item 1a removes
     # the hook, and this bridge with it.
     if name == "brentq":
-        return _family_roots
+        return bisect_roots
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

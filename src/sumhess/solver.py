@@ -15,7 +15,8 @@ Parter, 1990), so BiCGSTAB solves each step inexactly, preconditioned by
 that weight and the inverse of fdgrid's Dirichlet Laplacian, applied as
 products with dense DST-I matrices, which also gives the lifts.
 continuation_solve first solves the target problem directly and follows
-a homotopy in the right side only when that attempt fails.
+a homotopy in the right side only when that attempt fails.  It, solve and
+initial_guess silence overflow and NaN warnings (np.errstate): outcomes report them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .fdgrid import (Grid, GridField, apply_taps, difference_taps, gradient_field_array, hessian_field_array,
                      laplacian_field)
-from .symfun import SumHessianOp, s_from_sigma, s_tensor, s_value, sigma_all_matrix
+from .symfun import SumHessianOp, bisect_roots, s_from_sigma, s_tensor, s_value, sigma_all_matrix
 
 FD_STEP = 1e-6
 ARMIJO = 1e-4  # sufficient-decrease factor of the line search
@@ -316,26 +317,23 @@ def _harmonic_lift(grid: Grid, trace, laplacian_inverse: Callable) -> GridField:
 def isotropic_level(op: SumHessianOp, target: float) -> float:
     """The c with S_k(c, ..., c) = target.  For k = 1 it is the closed form
     (target - alpha) / n, negative when alpha > target.  For k >= 2 it is
-    the positive root, by bisection until the bracket's ends are adjacent
-    floats (the map is increasing in c for positive c), so every root,
-    the tiny ones of a large alpha included, is accurate to an ulp."""
+    the positive root (the map is increasing in c for positive c), by
+    symfun.bisect_roots from [0, hi], hi the first power of 2 where S_k
+    reaches the target: halved to adjacent floats, so every root, the tiny
+    ones of a large alpha included, is accurate to an ulp."""
     if target <= 0:
         raise ValueError("target must be positive")
     if op.k == 1:
         return (target - op.alpha) / op.n
 
-    def val(c):
+    def gap(c):
         with np.errstate(over="ignore"):  # S_k = inf for a huge alpha still brackets the root
-            return float(s_value(np.full(op.n, c), op.k, op.alpha)) - target
+            return s_value(np.repeat(c[:, None], op.n, axis=1), op.k, op.alpha) - target
 
-    hi = 1.0
-    while val(hi) < 0:
+    hi = np.ones(1)
+    while gap(hi)[0] < 0:
         hi *= 2.0
-    lo, mid = 0.0, 0.5 * hi
-    while lo < mid < hi:
-        lo, hi = (mid, hi) if val(mid) < 0 else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    return mid
+    return float(bisect_roots(gap, np.zeros(1), hi)[0])
 
 
 def _sup_rhs(spec: ProblemSpec) -> float:
@@ -349,6 +347,7 @@ def _sup_rhs(spec: ProblemSpec) -> float:
     return sup_f
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def initial_guess(spec: ProblemSpec) -> GridField:
     """Admissible starting field: the discrete harmonic lift of the
     Dirichlet data plus c |c_root| depth g, for the first factor c, from
@@ -376,8 +375,7 @@ def initial_guess(spec: ProblemSpec) -> GridField:
     g **= 1.0 / grid.dim
     best_margin = -math.inf
     for factor in (0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
-        with np.errstate(over="ignore", invalid="ignore"):  # skip what overflows (huge box and f)
-            values = factor * (abs(c_root) * depth) * g + lift
+        values = factor * (abs(c_root) * depth) * g + lift  # skipped when it overflows (huge box and f)
         if not np.isfinite(values).all():
             continue
         cand = GridField(grid, values)
@@ -409,6 +407,7 @@ def prolong(u: GridField, fine: Grid, boundary=None) -> GridField:
     return fine_field if boundary is None else GridField.from_interior(fine, fine_field.interior, boundary=boundary)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | None = None) -> SolveReport:
     """Damped Newton iteration with cone-preserving backtracking.
 
@@ -453,12 +452,10 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
             r = state.res_norm  # positive here, and r * r overflows to inf where r**2 raises
             eta = min(0.1, max(LINEAR_RTOL, r * r, 0.1 * config.rtol * f_scale / r))
             # an overflowing product fails the linear residual contract
-            with np.errstate(over="ignore", invalid="ignore"):
-                delta = _linear_solve(*assemble_newton(spec, state), -state.residual, eta)
+            delta = _linear_solve(*assemble_newton(spec, state), -state.residual, eta)
             step = 1.0
             while True:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    values = u.interior_flat + step * delta
+                values = u.interior_flat + step * delta
                 status = "stalled"  # an overflowing update, or a residual that does not decrease
                 if np.isfinite(values).all():
                     trial = u.with_interior(values)
@@ -467,6 +464,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
                     if fault is None and state.res_norm > tstate.res_norm <= (1.0 - ARMIJO * step) * state.res_norm:
                         break
                     status = fault or status
+                    del trial, tstate  # not kept alive while the next trial is built
                 step *= 0.5
                 if step < MIN_STEP:
                     raise SolveFailure(status, f"line search underflow at iteration {it} (step < {MIN_STEP:.1e})")
@@ -478,6 +476,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None, u0: GridField | 
         return SolveReport(exc.status, it, res_hist, margin_hist, u, str(exc))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> SolveReport:
     """Solve the target problem directly and, only when that fails,
     follow a homotopy from an isotropic constant right side.

@@ -11,6 +11,8 @@ and s_tensor take the grid solver's node Hessians instead.
 
 Boundary conventions, forced by the classical deletion identities:
 sigma_j = 0 for j < 0 and for j > (number of entries); sigma_0 = 1.
+sigma_all applies the zeros past the vector, s_value those below 0, and
+bisect_roots is the one root rule (isotropic level, capped family).
 Deleted polynomials sigma_j(lam|p), sigma_j(lam|pq) are computed by
 re-running the coefficient recurrence on the reduced vector.  Dividing
 the characteristic coefficients by (1 + t*lam_p) is cheaper but unstable
@@ -55,14 +57,14 @@ def _as_array(lam) -> np.ndarray:
 
 def sigma_all(lam, order: int | None = None) -> np.ndarray:
     """[sigma_0, ..., sigma_order] of lam, shape (..., order+1), order n when
-    None and clipped to 0..n: the recurrence of prod_i (1 + t*lam_i) stops at
-    t^order, so callers skip the orders they do not read.  Each sigma_j is
-    one contiguous row of an (order+1, ...) buffer, so every update and the
-    callers' reductions over the last axis of the returned view run on whole
-    batch rows."""
+    None, at least 0: the recurrence of prod_i (1 + t*lam_i) stops at
+    t^order, so callers skip the orders they do not read, and sigma_j = 0
+    for n < j <= order.  Each sigma_j is one contiguous row of an
+    (order+1, ...) buffer, so every update and the callers' reductions over
+    the last axis of the returned view run on whole batch rows."""
     arr = _as_array(lam)
     n = arr.shape[-1]
-    order = n if order is None else max(0, min(order, n))
+    order = n if order is None else max(0, order)
     buf = np.zeros((order + 1,) + arr.shape[:-1])
     buf[0] = 1.0
     for i in range(n):
@@ -85,16 +87,13 @@ def _deleted(arr: np.ndarray, drops: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def s_value(lam, m: int, alpha: float) -> np.ndarray | float:
-    """sigma_m + alpha*sigma_{m-1} from one coefficient pass, with the
-    boundary conventions sigma_{j<0} = 0, sigma_0 = 1, sigma_{j>n} = 0.
-    alpha=0 gives plain sigma_m."""
+    """sigma_m + alpha*sigma_{m-1} from one coefficient pass, with
+    sigma_{j<0} = 0 (sigma_all gives sigma_{j>n} = 0).  alpha=0 gives plain sigma_m."""
     arr = _as_array(lam)
-    n = arr.shape[-1]
     sig = sigma_all(arr, m)
-    zero = np.zeros(arr.shape[:-1])
-    val = sig[..., m] if 0 <= m <= n else zero
-    if alpha != 0.0:
-        val = val + alpha * (sig[..., m - 1] if 1 <= m <= n + 1 else zero)
+    val = sig[..., m] if m >= 0 else np.zeros(arr.shape[:-1])
+    if alpha != 0.0 and m >= 1:
+        val = val + alpha * sig[..., m - 1]
     return float(val) if val.ndim == 0 else val
 
 
@@ -116,6 +115,20 @@ def s_hessian(lam, k: int, alpha: float) -> np.ndarray:
         out[..., p, q] = vals
         out[..., q, p] = vals
     return out
+
+
+def bisect_roots(gap, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where gap (array of points -> values) turns nonnegative, in every
+    bracket at once: negative at lo, nonnegative at hi.  Each bracket is
+    halved until its ends are adjacent floats and its last midpoint, which
+    rounds to one of them, is returned; halving a converged bracket again
+    while others go on collapses it onto that midpoint."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if ((mid == lo) | (mid == hi)).all():
+            return mid
+        below = gap(mid) < 0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
 
 
 def _adjugate3(H: np.ndarray) -> np.ndarray:

@@ -443,6 +443,19 @@ class TestSolveCommand:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads((tmp_path / "solve_report.json").read_text())["status"] == "converged"
 
+    def test_overflowing_rhs_is_a_domain_error_without_warnings(self, tmp_path):
+        # the right side overflows to inf at the start field: the solve reports
+        # domain_error and numpy prints nothing, as the CLI's own process shows
+        env = dict(os.environ, PYTHONPATH=str(Path(sumhess.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumhess.cli", "solve", "--cells", "5",
+             "--rhs", "3+0.1*g2+1e-300*g2*1e300*g2*1e300*g2*1e10*g2", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_STALLED, proc.stderr
+        assert "solve: domain_error after 0 iterations" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_singular_jacobian_is_stall(self, tmp_path, capsys):
         # alpha = 1e308 overflows the Jacobian's coefficients: the linear

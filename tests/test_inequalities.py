@@ -413,7 +413,7 @@ class TestCappedFamilyBatch:
             op = SumHessianOp(n, k, alpha)
             tails = rng.uniform(-2.0, 3.0, size=(5, n - 1))
             lam1s = rng.uniform(0.1, 50.0, size=4)
-            coef = _family_coefficients(op, lam1s, np.pad(sigma_all(tails), ((0, 0), (0, 1))))
+            coef = _family_coefficients(op, lam1s, sigma_all(tails, n))
             for s in rng.uniform(0.01, 5.0, size=3):
                 got = _family_gap(s, coef, k, 0.0)
                 for i, lam1 in enumerate(lam1s):
@@ -432,9 +432,7 @@ class TestCappedFamilyBatch:
             np.geomspace(0.02 * target / alpha, 0.98 * target / alpha, 12),
             np.geomspace(0.5, 1e6, 18),
         ])
-        got = _capped_family_worst(
-            op, n0, lam1s, tails, np.pad(sigma_all(tails), ((0, 0), (0, 1)))
-        )
+        got = _capped_family_worst(op, n0, lam1s, tails, sigma_all(tails, n))
         want = np.array([_family_worst_per_pair(op, n0, float(l), tails) for l in lam1s])
         assert np.array_equal(got == math.inf, want == math.inf)
         assert np.isfinite(want).any()
@@ -459,21 +457,22 @@ class TestCappedFamilyBatch:
         )
 
     def test_roots_match_exact_on_family_brackets(self, monkeypatch):
-        # record the brackets _capped_family_worst itself builds
+        # record the brackets _capped_family_worst itself builds and hands to
+        # the shared bisection, with the kept pairs' coefficients its gap binds
         calls = []
-        batched = inequalities._family_roots
+        batched = inequalities.bisect_roots
 
-        def recorder(coef, k, target, hi):
-            roots = batched(coef, k, target, hi)
-            calls.append((coef, k, target, hi, roots))
+        def recorder(gap, lo, hi):
+            roots = batched(gap, lo, hi)
+            calls.append((gap.keywords["coef"], gap.keywords["k"], gap.keywords["target"], hi, roots))
             return roots
 
-        monkeypatch.setattr(inequalities, "_family_roots", recorder)
+        monkeypatch.setattr(inequalities, "bisect_roots", recorder)
         rng = np.random.default_rng(63)
         for n, k, alpha in FAMILY_OPS:
             op = SumHessianOp(n, k, alpha)
             tails = sample_gamma_k_array(n - 1, k - 1, CAPPED_TAILS, 1.0, rng)
-            tail_sigma = np.pad(sigma_all(tails), ((0, 0), (0, 1)))
+            tail_sigma = sigma_all(tails, n)
             for n0 in (10.0, 0.5):
                 target = 0.9 * n0
                 lam1s = np.concatenate([

@@ -103,6 +103,36 @@ class TestIsotropicLevel:
                         worst = max(worst, abs(s - target) / target)
         assert worst <= 8 * np.finfo(float).eps
 
+    @staticmethod
+    def scalar_level(op, target):
+        """The scalar bisection isotropic_level ran before it shared
+        symfun.bisect_roots: one S_k evaluation per step, halved until
+        the midpoint rounds to an end, and that midpoint returned."""
+
+        def val(c):
+            with np.errstate(over="ignore"):
+                return float(s_value(np.full(op.n, c), op.k, op.alpha)) - target
+
+        hi = 1.0
+        while val(hi) < 0:
+            hi *= 2.0
+        lo, mid = 0.0, 0.5 * hi
+        while lo < mid < hi:
+            lo, hi = (mid, hi) if val(mid) < 0 else (lo, mid)
+            mid = 0.5 * (lo + hi)
+        return mid
+
+    def test_level_is_the_scalar_bisection_bit_for_bit(self):
+        # every solve starts from this level, so it may not move by an ulp;
+        # returning the bracket's upper end instead would move 25 of the 48
+        cases = [(SumHessianOp(n, k, alpha), target) for n in (2, 3) for k in range(2, n + 1)
+                 for alpha in (0.1, 0.5, 1.0, 10.0) for target in (1.0, 6.0, 7.2, 12.0)]
+        cases.append((SumHessianOp(2, 2, 1e308), 1e-300))
+        for op, target in cases:
+            got = isotropic_level(op, target)
+            assert type(got) is float
+            assert got == self.scalar_level(op, target), (op, target)
+
     def test_underflowing_root_terminates(self):
         # the root, about 1e-608, is below the smallest subnormal: the
         # bracket shrinks to [0, 5e-324] and the bisection stops there

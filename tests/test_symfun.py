@@ -14,6 +14,7 @@ from sumhess.symfun import (
     MAX_DIM,
     SumHessianOp,
     _deleted,
+    bisect_roots,
     identity_residuals,
     s_gradient,
     s_hessian,
@@ -95,10 +96,16 @@ class TestSigmaAll:
                     assert got.shape == x.shape[:-1] + (order + 1,)
                     assert np.array_equal(got, full[..., : order + 1]), (n, x.shape, order)
 
-    def test_order_is_clipped_to_the_entries(self):
-        lam = [2.0, -1.0, 0.5]
-        assert np.array_equal(sigma_all(lam, 7), sigma_all(lam))
-        assert np.array_equal(sigma_all(lam, -1), [1.0])
+    def test_orders_past_the_entries_are_zero(self):
+        # sigma_j = 0 for j > n comes from sigma_all itself, so no caller
+        # pads or branches for it; a negative order still gives sigma_0
+        lams = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, -4.0]])
+        got = sigma_all(lams, 7)
+        assert got.shape == (2, 8)
+        assert np.array_equal(got[:, :4], sigma_all(lams))
+        assert np.array_equal(got[:, 4:], np.zeros((2, 4)))
+        assert not np.signbit(got[:, 4:]).any()
+        assert np.array_equal(sigma_all(lams[0], -1), [1.0])
 
 
 class TestSumHessianOp:
@@ -286,3 +293,29 @@ class TestIdentities:
                     res = identity_residuals(op, lams)
                     scale = 1.0 + np.abs(s_value(lams, k, alpha))
                     assert (res <= 1e-9 * scale[:, None]).all()
+
+
+class TestBisectRoots:
+    def test_entries_converging_at_different_steps_keep_their_brackets(self):
+        # brackets of widths 2^-39 to 2^40 around roots of different sizes
+        # reach adjacent floats after 11 to 1,049 halvings; each entry of
+        # the batch is the root that entry gives when bisected on its own
+        roots = np.array([1.0 / 3.0, 2.0**-40 / 3.0, 1e-300, 7.0, 2.0**40 / 3.0])
+        lo = np.array([0.25, 0.0, 0.0, 7.0 - 2.0**-40, 0.0])
+        hi = np.array([0.5, 2.0**-40, 1.0, 7.0 + 2.0**-40, 2.0**40])
+
+        def gap_of(r):
+            return lambda s: s - r
+
+        batched = bisect_roots(gap_of(roots), lo, hi)
+        for i, root in enumerate(roots):
+            alone = bisect_roots(gap_of(root), lo[i : i + 1], hi[i : i + 1])
+            assert batched[i] == alone[0], i
+            assert abs(batched[i] - root) <= np.spacing(root), i
+
+    def test_returns_the_last_midpoint_not_the_upper_end(self):
+        # gap turns nonnegative at 1 + ulp in [1, 1 + 2 ulp]: the bracket ends
+        # as [1, 1 + ulp], whose midpoint 1 + ulp/2 rounds to even, the lower end
+        ulp = np.spacing(1.0)
+        got = bisect_roots(lambda s: s - (1.0 + ulp), np.array([1.0]), np.array([1.0 + 2 * ulp]))
+        assert got[0] == 1.0
