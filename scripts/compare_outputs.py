@@ -37,6 +37,9 @@ COMMANDS = {
     "estimate-convexity-probe": ["estimate", "--rhs", "3-0.2*g2", "--cells", "7", "--betas", "1.1",
                                  "--levels", "2"],
     "solve-rhs-overflow": ["solve", "--rhs", "3+0.1*g2+1e-300*g2*1e300*g2*1e300*g2*1e10*g2", "--cells", "5"],
+    # f = 3 at the solved gradients, inf at the probe's gradients with |p|^2 > 10
+    "estimate-probe-overflow": ["estimate", "--rhs", "3+" + "*".join(["g2"] * 300) + "*1e-300", "--cells", "7",
+                                "--levels", "2", "--betas", "1.1"],
     "rigidity": ["rigidity"],
     "rigidity-3d": ["rigidity", "--n", "3", "--k", "3", "--alpha", "0.5"],
 }
@@ -78,6 +81,20 @@ SNIPPETS = {
         "}\n"
         "for name, rep in runs.items():\n"
         "    print(f'{name}: {rep.status} after {rep.iterations} iterations: {rep.message}')\n"
+    ),
+    # a finite trace whose discrete Laplacian overflows; a solver that raises
+    # is named, so the run completes under either root
+    "overflowing-trace": (
+        "import numpy as np\n"
+        "from sumhess import Grid, ProblemSpec, SumHessianOp, continuation_solve, solve\n"
+        "spec = ProblemSpec(SumHessianOp(2, 2, 1.0), Grid((0.0, 0.0), (1.0, 1.0), (9, 9)),\n"
+        "                   lambda x, u, p: np.full(len(x), 3.0), lambda x: 1e307 * (x**2).sum(axis=-1))\n"
+        "for fn in (solve, continuation_solve):\n"
+        "    try:\n"
+        "        rep = fn(spec)\n"
+        "        print(f'{fn.__name__}: {rep.status}: {rep.message}')\n"
+        "    except Exception as exc:\n"
+        "        print(f'{fn.__name__}: raised {type(exc).__name__}')\n"
     ),
 }
 

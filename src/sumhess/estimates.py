@@ -13,8 +13,8 @@ weight vanishes on the boundary analytically but lags by O(h)
 discretely); the full-interior supremum is recorded alongside.
 
 The weight needs u <= 0, as the estimates do: a solution positive
-somewhere, a non-finite weighted quantity or an f not positive at a
-probed gradient raises SolveFailure("domain_error") with the exponent.
+somewhere, a non-finite weighted quantity or an f not finite and positive
+at a probed gradient raises SolveFailure("domain_error") with the exponent.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ def pogorelov_quantity(u: GridField, exponent: float) -> GridField:
     return GridField.from_interior(u.grid, weighted, boundary=0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an f that overflows is refused, not warned about
 def rhs_gradient_convexity_probe(spec: ProblemSpec, rng: np.random.Generator, exponent: float | None = None) -> float:
     """Worst midpoint-convexity margin of f^{1/k} in the gradient slot.
 
@@ -73,8 +74,8 @@ def rhs_gradient_convexity_probe(spec: ProblemSpec, rng: np.random.Generator, ex
     checks it: for random interior points and gradient pairs it returns
     min of (f^{1/k}(p1) + f^{1/k}(p2))/2 - f^{1/k}((p1+p2)/2).  A
     clearly negative value disproves the declaration.  Where f is not
-    positive at a probed point, raises SolveFailure("domain_error") with
-    `exponent`, the weight exponent whose declaration is checked.
+    finite and positive at a probed point, raises SolveFailure("domain_error")
+    with `exponent`, the weight exponent whose declaration is checked.
     """
     k = spec.op.k
     x = spec.grid.interior_points_flat()
@@ -85,9 +86,9 @@ def rhs_gradient_convexity_probe(spec: ProblemSpec, rng: np.random.Generator, ex
 
     def root(p):
         vals = np.asarray(spec.rhs(pts, u, p), dtype=float)
-        if (vals <= 0).any():
-            raise SolveFailure("domain_error", "gradient convexity probe: rhs must stay positive on the probed set",
-                               exponent)
+        if not (np.isfinite(vals) & (vals > 0)).all():
+            raise SolveFailure("domain_error", "gradient convexity probe: rhs must stay finite and positive "
+                               "on the probed set", exponent)
         return vals ** (1.0 / k)
 
     margin = 0.5 * (root(p1) + root(p2)) - root(0.5 * (p1 + p2))

@@ -28,8 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fdgrid import (Grid, GridField, apply_taps, difference_taps, gradient_field_array, hessian_field_array,
-                     laplacian_field)
+from .fdgrid import Grid, GridField, apply_taps, difference_taps, gradient_field_array, hessian_field_array
 from .symfun import SumHessianOp, bisect_roots, s_from_sigma, s_tensor, s_value, sigma_all_matrix
 
 FD_STEP = 1e-6
@@ -307,11 +306,14 @@ def _linear_solve(J, M, rhs, eta: float = LINEAR_RTOL) -> np.ndarray:
     raise SolveFailure("stalled", f"linear solve residual {lin_res:.3e} exceeds {eta:.3g}")
 
 
-def _harmonic_lift(grid: Grid, trace, laplacian_inverse: Callable) -> GridField:
-    """The discrete harmonic function with Dirichlet trace `trace`, by
-    `laplacian_inverse`, the exact inverse of fdgrid's Laplacian."""
-    base = GridField.from_interior(grid, np.zeros(grid.shape), boundary=trace)
-    return base.with_interior(laplacian_inverse(-laplacian_field(base).interior_flat))
+def _harmonic_lift(grid: Grid, trace, laplacian_inverse: Callable) -> np.ndarray:
+    """Padded values of the discrete harmonic function with Dirichlet trace
+    `trace` (not finite where its Laplacian overflows), by `laplacian_inverse`,
+    the exact inverse of fdgrid's Laplacian; a non-finite trace raises ValueError."""
+    lift = GridField.from_interior(grid, np.zeros(grid.shape), boundary=trace).values.copy()
+    laplacian = sum(apply_taps(lift, *difference_taps(grid, a, a)) for a in range(grid.dim))
+    lift[(slice(1, -1),) * grid.dim] = laplacian_inverse(-laplacian).reshape(grid.shape)
+    return lift
 
 
 def isotropic_level(op: SumHessianOp, target: float) -> float:
@@ -360,15 +362,15 @@ def initial_guess(spec: ProblemSpec) -> GridField:
     box (Boyd and Vandenberghe, 2004, sec. 3.2.4): with a zero trace the
     start is a strict convex subsolution (Caffarelli, Nirenberg and
     Spruck, 1985).  A nonzero trace bends the Hessian through the lift, so
-    larger factors follow; overflowing candidates are skipped, and none
-    is built after the first admissible one.  Raises SolveFailure with
-    status cone_breach and the best worst margin when no factor gives an
-    admissible field, and with domain_error from _sup_rhs.
+    larger factors follow; overflowing candidates are skipped (all, when the
+    lift overflows), and none is built after the first admissible one.  Raises
+    SolveFailure with status cone_breach and the best worst margin when no
+    factor gives an admissible field, and with domain_error from _sup_rhs.
     """
     grid = spec.grid
     c_root = isotropic_level(spec.op, 2.0 * _sup_rhs(spec))
     laplacian_inverse = _laplacian_inverse(grid)
-    lift = _harmonic_lift(grid, spec.boundary, laplacian_inverse).values
+    lift = _harmonic_lift(grid, spec.boundary, laplacian_inverse)
     depth = float(laplacian_inverse(np.full(grid.n_interior, float(grid.dim))).min())
     xis = (np.linspace(-1.0, 1.0, c + 2) for c in grid.cells)
     g = functools.reduce(np.multiply.outer, [1.0 - xi * xi for xi in xis])
@@ -388,23 +390,6 @@ def initial_guess(spec: ProblemSpec) -> GridField:
         f"no admissible initial guess found (best worst-margin {best_margin:.3e}); "
         "try a coarser grid or continuation"
     )
-
-
-def prolong(u: GridField, fine: Grid, boundary=None) -> GridField:
-    """Linear interpolation onto the once-refined grid (cells -> 2c+1).
-    When `boundary` is given the exact trace replaces the interpolated
-    boundary layer."""
-    if fine.cells != tuple(2 * c + 1 for c in u.grid.cells):
-        raise ValueError("fine grid must be the refinement of the coarse grid")
-    vals = u.values
-    for axis in range(u.grid.dim):
-        v = np.moveaxis(vals, axis, 0)
-        out = np.empty((2 * len(v) - 1,) + v.shape[1:])
-        out[::2] = v
-        out[1::2] = 0.5 * (v[:-1] + v[1:])
-        vals = np.moveaxis(out, 0, axis)
-    fine_field = GridField(fine, vals)
-    return fine_field if boundary is None else GridField.from_interior(fine, fine_field.interior, boundary=boundary)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -538,10 +523,17 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
 
 
 def __getattr__(name):
-    # `solver.spla` (scipy.sparse.linalg) is wrapped only by the benchmark's tracer
-    # (perfbench/tracer.py); importing it on first access keeps scipy out of other runs
+    # perfbench/tracer.py looks up `solver.spla` (scipy.sparse.linalg, imported
+    # on first access to keep scipy out of other runs) and `solver.prolong`, which
+    # no longer exists: a fresh callable, bound by no module, so the tracer rebinds
+    # nothing (None would match every None-valued global), and raising when called
+    def missing(*args, **kwargs):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
     if name == "spla":
         import scipy.sparse.linalg
 
         return scipy.sparse.linalg
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name == "prolong":
+        return missing
+    missing()

@@ -800,6 +800,21 @@ class TestEstimateCommand:
         assert captured.err == ""
         assert captured.out.startswith("FAIL estimate beta=1.1: gradient convexity probe")
 
+    def test_convexity_probe_refuses_an_overflowing_rhs_without_warnings(self, tmp_path):
+        # f = 3 + g2^300 * 1e-300 is 3 at the solved gradients but overflows
+        # to inf at probed gradients with g2 > 10; the probe refuses it, and
+        # numpy prints nothing, as the CLI's own process shows
+        rhs = "3+" + "*".join(["g2"] * 300) + "*1e-300"
+        env = dict(os.environ, PYTHONPATH=str(Path(sumhess.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumhess.cli", "estimate", "--rhs", rhs, "--cells", "7", "--levels", "2",
+             "--betas", "1.1", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_STALLED, proc.stderr
+        assert proc.stdout.startswith("FAIL estimate beta=1.1: gradient convexity probe: rhs must stay finite")
+        assert proc.stderr == ""
+
     def test_positive_solution_is_a_domain_error_not_config_error(self, tmp_path, capsys):
         # k = 1: S_1 = Laplacian + alpha = 0.5 < alpha makes u superharmonic,
         # so the solved u is positive, outside the weight (-u)^beta's domain

@@ -93,7 +93,18 @@ class TestGradientConvexityProbe:
         # f = 3 - 0.2 g2 turns negative inside the probed cube (g2 up to 18)
         grid = Grid((-1.0, -1.0), (1.0, 1.0), (7, 7))
         spec = ProblemSpec(OP22, grid, rhs=lambda x, u, p: 3.0 - 0.2 * (p**2).sum(axis=-1))
-        with pytest.raises(SolveFailure, match="^gradient convexity probe: rhs must stay positive") as info:
+        with pytest.raises(SolveFailure, match="^gradient convexity probe: rhs must stay finite and positive") as info:
+            rhs_gradient_convexity_probe(spec, np.random.default_rng(0), 1.1)
+        assert (info.value.status, info.value.exponent) == ("domain_error", 1.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_rhs_is_a_domain_error_with_the_exponent(self, bad):
+        # f = 3 except where |p|^2 > 10, inside the probed cube (g2 up to 18):
+        # a probe that let f through would return NaN
+        grid = Grid((-1.0, -1.0), (1.0, 1.0), (7, 7))
+        spec = ProblemSpec(OP22, grid, rhs=lambda x, u, p: np.where((p**2).sum(axis=-1) > 10.0, bad, 3.0))
+        with pytest.raises(SolveFailure, match="^gradient convexity probe: rhs must stay finite and positive") as info:
             rhs_gradient_convexity_probe(spec, np.random.default_rng(0), 1.1)
         assert (info.value.status, info.value.exponent) == ("domain_error", 1.1)
 
@@ -158,25 +169,19 @@ class TestRefinementStudy:
         assert all(len(r.per_refinement) == 3 for r in reports)
 
     def test_every_level_starts_cold(self, monkeypatch):
-        # one initial guess per level and no prolonged coarse solution;
-        # both modules are patched so that neither can reach them unseen
-        guesses, prolonged = [], []
-        real_guess, real_prolong = solver.initial_guess, solver.prolong
+        # one initial guess per level; both modules are patched so that
+        # neither can reach it unseen
+        guesses = []
+        real_guess = solver.initial_guess
 
         def counting_guess(spec):
             guesses.append(spec.grid.cells)
             return real_guess(spec)
 
-        def counting_prolong(*args, **kwargs):
-            prolonged.append(args)
-            return real_prolong(*args, **kwargs)
-
         for module in (solver, estimates):
             monkeypatch.setattr(module, "initial_guess", counting_guess, raising=False)
-            monkeypatch.setattr(module, "prolong", counting_prolong, raising=False)
         (rep,) = refinement_study(self.quadratic_problem(), [1.0], levels=3)
         assert guesses == [(9, 9), (19, 19), (39, 39)]
-        assert prolonged == []
         assert len(rep.per_refinement) == 3
 
     @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ import sumhess
 
 MODULES = sorted(p for p in Path(sumhess.__file__).parent.glob("*.py") if p.name != "__init__.py")
 REPO = Path(__file__).resolve().parents[1]
-SRC_LINE_BUDGET = 2396  # ratcheted to the package size; a 15% cut from 2,987 lines allowed 2,539
+SRC_LINE_BUDGET = 2389  # ratcheted to the package size; a 15% cut from 2,987 lines allowed 2,539
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -104,6 +104,15 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_deleted_prolong_is_only_a_name_the_tracer_finds():
+    # the tracer wraps `solver.prolong` by name; what it finds must not stand
+    # in for the deleted function
+    from sumhess import solver
+
+    with pytest.raises(AttributeError, match="has no attribute 'prolong'"):
+        solver.prolong(None, None)
 
 
 def test_cli_runs_without_scipy_fft_or_optimize(tmp_path):
