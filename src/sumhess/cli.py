@@ -133,8 +133,8 @@ class RunConfig:
     box_lo: float = -1.0
     box_hi: float = 1.0
     rhs: str = "3"
-    rtol: float = 1e-8
-    max_iter: int = 60
+    rtol: float = SolveConfig.rtol
+    max_iter: int = SolveConfig.max_iter
     betas: tuple = (1.0, 1.1, 2.0, 4.0, 8.0)
     levels: int = 3
     samples: int = 1000
@@ -177,16 +177,16 @@ class RunConfig:
                 raise ConfigError(f"bad value for {key}: {text!r}") from None
 
     def validate(self) -> "RunConfig":
-        """Raise ConfigError for the first value out of range, whether it
-        came from a flag or from a --config file."""
+        """Raise ConfigError for the first value out of range, from a flag or a
+        --config file; the grid and operator rules are Grid's and SumHessianOp's."""
+        try:  # n first: grid() builds n-tuples, so a huge n would allocate before Grid refuses it
+            if self.n not in (2, 3):
+                raise ValueError("n must be 2 or 3 (the grid dimension)")
+            self.grid(), self.op()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         finite = math.isfinite
         checks = (
-            (self.n in (2, 3), "n must be 2 or 3 (the grid dimension)"),
-            (1 <= self.k <= self.n, "k must satisfy 1 <= k <= n"),
-            (finite(self.alpha) and self.alpha > 0, "alpha must be finite and positive"),
-            (self.cells >= 3, "cells must be >= 3"),
-            (finite(self.box_lo) and finite(self.box_hi) and self.box_lo < self.box_hi,
-             "box must be finite lo,hi with lo < hi"),
             (finite(self.rtol) and self.rtol > 0, "rtol must be finite and positive"),
             (self.max_iter >= 1, "max_iter must be >= 1"),
             (bool(self.betas) and all(finite(b) for b in self.betas),
@@ -202,15 +202,8 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        # the solver divides by h^2 (a normal h^2 keeps 1/h^2 finite too);
         # rigidity squares scale_ratio and scale_ratio times box coordinates
-        try:
-            h = (self.box_hi - self.box_lo) / (self.cells + 1)
-        except OverflowError:  # cells too large for a float: h underflows
-            h = 0.0
         reach = self.scale_ratio * max(1.0, abs(self.box_lo), abs(self.box_hi))
-        if not sys.float_info.min <= h * h < math.inf:
-            raise ConfigError("box and cells give a spacing h whose h^2 is not a finite normal float")
         if not reach * reach < math.inf:
             raise ConfigError("scale_ratio times max(1, |box|) overflows when squared")
         memory = _physical_memory()
@@ -309,7 +302,6 @@ def cmd_identities(config: RunConfig) -> int:
 
 
 def _build_problem(config: RunConfig) -> ProblemSpec:
-    op = config.op()
     grid = config.grid()
     rhs = parse_rhs(config.rhs)
     x = grid.interior_points_flat()
@@ -319,7 +311,7 @@ def _build_problem(config: RunConfig) -> ProblemSpec:
         raise ConfigError(f"rhs {exc} on a {config.n}-D grid") from None
     if not (np.isfinite(probe) & (probe > 0)).all():
         raise ConfigError("rhs must be finite and positive on the domain (sampled at u=0, Du=0)")
-    return ProblemSpec(op, grid, rhs=rhs)
+    return ProblemSpec(config.op(), grid, rhs=rhs)
 
 
 def cmd_solve(config: RunConfig) -> int:

@@ -64,8 +64,8 @@ def _sample_cone_array(
     the positive orthant, so at least 2^-n of the draws are kept."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < 2 * radius < np.inf:  # uniform draws from a range of width 2 * radius
+        raise ValueError(f"radius must be positive, with 2 * radius finite, got {radius}")
     accepted: list[np.ndarray] = []
     total_kept = 0
     while total_kept < count:

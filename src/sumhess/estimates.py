@@ -118,12 +118,15 @@ def refinement_study(
     The prolonged coarse solution is not used as a start: it lacks the
     fine grid's corner boundary layer and breaches the cone there, and
     the blends that repair it saved at most one Newton iteration.  A level
-    that does not converge raises SolveFailure with the solver's status; a
-    solution positive somewhere (k = 1, alpha > f makes u superharmonic) or
-    a non-finite weighted quantity raises it as "domain_error" with the exponent."""
+    that does not converge raises SolveFailure with the solver's status, one
+    Grid refuses (halved h^2 not a normal float) raises it as "domain_error",
+    and so, with the exponent, do u > 0 somewhere or a non-finite weighted quantity."""
     reports = [EstimateReport(quantity_tag(e), float(e)) for e in exponents]
-    grid = spec.grid
     for level in range(levels):
+        try:  # refined only when a level follows, so the last level's grid is the finest built
+            grid = grid.refine() if level else spec.grid
+        except ValueError as exc:
+            raise SolveFailure("domain_error", f"refinement level {level}: {exc}") from None
         result = continuation_solve(replace(spec, grid=grid), config)
         if not result.converged:
             message = f"solver reported '{result.status}' at refinement level {level}: {result.message}"
@@ -147,7 +150,6 @@ def refinement_study(
                     "newton_iterations": result.iterations,
                 }
             )
-        grid = grid.refine()
     for report in reports:
         sups = [entry["sup"] for entry in report.per_refinement]
         if len(sups) >= 2:

@@ -38,8 +38,14 @@ class Grid:
             raise ValueError(f"grid dimension must be 2 or 3, got {self.dim}")
         if any(c < 3 for c in self.cells):
             raise ValueError("need at least 3 interior nodes per axis")
-        if any(h <= l for l, h in zip(self.lo, self.hi)):
-            raise ValueError("hi must exceed lo componentwise")
+        if not all(-np.inf < l < h < np.inf for l, h in zip(self.lo, self.hi)):
+            raise ValueError("lo and hi must be finite, with hi > lo on every axis")
+        try:  # the stencils divide by h^2, and a normal h^2 keeps 1/h^2 finite too
+            normal = all(np.finfo(float).tiny <= h * h < np.inf for h in self.h)
+        except OverflowError:  # cells too large for a float: h underflows
+            normal = False
+        if not normal:
+            raise ValueError("box and cells give a spacing h whose h^2 is not a finite normal float")
 
     @property
     def dim(self) -> int:

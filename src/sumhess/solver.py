@@ -323,8 +323,8 @@ def isotropic_level(op: SumHessianOp, target: float) -> float:
     symfun.bisect_roots from [0, hi], hi the first power of 2 where S_k
     reaches the target: halved to adjacent floats, so every root, the tiny
     ones of a large alpha included, is accurate to an ulp."""
-    if target <= 0:
-        raise ValueError("target must be positive")
+    if not 0 < target < math.inf:
+        raise ValueError(f"target must be finite and positive, got {target}")
     if op.k == 1:
         return (target - op.alpha) / op.n
 

@@ -42,8 +42,8 @@ class SumHessianOp:
             raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {self.n}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"order k must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
 
 
 def _as_array(lam) -> np.ndarray:

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -31,7 +32,9 @@ from sumhess.cli import (
     main,
     parse_rhs,
 )
+from sumhess.fdgrid import Grid
 from sumhess.inequalities import run_inequality_suite
+from sumhess.symfun import SumHessianOp
 
 FAST_IDENTITIES = ["identities", "--samples", "60", "--seed", "3"]
 
@@ -312,6 +315,15 @@ class TestIdentitiesCommand:
         assert err == ""
         assert len([p for p in os.listdir(tmp_path) if p.endswith(".json")]) == 8
 
+    def test_failing_deletion_identities_fail_the_run(self, tmp_path, monkeypatch, capsys):
+        # the eight reports pass; only the identity check's verdict fails
+        monkeypatch.setattr(cli, "run_inequality_suite", _cached_inequality_suite)
+        monkeypatch.setattr(cli, "identity_residuals", lambda op, lams: np.ones((len(lams), 3)))
+        assert main(FAST_IDENTITIES + ["--out", str(tmp_path)]) == EXIT_PROPERTY
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "FAIL deletion identities"
+        assert all(line.startswith("PASS ") for line in lines[:-1])
+
     def test_sign_flipped_oracle_fails(self, tmp_path):
         rc = main(FAST_IDENTITIES + ["--out", str(tmp_path), "--negate-oracle", "s_newton"])
         assert rc == EXIT_PROPERTY
@@ -544,6 +556,40 @@ def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "Traceback" not in err
+
+
+GRID_AND_OPERATOR_REFUSALS = {
+    "alpha-inf": (["--alpha", "inf"], lambda: SumHessianOp(2, 2, math.inf)),
+    "box-minus-inf": (["--box=-inf,1"], lambda: Grid((-math.inf,) * 2, (1.0,) * 2, (33,) * 2)),
+    "box-h-squared-overflows": (["--box=-1e200,1e200", "--cells", "5"],
+                                lambda: Grid((-1e200,) * 2, (1e200,) * 2, (5,) * 2)),
+    "box-h-squared-underflows": (["--box=0,1e-300"], lambda: Grid((0.0,) * 2, (1e-300,) * 2, (33,) * 2)),
+    "cells-400-digits": (["--cells", "9" * 400], lambda: Grid((-1.0,) * 2, (1.0,) * 2, (int("9" * 400),) * 2)),
+    "n-4": (["--n", "4"], None),
+    "n-huge": (["--n", "1000000000000"], None),
+    "k-3": (["--k", "3"], lambda: SumHessianOp(2, 3, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", GRID_AND_OPERATOR_REFUSALS)
+def test_grid_and_operator_refusals_exit_64_on_one_line(name, tmp_path, capsys):
+    argv, _ = GRID_AND_OPERATOR_REFUSALS[name]
+    assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"configuration error: [^\n]+\n", captured.err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", [name for name, (_, refusal) in GRID_AND_OPERATOR_REFUSALS.items() if refusal])
+def test_grid_and_operator_refusals_carry_the_library_message(name, tmp_path, capsys):
+    # Grid and SumHessianOp state these rules; the CLI reports their
+    # messages and keeps only its n bound, checked before grid() builds
+    # n-tuples
+    argv, refusal = GRID_AND_OPERATOR_REFUSALS[name]
+    with pytest.raises(ValueError) as info:
+        refusal()
+    assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {info.value}\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -187,8 +187,9 @@ class TestSampler:
     @pytest.mark.parametrize(
         "count, radius, message",
         [(0, 1.0, "count must be >= 1"), (5, 0.0, "radius must be positive"),
-         (5, -1.0, "radius must be positive")],
-        ids=["count-0", "radius-0", "radius-negative"],
+         (5, -1.0, "radius must be positive"), (5, np.nan, "radius must be positive, with 2 \\* radius finite"),
+         (5, np.inf, "2 \\* radius finite"), (5, 1e308, "2 \\* radius finite")],
+        ids=["count-0", "radius-0", "radius-negative", "radius-nan", "radius-inf", "radius-1e308"],
     )
     def test_both_samplers_check_arguments(self, count, radius, message):
         rng = np.random.default_rng(29)

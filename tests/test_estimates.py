@@ -206,6 +206,25 @@ class TestRefinementStudy:
         assert (exc.status, exc.exponent) == ("domain_error", exponent)
         assert str(exc).startswith(f"refinement level {level}: {message}")
 
+    @staticmethod
+    def tiny_box_problem(side):
+        grid = Grid((0.0, 0.0), (side, side), (3, 3))
+        return ProblemSpec(OP22, grid, rhs=lambda x, u, p: np.full(len(x), 3.0))
+
+    def test_level_whose_spacing_grid_refuses_is_a_domain_error(self):
+        # level 0 solves (h = 2.5e-154); Grid refuses level 1, whose h^2
+        # is subnormal, where a solve on it reported cone_breach
+        with pytest.raises(SolveFailure) as info:
+            refinement_study(self.tiny_box_problem(1e-153), [1.0], levels=2)
+        assert (info.value.status, info.value.exponent) == ("domain_error", None)
+        assert str(info.value) == ("refinement level 1: box and cells give a spacing h "
+                                   "whose h^2 is not a finite normal float")
+
+    def test_last_level_is_not_refined(self):
+        # a third level would have a subnormal h^2; only the two asked for are built
+        (rep,) = refinement_study(self.tiny_box_problem(2e-153), [1.0], levels=2)
+        assert [e["h"] for e in rep.per_refinement] == [[5e-154] * 2, [2.5e-154] * 2]
+
     def test_report_round_trips_to_dict(self):
         (rep,) = refinement_study(self.quadratic_problem(), [2.0], levels=2)
         d = asdict(rep)

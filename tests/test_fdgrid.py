@@ -33,6 +33,39 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((0.0,), (1.0,), (5,))
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            Grid((0.0, 0.0), (1.0, 1.0), (5,))
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [((-np.inf, -1.0), (1.0, 1.0)), ((-1.0, -1.0), (1.0, np.inf)), ((np.nan, -1.0), (1.0, 1.0)),
+         ((-1.0, -1.0), (1.0, np.nan))],
+        ids=["lo-minus-inf", "hi-inf", "lo-nan", "hi-nan"],
+    )
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        # an infinite box gave NaN node coordinates, on which a solve
+        # "converged"; NaN fails every comparison, so hi > lo alone let it by
+        with pytest.raises(ValueError, match="must be finite"):
+            Grid(lo, hi, (9, 9))
+
+    @pytest.mark.parametrize(
+        "lo, hi, cells",
+        [((-1e300, -1.0), (1e300, 1.0), (9, 9)), ((0.0, 0.0), (1e-300, 1e-300), (9, 9)),
+         ((-1.0, -1.0), (1.0, 1.0), (10**400, 3))],
+        ids=["h-squared-overflows", "h-squared-underflows", "cells-beyond-float"],
+    )
+    def test_spacing_whose_square_is_not_normal_rejected(self, lo, hi, cells):
+        # the stencils divide by h^2: 1e300-wide axes made the solver raise
+        # OverflowError from h**2, and a 1e-300 box gives h^2 = 0
+        with pytest.raises(ValueError, match="h\\^2 is not a finite normal float"):
+            Grid(lo, hi, cells)
+
+    def test_smallest_and_largest_normal_spacings_accepted(self):
+        tiny, huge = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)
+        assert Grid((0.0, 0.0), (4 * tiny, 4 * tiny), (3, 3)).h[0] ** 2 >= np.finfo(float).tiny
+        assert Grid((0.0, 0.0), (2 * huge, 2 * huge), (3, 3)).h[0] ** 2 < np.inf
+
     def test_refine_alignment(self):
         g = make_grid2(7)
         f = g.refine()
@@ -58,6 +91,11 @@ class TestGridField:
         f = GridField.from_interior(g, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             f.values[1, 1] = 3.0
+
+    def test_rejects_wrong_padded_shape(self):
+        g = make_grid2(3)
+        with pytest.raises(ValueError, match="expected \\(5, 5\\)"):
+            GridField(g, np.zeros((3, 3)))
 
     def test_rejects_nonfinite(self):
         g = make_grid2(3)

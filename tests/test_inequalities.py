@@ -100,6 +100,17 @@ class TestDirectionalSecondDerivative:
         with pytest.raises(ValueError, match="eigenvalue gap"):
             directional_second_derivative(2, 1.0, np.diag([1.0, 1.0 + 1e-9]), np.eye(2))
 
+    @pytest.mark.parametrize(
+        "A, B, message",
+        [(np.diag([1.0, 2.0]), np.ones((2, 3)), "square matrices of the same size"),
+         (np.diag([1.0, 2.0]), np.eye(3), "square matrices of the same size"),
+         (np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), "B must be symmetric")],
+        ids=["b-not-square", "b-other-size", "b-not-symmetric"],
+    )
+    def test_bad_direction_rejected(self, A, B, message):
+        with pytest.raises(ValueError, match=message):
+            directional_second_derivative(2, 1.0, A, B)
+
     def test_non_diagonal_rejected(self):
         with pytest.raises(ValueError):
             directional_second_derivative(2, 0.0, np.array([[1.0, 0.5], [0.5, 2.0]]), np.eye(2))
@@ -347,6 +358,10 @@ class TestCappedBounds:
         assert res["finite"]
         assert not res["vacuous"]
         assert len(res["probes"]) >= 4
+
+    def test_threshold_search_needs_k_at_least_2(self):
+        with pytest.raises(ValueError, match="needs k >= 2"):
+            capped_threshold_search(SumHessianOp(3, 1, 1.0), np.random.default_rng(49))
 
     def test_threshold_search_vacuous_branch_is_finite(self):
         rng = np.random.default_rng(48)

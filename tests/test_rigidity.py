@@ -45,6 +45,15 @@ class TestQuadraticResidual:
             q = QuadraticCandidate(A, b0=rng.normal(size=3), c0=float(rng.normal()))
             assert quadratic_residual(op, q) <= 1e-12
 
+    @pytest.mark.parametrize("A", [np.ones((2, 3)), np.ones(2)], ids=["2x3", "vector"])
+    def test_non_square_rejected(self, A):
+        with pytest.raises(ValueError, match="A must be a square matrix"):
+            QuadraticCandidate(A)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="candidate dimension 2 does not match operator 3"):
+            quadratic_residual(SumHessianOp(3, 2, 1.0), QuadraticCandidate(np.eye(2)))
+
     def test_nonsymmetric_rejected(self):
         with pytest.raises(ValueError):
             QuadraticCandidate(np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -138,6 +139,18 @@ class TestIsotropicLevel:
         # bracket shrinks to [0, 5e-324] and the bisection stops there
         c = isotropic_level(SumHessianOp(2, 2, 1e308), 1e-300)
         assert 0.0 <= c <= 5e-324
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_target_must_be_finite_and_positive(self, k, target):
+        # k = 2 answered 0.0 for NaN and 1.34e154 for inf, k = 1 nan and inf
+        with pytest.raises(ValueError, match="target must be finite and positive"):
+            isotropic_level(SumHessianOp(2, k, 1.0), target)
+
+
+def test_problem_spec_dimension_must_match_grid():
+    with pytest.raises(ValueError, match="operator dimension 3 must match grid dimension 2"):
+        ProblemSpec(SumHessianOp(3, 2, 1.0), grid2(9), rhs=const_rhs(3.0))
 
 
 class TestInitialGuess:

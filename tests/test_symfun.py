@@ -54,6 +54,9 @@ class TestSigmaAll:
     def test_single_entry(self):
         assert np.allclose(sigma_all([5.0]), [1, 5])
 
+    def test_scalar_is_a_one_entry_spectrum(self):
+        assert np.array_equal(sigma_all(2.0), [1.0, 2.0])
+
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(7)
         for n in range(1, 7):
@@ -116,6 +119,17 @@ class TestSumHessianOp:
     def test_order_range(self):
         with pytest.raises(ValueError):
             SumHessianOp(3, 4, 1.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            SumHessianOp(2, 2, alpha)
+
+    def test_dimension_past_max_dim_rejected(self):
+        with pytest.raises(ValueError, match=f"dimension must be in \\[1, {MAX_DIM}\\]"):
+            SumHessianOp(MAX_DIM + 1, 2, 1.0)
+        with pytest.raises(ValueError, match=f"spectrum length exceeds {MAX_DIM}"):
+            sigma_all(np.ones(MAX_DIM + 1))
 
 
 class TestSigmaDeleted:
