@@ -98,7 +98,8 @@ SNIPPETS = {
     ),
     # library inputs that no value object or argument check should take: a
     # grid with an infinite bound, one whose h^2 overflows, alpha = inf,
-    # targets that are not finite and sampler radii whose width is not; each
+    # targets that are not finite, f = 1e308 (2 sup f, the start level's
+    # target, overflows) and sampler radii whose width is not; each
     # line is the outcome or what was raised, so the run completes under any root
     "argument-refusals": (
         "import math\n"
@@ -106,15 +107,15 @@ SNIPPETS = {
         "from sumhess import Grid, ProblemSpec, SumHessianOp, solve\n"
         "from sumhess.solver import isotropic_level\n"
         "from sumhess.cones import sample_cone_array, sample_gamma_k_array\n"
-        "const = lambda x, u, p: np.full(len(x), 3.0)\n"
+        "const = lambda f: lambda x, u, p: np.full(len(x), f)\n"
         "op = SumHessianOp(2, 2, 1.0)\n"
         "def attempt(label, fn):\n"
         "    try:\n"
         "        print(f'{label}: {fn()}')\n"
         "    except Exception as exc:\n"
         "        print(f'{label}: raised {type(exc).__name__}: {exc}')\n"
-        "def solved(grid_args, op=op):\n"
-        "    rep = solve(ProblemSpec(op, Grid(*grid_args), const))\n"
+        "def solved(grid_args, op=op, f=3.0):\n"
+        "    rep = solve(ProblemSpec(op, Grid(*grid_args), const(f)))\n"
         "    return f'{rep.status} after {rep.iterations} iterations'\n"
         "attempt('grid lo=-inf', lambda: solved(((-math.inf, -1.0), (1.0, 1.0), (9, 9))))\n"
         "attempt('grid +-1e300', lambda: solved(((-1e300, -1.0), (1e300, 1.0), (9, 9))))\n"
@@ -122,6 +123,8 @@ SNIPPETS = {
         "for k in (1, 2):\n"
         "    for target in (math.nan, math.inf):\n"
         "        attempt(f'isotropic_level k={k} target={target}', lambda: isotropic_level(SumHessianOp(2, k, 1.0), target))\n"
+        "for k in (1, 2):\n"
+        "    attempt(f'solve k={k} rhs=1e308', lambda: solved(((-1.0, -1.0), (1.0, 1.0), (9, 9)), SumHessianOp(2, k, 1.0), 1e308))\n"
         "for radius in (math.nan, math.inf, 1e308):\n"
         "    rng = np.random.default_rng(0)\n"
         "    attempt(f'sample_cone_array radius={radius}', lambda: sample_cone_array(op, 5, radius, rng).shape)\n"

@@ -338,15 +338,15 @@ def isotropic_level(op: SumHessianOp, target: float) -> float:
     return float(bisect_roots(gap, np.zeros(1), hi)[0])
 
 
-def _sup_rhs(spec: ProblemSpec) -> float:
-    """sup f(x, 0, 0) over the interior nodes, which must be positive and
-    finite; otherwise a SolveFailure with status domain_error."""
+def _twice_sup_rhs(spec: ProblemSpec) -> float:
+    """2 sup f(x, 0, 0) over the interior nodes, which must be positive and
+    finite (so sup f <= max float / 2); otherwise a SolveFailure with status domain_error."""
     x = spec.grid.interior_points_flat()
     f0 = np.asarray(spec.rhs(x, np.zeros(len(x)), np.zeros_like(x)), dtype=float)
     sup_f = float(np.max(f0))
-    if not 0 < sup_f < math.inf:
-        raise SolveFailure("domain_error", f"rhs must be positive and finite on the sampled domain (sup {sup_f:.3e})")
-    return sup_f
+    if not 0 < 2.0 * sup_f < math.inf:
+        raise SolveFailure("domain_error", f"2 sup rhs must be positive and finite on the sampled domain (sup {sup_f:.3e})")
+    return 2.0 * sup_f
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -365,10 +365,10 @@ def initial_guess(spec: ProblemSpec) -> GridField:
     larger factors follow; overflowing candidates are skipped (all, when the
     lift overflows), and none is built after the first admissible one.  Raises
     SolveFailure with status cone_breach and the best worst margin when no
-    factor gives an admissible field, and with domain_error from _sup_rhs.
+    factor gives an admissible field, and with domain_error from _twice_sup_rhs.
     """
     grid = spec.grid
-    c_root = isotropic_level(spec.op, 2.0 * _sup_rhs(spec))
+    c_root = isotropic_level(spec.op, _twice_sup_rhs(spec))
     laplacian_inverse = _laplacian_inverse(grid)
     lift = _harmonic_lift(grid, spec.boundary, laplacian_inverse)
     depth = float(laplacian_inverse(np.full(grid.n_interior, float(grid.dim))).min())
@@ -475,7 +475,7 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
     before was rejected.  continuation_ts lists the t of every converged
     stage ([1.0] after a direct solve), rejected_stages the t and status
     of every failed one, the direct attempt first, and the only one when
-    sup f(x, 0, 0) is not positive and finite.
+    2 sup f(x, 0, 0) is not positive and finite.
     """
     config = config or SolveConfig()
     report = solve(spec, config)
@@ -484,8 +484,8 @@ def continuation_solve(spec: ProblemSpec, config: SolveConfig | None = None) -> 
         return report
     rejected = [{"t": 1.0, "status": report.status}]
     try:
-        s0 = 2.0 * _sup_rhs(spec)
-    except SolveFailure:  # sup f(x, 0, 0) not positive and finite: no level to start a homotopy from
+        s0 = _twice_sup_rhs(spec)
+    except SolveFailure:  # 2 sup f(x, 0, 0) not positive and finite: no level to start a homotopy from
         report.extras.update(continuation_ts=[], rejected_stages=rejected)
         return report
 

@@ -529,13 +529,18 @@ class TestSolveCommand:
         ["identities", "--samples", "10", "--negate-oracle", "bogus"],
         ["identities", "--samples", "10", "--config", "{bogus_oracle_cfg}"],
         ["identities", "--config", "{non_utf8_cfg}"],
+        ["solve", "--box=-inf,1"],
+        ["solve", "--n", "4"],
+        ["solve", "--n", "1000000000000"],
+        ["solve", "--k", "3"],
     ],
     ids=["box", "config-value", "betas", "betas-empty", "samples", "levels-0", "levels-1",
          "scale-ratio", "seed", "box-inf", "betas-nan", "alpha-inf", "rtol-negative", "rtol-nan",
          "max-iter", "config-range", "rhs-nested", "rhs-long", "rhs-z-on-2d", "rhs-x3-on-2d",
          "box-huge", "box-tiny", "rigidity-box-huge", "scale-ratio-huge", "scale-ratio-squared",
          "rhs-inf", "cells-huge", "box-flag-empty", "betas-flag-empty", "config-flag-empty",
-         "negate-oracle-unknown", "config-negate-oracle-unknown", "config-not-utf8"],
+         "negate-oracle-unknown", "config-negate-oracle-unknown", "config-not-utf8",
+         "box-minus-inf", "n-4", "n-huge", "k-3"],
 )
 def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
@@ -553,11 +558,13 @@ def test_bad_values_are_config_errors(argv, tmp_path, capsys):
     argv = [a.format(**names) for a in argv]
     argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "configuration error" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"configuration error: [^\n]+\n", captured.err)
+    assert captured.out == ""
 
 
+# Grid and SumHessianOp state these rules; the CLI reports their messages
+# and keeps only its n bound, checked before grid() builds n-tuples
 GRID_AND_OPERATOR_REFUSALS = {
     "alpha-inf": (["--alpha", "inf"], lambda: SumHessianOp(2, 2, math.inf)),
     "box-minus-inf": (["--box=-inf,1"], lambda: Grid((-math.inf,) * 2, (1.0,) * 2, (33,) * 2)),
@@ -565,26 +572,12 @@ GRID_AND_OPERATOR_REFUSALS = {
                                 lambda: Grid((-1e200,) * 2, (1e200,) * 2, (5,) * 2)),
     "box-h-squared-underflows": (["--box=0,1e-300"], lambda: Grid((0.0,) * 2, (1e-300,) * 2, (33,) * 2)),
     "cells-400-digits": (["--cells", "9" * 400], lambda: Grid((-1.0,) * 2, (1.0,) * 2, (int("9" * 400),) * 2)),
-    "n-4": (["--n", "4"], None),
-    "n-huge": (["--n", "1000000000000"], None),
     "k-3": (["--k", "3"], lambda: SumHessianOp(2, 3, 1.0)),
 }
 
 
 @pytest.mark.parametrize("name", GRID_AND_OPERATOR_REFUSALS)
-def test_grid_and_operator_refusals_exit_64_on_one_line(name, tmp_path, capsys):
-    argv, _ = GRID_AND_OPERATOR_REFUSALS[name]
-    assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert re.fullmatch(r"configuration error: [^\n]+\n", captured.err)
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("name", [name for name, (_, refusal) in GRID_AND_OPERATOR_REFUSALS.items() if refusal])
 def test_grid_and_operator_refusals_carry_the_library_message(name, tmp_path, capsys):
-    # Grid and SumHessianOp state these rules; the CLI reports their
-    # messages and keeps only its n bound, checked before grid() builds
-    # n-tuples
     argv, refusal = GRID_AND_OPERATOR_REFUSALS[name]
     with pytest.raises(ValueError) as info:
         refusal()
@@ -607,6 +600,17 @@ def test_overflowing_initial_guess_is_cone_breach(argv, tmp_path, capsys):
     # none is admissible: a cone breach, without a warning or a traceback
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONE_BREACH
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sub", ["solve", "estimate"])
+def test_rhs_whose_double_overflows_is_domain_error(sub, tmp_path, capsys):
+    # 2 sup f, the start level's target, overflows: a named outcome, exit 2
+    argv = [sub, "--rhs", "1e308", "--cells", "5", "--out", str(tmp_path)]
+    assert main(argv + (["--levels", "2"] if sub == "estimate" else [])) == EXIT_STALLED
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "domain_error" in captured.out
 
 
 # exit-code contract over generated argv: every run ends in a known code
@@ -632,7 +636,7 @@ _TEXT_FLAGS = {
     "--box": ["-1,1", "0,1", "2,1", "1,a", "1", "1,2,3", ",", "-1e200,1e200", "0,1e-300", "0,inf",
               "nan,1", "-inf,0", "-1e30,1e30"],
     "--rhs": ["3", "3+0.1*g2", "3+x*y-0.5*u", "3+30*u", "3-10*u", "-1", "0", "1e999", "1e-300",
-              "3+z", "3+x3", "(", "__import__('os')", "3 # g2", "1e300*g2", "3+1e10*u", ""],
+              "3+z", "3+x3", "(", "__import__('os')", "3 # g2", "1e300*g2", "3+1e10*u", "", "1e308"],
     "--betas": ["1,2", "1,1.1,2", "x", "nan", "inf", "1,,2", "", ",", "1,8", "-400"],
     "--negate-oracle": ["s_newton", "no_such_report"],
 }

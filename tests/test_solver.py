@@ -812,6 +812,22 @@ class TestSolve:
         assert info.value.status == "domain_error"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rhs_whose_double_overflows_is_domain_error(self, k):
+        # the start level solves S_k(cI) = 2 sup f, and 2e308 is not a
+        # float: a named outcome from every entry point, not the ValueError
+        # of isotropic_level
+        spec = ProblemSpec(SumHessianOp(2, k, 1.0), grid2(9), rhs=const_rhs(1e308))
+        with pytest.raises(SolveFailure) as info:
+            initial_guess(spec)
+        assert info.value.status == "domain_error"
+        rep = solve(spec)
+        assert (rep.status, rep.iterations, rep.residual_history) == ("domain_error", 0, [])
+        rep = continuation_solve(spec)
+        assert rep.status == "domain_error"
+        assert rep.extras == {"continuation_ts": [], "rejected_stages": [{"t": 1.0, "status": "domain_error"}]}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_update_is_a_stall_at_iteration_0(self):
         # from this admissible start (worst margin 4e-300) the Newton update
         # overflows when the linear solve scales it back by max|rhs|: the
