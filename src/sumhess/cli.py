@@ -59,10 +59,6 @@ class ConfigError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# right-hand-side expressions: a whitelisted subset of Python arithmetic
-# ---------------------------------------------------------------------------
-
 _RHS_AXES = {"x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}
 _RHS_NAMES = {"u", "g2", *_RHS_AXES}
 _RHS_NODES = (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.UnaryOp, ast.USub,
@@ -111,10 +107,6 @@ def parse_rhs(text: str):
 
     return rhs
 
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
 
 def _floats(text: str, key: str) -> tuple[float, ...]:
     try:
@@ -239,21 +231,13 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _dump_json(path: str, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_report(config: RunConfig, name: str, payload: dict) -> None:
-    """Write payload, with the resolved config embedded, to <out>/<name>.json."""
+def _dump_json(config: RunConfig, name: str, payload: dict) -> None:
+    """Write payload, with the resolved config embedded, to <out>/<name>.json
+    (a temp file, then a rename)."""
     path = os.path.join(config.out, f"{name}.json")
-    _dump_json(path, {**payload, "config": dataclasses.asdict(config)})
+    with open(path + ".tmp", "w") as fh:
+        fh.write(json.dumps({**payload, "config": dataclasses.asdict(config)}, sort_keys=True, indent=2) + "\n")
+    os.replace(path + ".tmp", path)
 
 
 def _say(line: str) -> None:
@@ -269,10 +253,6 @@ def _verdict(ok: bool, label: str) -> bool:
     _say(f"{'PASS' if ok else 'FAIL'} {label}")
     return ok
 
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
 
 def _identity_sweep_passes(samples: int, seed: int) -> bool:
     rng = np.random.default_rng(seed + 421)
@@ -294,7 +274,7 @@ def cmd_identities(config: RunConfig) -> int:
             rep.worst_margin = -rep.worst_margin
             rep.passed = bool(rep.worst_margin >= -rep.tolerance)
             rep.extras["negated_for_testing"] = True
-        _write_report(config, rep.name, dataclasses.asdict(rep))
+        _dump_json(config, rep.name, dataclasses.asdict(rep))
         label = f"{rep.name}: worst margin {rep.worst_margin:.3e} over {rep.samples} samples"
         all_ok &= _verdict(rep.passed, label)
     all_ok &= _verdict(_identity_sweep_passes(config.samples, config.seed), "deletion identities")
@@ -320,7 +300,7 @@ def cmd_solve(config: RunConfig) -> int:
     report = continuation_solve(spec, solve_config)
     payload = report.to_json_dict()
     payload["gradient_dependent_rhs"] = "g2" in _compile_rhs(config.rhs).co_names
-    _write_report(config, "solve_report", payload)
+    _dump_json(config, "solve_report", payload)
     csv_path = os.path.join(config.out, "solution.csv")
     report.final_field.to_csv(csv_path + ".tmp", name="u")
     os.replace(csv_path + ".tmp", csv_path)
@@ -347,7 +327,7 @@ def cmd_estimate(config: RunConfig) -> int:
         payload = dataclasses.asdict(rep)
         if rep.quantity == "near_linear":
             payload["gradient_convexity_worst_margin"] = probe
-        _write_report(config, f"estimate_beta_{beta}", payload)
+        _dump_json(config, f"estimate_beta_{beta}", payload)
         sups = [e["sup"] for e in rep.per_refinement]
         all_stable &= _verdict(rep.stable, f"estimate beta={beta}: sups={sups}")
     return EXIT_OK if all_stable else EXIT_PROPERTY
@@ -392,14 +372,10 @@ def cmd_rigidity(config: RunConfig) -> int:
             "passed": bool(scaling_err <= 1e-10 * scale),
         },
     }
-    _write_report(config, "rigidity_report", blocks)
+    _dump_json(config, "rigidity_report", blocks)
     passed = [_verdict(block["passed"], name) for name, block in blocks.items()]
     return EXIT_OK if all(passed) else EXIT_PROPERTY
 
-
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
 
 # the settings each subcommand reads, and so the flags it takes, spelled out
 # in full (--max-iter sets max_iter); box is the pair box_lo,box_hi

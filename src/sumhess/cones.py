@@ -53,13 +53,7 @@ def in_gamma_tilde_k(op: SumHessianOp, lam) -> np.ndarray:
     return _members(gamma_tilde_margins(op, lam))
 
 
-def _sample_cone_array(
-    n: int,
-    count: int,
-    radius: float,
-    rng: np.random.Generator,
-    margins_fn,
-) -> np.ndarray:
+def _sample_cone_array(n: int, count: int, radius: float, rng: np.random.Generator, margins_fn) -> np.ndarray:
     """Rejection sampling in batches of 4096 draws; every cone here holds
     the positive orthant, so at least 2^-n of the draws are kept."""
     if count < 1:
@@ -75,17 +69,13 @@ def _sample_cone_array(
     return np.concatenate(accepted)[:count]
 
 
-def sample_cone_array(
-    op: SumHessianOp, count: int, radius: float, rng: np.random.Generator
-) -> np.ndarray:
+def sample_cone_array(op: SumHessianOp, count: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """`count` spectra in the admissible cone, shape (count, n), by
     rejection sampling on the box [-radius, radius]^n.  Deterministic for
     a seeded generator."""
     return _sample_cone_array(op.n, count, radius, rng, lambda pts: gamma_tilde_margins(op, pts))
 
 
-def sample_gamma_k_array(
-    n: int, k: int, count: int, radius: float, rng: np.random.Generator
-) -> np.ndarray:
+def sample_gamma_k_array(n: int, k: int, count: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Like sample_cone_array but for the Garding cone Gamma_k."""
     return _sample_cone_array(n, count, radius, rng, lambda pts: gamma_k_margins(pts, k))

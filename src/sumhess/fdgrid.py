@@ -149,10 +149,6 @@ class GridField:
             fh.writelines(f"{p},{v!r}\r\n" for p, v in zip(prefixes, self.values.reshape(-1).tolist()))
 
 
-# ---------------------------------------------------------------------------
-# batched stencils
-# ---------------------------------------------------------------------------
-
 def _shifted(v: np.ndarray, offset=(0, 0, 0)) -> np.ndarray:
     """Interior-shaped view of the padded array v moved by `offset` (one
     entry in {-1, 0, 1} per axis; zip stops at v's own dimension)."""

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,10 +106,6 @@ class _WorstTracker:
         )
 
 
-# ---------------------------------------------------------------------------
-# quotient concavity (second-derivative form)
-# ---------------------------------------------------------------------------
-
 def _quotient_concavity_batch(op, l, lams, ws, split_deltas):
     """Normalized margins of the quotient-concavity quadratic-form
     inequality, batched over rows of lams/ws, one array per entry of
@@ -156,10 +154,6 @@ def _quotient_concavity_batch(op, l, lams, ws, split_deltas):
         yield (lhs - rhs) / (1.0 + scale)
 
 
-# ---------------------------------------------------------------------------
-# second derivative of a symmetric matrix function in a direction
-# ---------------------------------------------------------------------------
-
 def directional_second_derivative(k: int, alpha: float, A, B) -> float:
     """Second derivative of t -> f(eigenvalues(A + t B)) at t = 0, with
     f = sigma_k + alpha*sigma_{k-1} (alpha = 0 gives plain sigma_k), for a
@@ -196,10 +190,6 @@ def directional_second_derivative(k: int, alpha: float, A, B) -> float:
     return total
 
 
-# ---------------------------------------------------------------------------
-# partial-product bound and the empirical top-share constant
-# ---------------------------------------------------------------------------
-
 def _partial_product_batch(op, lams):
     """Normalized margins, for s = 1..k-1, of
         S_s - (lam_1...lam_s + alpha*lam_1...lam_{s-1})
@@ -221,10 +211,6 @@ def _partial_product_batch(op, lams):
     return (ss - (prods + alpha * prev)) / scales, theta
 
 
-# ---------------------------------------------------------------------------
-# Newton-type inequality for adjacent operator orders
-# ---------------------------------------------------------------------------
-
 def _s_newton_batch(op, lams):
     """(S_k^2 - S_{k-1} S_{k+1}) / (1 + S_k^2) from one sigma_all pass (so
     S_{n+1} = alpha*sigma_n), led by sigma_{-1} = 0, so S_0 = 1."""
@@ -232,10 +218,6 @@ def _s_newton_batch(op, lams):
     skm, sk, skp = np.moveaxis(s_from_sigma(sig, op.alpha)[..., op.k - 1 :], -1, 0)  # S_{k-1}, S_k, S_{k+1}
     return (sk * sk - skm * skp) / (1.0 + sk * sk)
 
-
-# ---------------------------------------------------------------------------
-# classical Newton-Maclaurin consequences
-# ---------------------------------------------------------------------------
 
 def _newton_maclaurin_batch(lams, k):
     """The smaller normalized margin, on Gamma_k with k >= 2, of
@@ -248,10 +230,6 @@ def _newton_maclaurin_batch(lams, k):
     m2 = (sk * skm1 - skm2 * skp1) / (1.0 + np.abs(sk * skm1) + np.abs(skm2 * skp1))
     return np.minimum(m1, m2)
 
-
-# ---------------------------------------------------------------------------
-# bounds under an operator cap S_k <= N0 (Garding-cone spectra)
-# ---------------------------------------------------------------------------
 
 def _capped_bounds_batch(op, lams, n0):
     """(unconditional, conditional) normalized minima for descending
@@ -392,10 +370,6 @@ def capped_threshold_search(op: SumHessianOp, rng: np.random.Generator) -> dict:
             "probes": probes}
 
 
-# ---------------------------------------------------------------------------
-# midpoint concavity of S_k^{1/k} and (S_k/S_l)^{1/(k-l)}
-# ---------------------------------------------------------------------------
-
 def _concavity_values(op, S, l=None):
     """S_k^{1/k}, or (S_k/S_l)^{1/(k-l)} for an order l, from S = S_1..S_k."""
     k = op.k
@@ -403,10 +377,6 @@ def _concavity_values(op, S, l=None):
         return S[..., k - 1] ** (1.0 / k)
     return (S[..., k - 1] / S[..., l - 1]) ** (1.0 / (k - l))
 
-
-# ---------------------------------------------------------------------------
-# sweep drivers
-# ---------------------------------------------------------------------------
 
 def _report_quotient_concavity(samples, rng, split_deltas=None):
     name = "quotient_concavity" if split_deltas is None else "quotient_concavity_split"
@@ -546,6 +516,47 @@ REPORT_BUILDERS = {
     "newton_maclaurin": _report_newton_maclaurin,
     "concavity": _report_concavity,
 }
+# in-process seconds per report at samples=1000 (one BLAS thread, a 2-vCPU VM),
+# in REPORT_BUILDERS order: the weights _shares balances
+REPORT_SECONDS = dict(zip(REPORT_BUILDERS, (0.12, 0.13, 0.035, 0.13, 0.145, 0.055, 0.02, 0.145)))
+
+
+def _shares(count: int) -> list[list[str]]:
+    """The report names dealt to count shares, costliest first, each to the
+    share with the least REPORT_SECONDS so far; a share keeps the order of
+    REPORT_BUILDERS, so a single share is the serial loop."""
+    shares = [[] for _ in range(count)]
+    for name in sorted(REPORT_BUILDERS, key=REPORT_SECONDS.get, reverse=True):
+        min(shares, key=lambda share: sum(map(REPORT_SECONDS.get, share))).append(name)
+    return [[name for name in REPORT_BUILDERS if name in share] for share in shares]
+
+
+def _fork(run, names: list[str]):
+    """(pid, read end of a pipe) of a forked child that pickles run(names),
+    or the exception it raised, into the pipe; None when the fork fails.
+    The child leaves by os._exit, with status 0 once it has written, so no
+    atexit hook runs and no stdio buffer it inherited is flushed again."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        os.close(read)
+        try:
+            result = run(names)
+        except BaseException as exc:
+            result = exc
+        with open(write, "wb") as fh:
+            pickle.dump(result, fh)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def run_inequality_suite(samples: int = 1000, seed: int = 2024) -> list[InequalityReport]:
@@ -558,10 +569,42 @@ def run_inequality_suite(samples: int = 1000, seed: int = 2024) -> list[Inequali
     spectrum lam, the report's own fields and the margin (see
     _WorstTracker).  The capped threshold search runs at CAPPED_N0 and
     CAPPED_EPS0.  Deterministic for a fixed seed: every report consumes
-    its own child random stream.
-    """
-    streams = np.random.default_rng(seed).spawn(len(REPORT_BUILDERS))
-    return [builder(samples, rng) for builder, rng in zip(REPORT_BUILDERS.values(), streams)]
+    its own child random stream, so the reports are the same for any CPU
+    count.  They run in min(allowed CPUs, 8) shares (_shares): the first
+    here, each other one in a forked child (here if the fork fails).  A
+    child's exception is raised here; a child that exits without its
+    reports raises RuntimeError."""
+    streams = dict(zip(REPORT_BUILDERS, np.random.default_rng(seed).spawn(len(REPORT_BUILDERS))))
+
+    def run(names):  # looked up by name, as a tracer may rebind the builders
+        return {name: REPORT_BUILDERS[name](samples, streams[name]) for name in names}
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    own, *others = _shares(min(cpus, len(REPORT_BUILDERS)))
+    children, outputs = [], []
+    try:
+        for names in others:
+            child = _fork(run, names)
+            if child:
+                children.append(child)
+            else:
+                own += names
+        reports = run(own)
+        for _, read in children:
+            with open(read, "rb", closefd=False) as fh:
+                outputs.append(fh.read())
+    finally:
+        for _, read in children:
+            os.close(read)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for (pid, _), code, output in zip(children, codes, outputs):
+        if code:
+            raise RuntimeError(f"report process {pid} exited with status {code} before sending its reports")
+        result = pickle.loads(output)
+        if isinstance(result, BaseException):
+            raise result
+        reports.update(result)
+    return [reports[name] for name in REPORT_BUILDERS]
 
 
 def __getattr__(name):

@@ -75,15 +75,10 @@ class ScaledField:
         return (np.asarray(self.u(self.R * y), dtype=float) - self.R**2) / self.R**2
 
 
-# ---------------------------------------------------------------------------
-# the explicit non-polynomial entire solution (three variables, k = 2,
-# alpha = 1): 1-convex, solves sigma_2 + sigma_1 = 1
-# ---------------------------------------------------------------------------
-
 def entire_solution(points) -> np.ndarray:
-    """u(x, y, t) = (e^{4t}-1)/4 (x^2+y^2)
-                    + (7 e^{-4t}/4 - e^{4t}/4 - 4 t^2)/16
-    for points of shape (..., 3)."""
+    """The explicit 1-convex non-polynomial entire solution of sigma_2 +
+    sigma_1 = 1 (three variables, k = 2, alpha = 1), for points of shape
+    (..., 3): u(x, y, t) = (e^{4t}-1)/4 (x^2+y^2) + (7 e^{-4t}/4 - e^{4t}/4 - 4 t^2)/16."""
     pts = np.asarray(points, dtype=float)
     x, y, t = pts[..., 0], pts[..., 1], pts[..., 2]
     e4t = np.exp(4.0 * t)

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -314,6 +315,30 @@ class TestIdentitiesCommand:
         assert proc.wait(timeout=120) == EXIT_OK, err
         assert err == ""
         assert len([p for p in os.listdir(tmp_path) if p.endswith(".json")]) == 8
+
+    def test_stdout_to_a_file_holds_each_verdict_once(self, tmp_path):
+        # the forked report processes leave by os._exit, so none flushes a
+        # copy of the stdout buffer it inherited
+        env = dict(os.environ, PYTHONPATH=str(Path(sumhess.__file__).parents[1]))
+        with open(tmp_path / "stdout.txt", "w") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sumhess.cli", *FAST_IDENTITIES, "--out", str(tmp_path)],
+                env=env, stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = (tmp_path / "stdout.txt").read_text().splitlines()
+        assert len(lines) == 9 and len(set(lines)) == 9, lines
+        assert all(line.startswith("PASS ") for line in lines)
+
+    def test_failed_fork_still_passes_and_is_no_config_error(self, tmp_path, monkeypatch, capsys):
+        # os.fork's OSError must not reach main, which reports OSError as exit 64
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(FAST_IDENTITIES + ["--out", str(tmp_path)]) == EXIT_OK
+        assert "configuration error" not in capsys.readouterr().err
 
     def test_failing_deletion_identities_fail_the_run(self, tmp_path, monkeypatch, capsys):
         # the eight reports pass; only the identity check's verdict fails

@@ -106,6 +106,20 @@ def test_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_traced_identities_run_writes_its_trace(tmp_path):
+    # the benchmark's traced mode, in which the tracer wraps every report
+    # builder, runs the suite over forked processes and dumps its spans
+    paths = [REPO / "perfbench", Path(sumhess.__file__).parents[1]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in paths))
+    argv = ["identities", "--samples", "20", "--seed", "0", "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "child.py"), "trace", str(tmp_path / "t"), "--", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "t.json").is_file()
+
+
 def test_deleted_prolong_is_only_a_name_the_tracer_finds():
     # the tracer wraps `solver.prolong` by name; what it finds must not stand
     # in for the deleted function

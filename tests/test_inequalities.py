@@ -1,7 +1,13 @@
 """Tests for the inequality oracles and their sweep drivers."""
 
+import errno
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -656,3 +662,95 @@ class TestSuite:
         ths = capped.extras["conditional_thresholds"]
         assert ths and all(v["finite"] for v in ths.values())
         assert all(math.isfinite(v["lambda_star"]) for v in ths.values())
+
+
+def _cpus(monkeypatch, count):
+    """Let the suite see `count` allowed CPUs."""
+    monkeypatch.setattr(inequalities.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _suite_json(samples=40, seed=9):
+    return json.dumps([asdict(r) for r in run_inequality_suite(samples=samples, seed=seed)], sort_keys=True)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProcessShares:
+    def test_shares_deal_every_report_once_and_balance_two(self):
+        names = sorted(inequalities.REPORT_BUILDERS)
+        for count in range(1, len(names) + 1):
+            shares = inequalities._shares(count)
+            assert len(shares) == count and all(shares)
+            assert sorted(sum(shares, [])) == names
+            assert shares == inequalities._shares(count)
+        loads = [sum(inequalities.REPORT_SECONDS[name] for name in share) for share in inequalities._shares(2)]
+        assert max(loads) < 0.55 * sum(loads)
+
+    def test_reports_are_byte_identical_for_any_cpu_count(self, monkeypatch):
+        _operators_up_to(monkeypatch, 3)
+        _cpus(monkeypatch, 1)
+        serial = _suite_json()
+        _assert_no_child_left()
+        for count in (2, 16):
+            _cpus(monkeypatch, count)
+            assert _suite_json() == serial, count
+            _assert_no_child_left()
+
+    def test_child_exception_is_raised_with_its_type_and_message(self, monkeypatch):
+        _operators_up_to(monkeypatch, 2)
+        _cpus(monkeypatch, 2)
+        [child_share] = inequalities._shares(2)[1:]
+
+        def broken(samples, rng):
+            raise ValueError(f"broken in process {os.getpid()}")
+
+        monkeypatch.setitem(inequalities.REPORT_BUILDERS, child_share[0], broken)
+        with pytest.raises(ValueError, match="broken in process") as info:
+            run_inequality_suite(samples=20, seed=1)
+        assert str(info.value) != f"broken in process {os.getpid()}"  # it ran in the child
+        _assert_no_child_left()
+
+    def test_child_that_dies_without_reports_raises_runtime_error(self, monkeypatch):
+        _operators_up_to(monkeypatch, 2)
+        _cpus(monkeypatch, 2)
+        [child_share] = inequalities._shares(2)[1:]
+        monkeypatch.setitem(inequalities.REPORT_BUILDERS, child_share[0], lambda samples, rng: os._exit(7))
+        with pytest.raises(RuntimeError, match="exited with status 7"):
+            run_inequality_suite(samples=20, seed=1)
+        _assert_no_child_left()
+
+    def test_failed_fork_runs_the_share_here(self, monkeypatch):
+        _operators_up_to(monkeypatch, 3)
+        _cpus(monkeypatch, 1)
+        serial = _suite_json()
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        _cpus(monkeypatch, 16)
+        monkeypatch.setattr(inequalities.os, "fork", no_fork)
+        assert _suite_json() == serial
+        assert len(forks) == len(inequalities.REPORT_BUILDERS) - 1
+        _assert_no_child_left()
+
+    def test_children_do_not_flush_the_stdout_they_inherit(self, tmp_path):
+        # a line still in this process's stdout buffer at the fork is
+        # written once, by this process alone
+        code = (
+            "import os\n"
+            "from sumhess import inequalities\n"
+            "os.sched_getaffinity = lambda pid: set(range(8))\n"
+            "print('before the suite')\n"
+            "inequalities.run_inequality_suite(samples=5, seed=0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(inequalities.__file__).parents[1]))
+        with open(tmp_path / "stdout.txt", "w") as fh:
+            proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=fh, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "stdout.txt").read_text() == "before the suite\n"
